@@ -13,6 +13,7 @@ from .compgraph import (
     residue_clique_graph,
     strong_components,
 )
+from .packed import ToeplitzKernel
 from .spectra import (
     BudgetExceeded,
     PeriodicTail,

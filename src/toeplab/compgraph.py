@@ -13,13 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolmat import BoolMatrix
-from .spectra import competition_matrix, competition_table, power_table, residue_classes
-from .toeplitz import ToeplitzSpec, build_matrix, pair_sum_gcd
+from .packed import ToeplitzKernel
+from .spectra import competition_matrix, competition_table, residue_classes
+from .toeplitz import ToeplitzSpec, pair_sum_gcd
 
 __all__ = [
     "SimpleGraph",
     "m_step_graph",
     "competition_graph_formula",
+    "competition_formula",
     "limit_graph",
     "edges_respect_residues",
     "strong_components",
@@ -82,7 +84,14 @@ def m_step_graph(A: BoolMatrix, m: int) -> SimpleGraph:
 
 
 def competition_graph_formula(spec: ToeplitzSpec) -> SimpleGraph:
-    """One-step competition graph computed from the step sets alone.
+    """One-step competition graph computed from the step sets alone."""
+    kernel = ToeplitzKernel(spec)
+    return SimpleGraph.from_symmetric_matrix(kernel.unpack(competition_formula(kernel)))
+
+
+def competition_formula(kernel: ToeplitzKernel) -> int:
+    """The one-step competition graph from the step sets alone, as a packed
+    symmetric matrix with an empty diagonal.
 
     For u < v with delta = v - u, the pair shares an out-neighbor iff
       - delta = s' - s for forward steps with s <= n - v (then s' <= n - u
@@ -90,39 +99,39 @@ def competition_graph_formula(spec: ToeplitzSpec) -> SimpleGraph:
       - delta = t' - t for backward steps with t <= u - 1 (then t' <= v - 1
         holds automatically), or
       - delta is a forward step plus a backward step.
+    Each rule admits an interval of u per delta, laid down as one segment
+    of the diagonals delta and -delta.
     """
+    spec = kernel.spec
     n = spec.n
-    fwd = set(spec.forward_steps)
-    bwd = set(spec.backward_steps)
+    sums = {s + t for s in spec.forward_steps for t in spec.backward_steps}
+    min_fwd_low = _min_lower_partner(spec.forward_steps, n)
+    min_bwd_low = _min_lower_partner(spec.backward_steps, n)
 
-    sum_ok = [False] * (2 * n)
-    for s in spec.forward_steps:
-        for t in spec.backward_steps:
-            if s + t < 2 * n:
-                sum_ok[s + t] = True
+    out = 0
+    for delta in range(1, n):
+        last = n - delta
+        if delta in sums:
+            spans = ((1, last),)
+        else:
+            spans = ((1, last - min_fwd_low[delta]), (min_bwd_low[delta] + 1, last))
+        for lo, hi in spans:
+            if lo <= hi:
+                # Diagonal entries (u, u) for u = lo..hi, moved onto (u, u+delta)
+                # and (u+delta, u).
+                seg = (kernel.identity & ((1 << (hi - lo + 1) * n) - 1)) << (lo - 1) * (n + 1)
+                out |= (seg << delta) | (seg << delta * n)
+    return out
 
-    # Smallest usable lower partner per delta, or None.
-    big = n + 1
-    min_fwd_low = [big] * n  # delta -> min s with s and s+delta both forward
-    for s in spec.forward_steps:
-        for s2 in spec.forward_steps:
-            delta = s2 - s
-            if delta > 0 and s < min_fwd_low[delta]:
-                min_fwd_low[delta] = s
-    min_bwd_low = [big] * n
-    for t in spec.backward_steps:
-        for t2 in spec.backward_steps:
-            delta = t2 - t
-            if delta > 0 and t < min_bwd_low[delta]:
-                min_bwd_low[delta] = t
 
-    edges = set()
-    for u in range(1, n):
-        for v in range(u + 1, n + 1):
-            delta = v - u
-            if sum_ok[delta] or min_fwd_low[delta] <= n - v or min_bwd_low[delta] <= u - 1:
-                edges.add((u, v))
-    return SimpleGraph(n, frozenset(edges))
+def _min_lower_partner(steps, n: int) -> list[int]:
+    # delta -> smallest k with k and k + delta both steps; n + 1 when none.
+    low = [n + 1] * n
+    for k in reversed(steps):
+        for k2 in steps:
+            if k2 > k:
+                low[k2 - k] = k
+    return low
 
 
 def limit_graph(A: BoolMatrix):
@@ -150,18 +159,13 @@ def edges_respect_residues(spec: ToeplitzSpec, horizon: int) -> bool:
     conditions on the instance."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    d = pair_sum_gcd(spec)
-    A = build_matrix(spec)
-    x = A
-    t = A.transpose()
-    xt = t
+    kernel = ToeplitzKernel(spec)
+    outside = ~kernel.residue_matrix(pair_sum_gcd(spec))
+    b = kernel.identity
     for _ in range(horizon):
-        b = x.multiply(xt)
-        for u, v in SimpleGraph.from_symmetric_matrix(b).edges:
-            if (v - u) % d:
-                return False
-        x = x.multiply(A)
-        xt = xt.multiply(t)
+        b = kernel.compete(b)
+        if b & outside:
+            return False
     return True
 
 

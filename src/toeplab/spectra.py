@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolmat import BoolMatrix
+from .packed import ToeplitzKernel
 
 __all__ = [
     "PeriodicTail",
@@ -39,40 +40,45 @@ class PeriodicTail:
 
     index is the smallest m >= 1 with X_m = X_{m+period} for all later m;
     period is the smallest cycle length; cycle holds the period distinct
-    matrices X_index, ..., X_{index+period-1} in order.
+    matrices X_index, ..., X_{index+period-1} in order, as BoolMatrix or,
+    from a ToeplitzKernel, as packed ints.
     """
 
     index: int
     period: int
-    cycle: tuple[BoolMatrix, ...]
+    cycle: tuple
 
     def to_json_dict(self) -> dict:
         return {"index": self.index, "period": self.period}
 
 
-def power_table(A: BoolMatrix, max_steps: int | None = None):
+def power_table(A, max_steps: int | None = None):
     """Scan A^1, A^2, ... to the first repeat.
 
-    Returns (tail, seq) where seq lists A^1 .. A^{index+period-1}.  Repeats
-    are detected through a fingerprint map whose buckets are re-verified
-    with exact equality, so the reported tail is exact, not probabilistic.
+    Returns (tail, seq) where seq lists A^1 .. A^{index+period-1}.  A is a
+    BoolMatrix, or a ToeplitzKernel whose packed ints then fill the table.
     """
-    seen: dict[int, list[tuple[int, BoolMatrix]]] = {}
-    seq: list[BoolMatrix] = []
-    x = A
+    if isinstance(A, ToeplitzKernel):
+        return _scan(A.adjacency, A.times_a, max_steps, "power")
+    return _scan(A, lambda x: x.multiply(A), max_steps, "power")
+
+
+def _scan(first, step, max_steps: int | None, what: str):
+    # Each term is a function of the one before, so the first repeat pins
+    # the minimal index and period; the dict compares keys exactly.
+    seen: dict = {}
+    seq: list = []
+    x = first
     m = 1
-    while True:
-        bucket = seen.setdefault(x.fingerprint(), [])
-        for first_m, mat in bucket:
-            if mat == x:
-                tail = PeriodicTail(first_m, m - first_m, tuple(seq[first_m - 1 :]))
-                return tail, seq
-        bucket.append((m, x))
+    while x not in seen:
+        seen[x] = m
         seq.append(x)
         if max_steps is not None and m >= max_steps:
-            raise BudgetExceeded(f"power sequence exceeded {max_steps} steps")
-        x = x.multiply(A)
+            raise BudgetExceeded(f"{what} sequence exceeded {max_steps} steps")
+        x = step(x)
         m += 1
+    first_m = seen[x]
+    return PeriodicTail(first_m, m - first_m, tuple(seq[first_m - 1 :])), seq
 
 
 def power_tail(A: BoolMatrix) -> PeriodicTail:
@@ -101,14 +107,17 @@ def competition_matrix(A: BoolMatrix, m: int) -> BoolMatrix:
     return x.multiply(x.transpose())
 
 
-def competition_table(A: BoolMatrix, power=None, max_steps: int | None = None):
-    """Tail of the competition sequence B_m = A^m (A^T)^m plus the prefix
-    B_1 .. B_{qa + 2*pa} where (qa, pa) is the power tail of A.
+def competition_table(A, power=None, max_steps: int | None = None):
+    """Tail of the competition sequence B_m = A^m (A^T)^m plus a prefix.
 
-    B_m is a pointwise image of A^m, so scanning one combined window of the
-    power cycle is enough to pin both minimal values exactly.  `power`
-    accepts a precomputed power_table result.
+    For a BoolMatrix the prefix is B_1 .. B_{qa + 2*pa} where (qa, pa) is
+    the power tail of A: B_m is a pointwise image of A^m, so scanning one
+    combined window of the power cycle pins both minimal values exactly.
+    `power` accepts a precomputed power_table result.  A ToeplitzKernel
+    scans B_{m+1} = A B_m A^T instead, up to the first repeat.
     """
+    if isinstance(A, ToeplitzKernel):
+        return _scan(A.compete(A.identity), A.compete, max_steps, "competition")
     tail, seq = power if power is not None else power_table(A, max_steps)
     qa, pa = tail.index, tail.period
 
@@ -185,19 +194,19 @@ def residue_block_matrix(n: int, d: int):
     return perm, BoolMatrix._raw(n, tuple(rows))
 
 
-def power_is_eventually_toeplitz(A: BoolMatrix, tail: PeriodicTail, seq=None):
+def power_is_eventually_toeplitz(A, tail: PeriodicTail, seq=None):
     """Whether all large powers of A are Toeplitz, and the first threshold.
 
     Checks one full cycle (enough, by periodicity) and then extends the
-    threshold backwards through the pre-cycle powers.
+    threshold backwards through the pre-cycle powers.  A is a BoolMatrix or
+    a ToeplitzKernel, matching the entries of tail and seq.
     """
-    if not all(mat.is_toeplitz() for mat in tail.cycle):
+    is_toeplitz = A.is_toeplitz if isinstance(A, ToeplitzKernel) else BoolMatrix.is_toeplitz
+    if not all(is_toeplitz(mat) for mat in tail.cycle):
         return False, None
     if seq is None:
-        seq = [A]
-        for _ in range(tail.index - 1):
-            seq.append(seq[-1].multiply(A))
+        seq = power_table(A)[1]
     first_m = tail.index
-    while first_m > 1 and seq[first_m - 2].is_toeplitz():
+    while first_m > 1 and is_toeplitz(seq[first_m - 2]):
         first_m -= 1
     return True, first_m

@@ -32,7 +32,7 @@ __all__ = [
     "consecutive_representations",
 ]
 
-_LITERAL_RE = re.compile(r"^T(\d+)<([0-9,\s]+);([0-9,\s]+)>$")
+_LITERAL_RE = re.compile(r"^T(\d+)<([0-9,\s]+);([0-9,\s]+)>$", re.ASCII)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,11 +139,7 @@ def build_matrix(spec: ToeplitzSpec) -> BoolMatrix:
 
 def pair_sum_gcd(spec: ToeplitzSpec) -> int:
     """gcd of all sums s + t over forward steps s and backward steps t."""
-    g = 0
-    for s in spec.forward_steps:
-        for t in spec.backward_steps:
-            g = gcd(g, s + t)
-    return g
+    return gcd(*[s + t for s in spec.forward_steps for t in spec.backward_steps])
 
 
 def offset_generators(spec: ToeplitzSpec) -> tuple[int, ...]:
@@ -166,9 +162,7 @@ def offset_generators(spec: ToeplitzSpec) -> tuple[int, ...]:
 def generator_gcd(spec: ToeplitzSpec) -> tuple[tuple[int, ...], int]:
     """The generator set and its gcd; always equals pair_sum_gcd."""
     gens = offset_generators(spec)
-    g = 0
-    for v in gens:
-        g = gcd(g, v)
+    g = gcd(*gens)
     assert g == pair_sum_gcd(spec), f"generator gcd {g} != pair-sum gcd on {spec}"
     return gens, g
 

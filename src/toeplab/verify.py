@@ -10,26 +10,22 @@ and never silently dropped; the violation list of a healthy run is empty.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from math import gcd, lcm
 from typing import Iterator
 
-from .compgraph import (
-    SimpleGraph,
-    competition_graph_formula,
-    residue_clique_graph,
-)
+from .compgraph import competition_formula
+from .packed import ToeplitzKernel
 from .spectra import (
     BudgetExceeded,
     competition_table,
     power_table,
     power_is_eventually_toeplitz,
-    residue_block_matrix,
 )
 from .toeplitz import (
     ToeplitzSpec,
-    build_matrix,
     offset_generators,
     pair_sum_gcd,
 )
@@ -37,8 +33,8 @@ from .walks import (
     _certify_stabilization,
     bound_hypothesis_holds,
     competition_index_bound,
-    congruence_recurrence_check,
-    congruent_offsets,
+    congruence_step,
+    congruent_mask,
     step_set_run,
 )
 
@@ -179,38 +175,27 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     )
     checks = report.checks
 
-    gens = offset_generators(spec)
-    g = 0
-    for v in gens:
-        g = gcd(g, v)
-    checks["gcd_equality"] = HOLDS if g == d else FAILS
+    checks["gcd_equality"] = HOLDS if gcd(*offset_generators(spec)) == d else FAILS
 
-    A = build_matrix(spec)
+    kernel = ToeplitzKernel(spec)
     try:
-        table = power_table(A, max_steps=step_budget)
+        table = power_table(kernel, max_steps=step_budget)
+        # bs holds B_1 up to its first repeat: every B_m, as B_{m+1} = A B_m A^T.
+        ctail, bs = competition_table(kernel, max_steps=step_budget)
     except BudgetExceeded:
         return _not_applicable_report(spec, report)
     tail, seq = table
     qa, pa = tail.index, tail.period
     report.power_index, report.power_period = qa, pa
-
-    ctail, bs = competition_table(A, power=table)
     report.comp_index, report.comp_period = ctail.index, ctail.period
 
     # Unconditional checks -------------------------------------------------
-    formula = competition_graph_formula(spec)
-    one_step = SimpleGraph.from_symmetric_matrix(bs[0])
-    checks["formula_match"] = HOLDS if formula.edges == one_step.edges else FAILS
-
-    adjacency_ok = True
-    for m in range(qa + pa):  # bs[m] is B_{m+1}; horizon = power index + period
-        for u, v in SimpleGraph.from_symmetric_matrix(bs[m]).edges:
-            if (v - u) % d:
-                adjacency_ok = False
-                break
-        if not adjacency_ok:
-            break
-    checks["adjacency_necessity"] = HOLDS if adjacency_ok else FAILS
+    off_diagonal = kernel.full ^ kernel.identity
+    checks["formula_match"] = (
+        HOLDS if competition_formula(kernel) == bs[0] & off_diagonal else FAILS
+    )
+    residues = kernel.residue_matrix(d)
+    checks["adjacency_necessity"] = HOLDS if all(b & ~residues == 0 for b in bs) else FAILS
 
     conditions = spec.conditions_hold
     chain_horizon = qa + pa
@@ -218,7 +203,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     horizon = pqr_horizon if conditions else chain_horizon
     if horizon > step_budget:
         return _not_applicable_report(spec, report)
-    run = step_set_run(spec, horizon, table=table)
+    run = step_set_run(spec, horizon, table=table, kernel=kernel)
     checks["containment_chain"] = HOLDS if all(ss.chain_holds for ss in run) else FAILS
 
     if not conditions:
@@ -234,17 +219,15 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
 
     if ctail.period == 1:
         limit = ctail.cycle[0]
-        _, expected = residue_block_matrix(n, d)
-        checks["limit_block_match"] = HOLDS if limit == expected else FAILS
-        limit_g = SimpleGraph.from_symmetric_matrix(limit)
+        checks["limit_block_match"] = HOLDS if limit == residues else FAILS
         checks["limit_clique_match"] = (
-            HOLDS if limit_g.edges == residue_clique_graph(n, d).edges else FAILS
+            HOLDS if limit & off_diagonal == residues & off_diagonal else FAILS
         )
     else:
         checks["limit_block_match"] = FAILS
         checks["limit_clique_match"] = FAILS
 
-    toeplitz_holds, _ = power_is_eventually_toeplitz(A, tail, seq)
+    toeplitz_holds, _ = power_is_eventually_toeplitz(kernel, tail, seq)
     checks["eventually_toeplitz"] = HOLDS if toeplitz_holds else FAILS
 
     stab = _certify_stabilization(
@@ -253,18 +236,20 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     report.m_emp = stab.m_emp
     checks["pqr_stabilized"] = HOLDS if (stab.m_emp is not None and stab.certified) else FAILS
 
-    recurrence_ok = all(congruence_recurrence_check(spec, i) for i in range(2, 2 * pi + 3))
-    periodicity_ok = all(
-        congruent_offsets(spec, i) == congruent_offsets(spec, i + pi) for i in range(1, pi + 2)
+    # Congruent sets P_1 .. P_{2 pi + 2}.
+    s1 = spec.min_forward
+    congruent = [congruent_mask(n, d, (i * s1) % d) for i in range(1, 2 * pi + 3)]
+    recurrence_ok = all(
+        congruence_step(spec, prev) == cur for prev, cur in zip(congruent, congruent[1:])
     )
-    window = [congruent_offsets(spec, i) for i in range(1, pi + 1)]
+    periodicity_ok = all(congruent[i] == congruent[i + pi] for i in range(pi + 1))
     disjoint_ok = all(
-        window[i].isdisjoint(window[j]) for i in range(pi) for j in range(i + 1, pi)
+        congruent[i] & congruent[j] == 0 for i in range(pi) for j in range(i + 1, pi)
     )
     checks["p_recurrence"] = HOLDS if (recurrence_ok and periodicity_ok and disjoint_ok) else FAILS
 
     report.bound_value = competition_index_bound(spec)
-    report.bound_hypothesis = bound_hypothesis_holds(spec)
+    report.bound_hypothesis = bound_hypothesis_holds(spec, kernel.unpack(bs[0]))
     if report.bound_hypothesis:
         checks["bound_holds"] = HOLDS if ctail.index <= report.bound_value else FAILS
     else:
@@ -372,7 +357,7 @@ def sweep(
                 report_stream.write(json.dumps(report.to_json_dict()) + "\n")
             done += 1
             if progress is not None and done % progress == 0:
-                print(f"  ... {done} instances", flush=True)
+                print(f"  ... {done} instances", file=sys.stderr, flush=True)
 
     if jobs <= 1:
         fold(worker(spec) for spec in specs)

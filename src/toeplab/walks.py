@@ -25,6 +25,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .boolmat import BoolMatrix
+from .packed import ToeplitzKernel
 from .spectra import PeriodicTail, power_table
 from .toeplitz import ToeplitzSpec, build_matrix, pair_sum_gcd, predicted_period
 
@@ -38,12 +39,14 @@ __all__ = [
     "WalkConstructionError",
     "InsufficientArcCount",
     "EndpointOutOfRange",
+    "congruent_mask",
     "congruent_offsets",
     "combination_offsets",
     "realized_offsets",
     "step_sets",
     "step_set_run",
     "step_set_stabilization",
+    "congruence_step",
     "congruence_recurrence_check",
     "schedule_steps",
     "build_walk_with_counts",
@@ -76,20 +79,35 @@ class EndpointOutOfRange(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class StepSets:
-    """The three offset sets at one step count."""
+    """The three offset sets at one step count, each an int bitmask over
+    [-(n-1), n-1] where bit ell + n - 1 stands for offset ell."""
 
+    n: int
     i: int
-    congruent: frozenset
-    combination: frozenset
-    realized: frozenset
+    congruent_mask: int
+    combination_mask: int
+    realized_mask: int
+
+    @property
+    def congruent(self) -> frozenset:
+        return _mask_to_offsets(self.congruent_mask, self.n)
+
+    @property
+    def combination(self) -> frozenset:
+        return _mask_to_offsets(self.combination_mask, self.n)
+
+    @property
+    def realized(self) -> frozenset:
+        return _mask_to_offsets(self.realized_mask, self.n)
 
     @property
     def chain_holds(self) -> bool:
-        return self.realized <= self.combination <= self.congruent
+        p, q, r = self.congruent_mask, self.combination_mask, self.realized_mask
+        return r & ~q == 0 and q & ~p == 0
 
     @property
     def all_equal(self) -> bool:
-        return self.congruent == self.combination == self.realized
+        return self.congruent_mask == self.combination_mask == self.realized_mask
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,16 +118,30 @@ class StepSets:
         }
 
 
+def _mask_to_offsets(mask: int, n: int) -> frozenset:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - n)
+        mask ^= low
+    return frozenset(out)
+
+
+def congruent_mask(n: int, d: int, residue: int) -> int:
+    """Offsets in [-(n-1), n-1] congruent to residue mod d, as a mask."""
+    mask = 0
+    for k in range((residue + n - 1) % d, 2 * n - 1, d):
+        mask |= 1 << k
+    return mask
+
+
 def congruent_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
     """Offsets in [-n+1, n-1] congruent to i * (min forward step) mod the
     pair-sum gcd."""
     if i < 1:
         raise ValueError("step count must be at least 1")
-    n = spec.n
     d = pair_sum_gcd(spec)
-    r = (i * spec.min_forward) % d
-    first = -(n - 1) + (r - (-(n - 1))) % d
-    return frozenset(range(first, n, d))
+    return _mask_to_offsets(congruent_mask(spec.n, d, (i * spec.min_forward) % d), spec.n)
 
 
 def _combination_shifts(spec: ToeplitzSpec) -> list[int]:
@@ -118,13 +150,11 @@ def _combination_shifts(spec: ToeplitzSpec) -> list[int]:
     return [s + tmax for s in spec.forward_steps] + [tmax - t for t in spec.backward_steps]
 
 
-def _mask_to_offsets(mask: int, base: int, n: int) -> frozenset:
-    lo, hi = -(n - 1), n - 1
-    out = []
-    for ell in range(max(lo, -base), hi + 1):
-        if (mask >> (ell + base)) & 1:
-            out.append(ell)
-    return frozenset(out)
+def _clip(mask: int, base: int, n: int) -> int:
+    # Re-base a mask holding offset ell at bit ell + base onto [-(n-1), n-1].
+    shift = base - (n - 1)
+    moved = mask >> shift if shift >= 0 else mask << -shift
+    return moved & ((1 << (2 * n - 1)) - 1)
 
 
 def combination_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
@@ -139,7 +169,7 @@ def combination_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
         for sh in shifts:
             nxt |= mask << sh
         mask = nxt
-    return _mask_to_offsets(mask, i * spec.max_backward, spec.n)
+    return _mask_to_offsets(_clip(mask, i * spec.max_backward, spec.n), spec.n)
 
 
 def _full_diagonal_offsets(mat: BoolMatrix) -> frozenset:
@@ -163,23 +193,27 @@ def realized_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
 
 
 def step_sets(spec: ToeplitzSpec, i: int) -> StepSets:
-    return StepSets(
-        i, congruent_offsets(spec, i), combination_offsets(spec, i), realized_offsets(spec, i)
-    )
+    return step_set_run(spec, i)[-1]
 
 
-def step_set_run(spec: ToeplitzSpec, horizon: int, table=None) -> list[StepSets]:
+def step_set_run(
+    spec: ToeplitzSpec, horizon: int, table=None, kernel: ToeplitzKernel | None = None
+) -> list[StepSets]:
     """StepSets for i = 1..horizon, sharing one power scan and one
-    combination mask stream across all step counts."""
+    combination mask stream across all step counts.  `table` is a
+    power_table result of `kernel`, the instance's ToeplitzKernel; both are
+    built here when not given."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     n = spec.n
     d = pair_sum_gcd(spec)
     s1 = spec.min_forward
-    tail, seq = table if table is not None else power_table(build_matrix(spec))
+    if kernel is None:
+        kernel = ToeplitzKernel(spec)
+    tail, seq = table if table is not None else power_table(kernel)
 
-    congruent_by_residue: dict[int, frozenset] = {}
-    realized_by_cycle: list[frozenset | None] = [None] * tail.period
+    congruent_by_residue: dict[int, int] = {}
+    realized_by_cycle: list[int | None] = [None] * tail.period
 
     shifts = _combination_shifts(spec)
     tmax = spec.max_backward
@@ -190,23 +224,23 @@ def step_set_run(spec: ToeplitzSpec, horizon: int, table=None) -> list[StepSets]
         r = (i * s1) % d
         congruent = congruent_by_residue.get(r)
         if congruent is None:
-            congruent = congruent_by_residue[r] = congruent_offsets(spec, i)
+            congruent = congruent_by_residue[r] = congruent_mask(n, d, r)
 
         nxt = 0
         for sh in shifts:
             nxt |= mask << sh
         mask = nxt
-        combination = _mask_to_offsets(mask, i * tmax, n)
+        combination = _clip(mask, i * tmax, n)
 
         if i >= tail.index:
             j = (i - tail.index) % tail.period
             realized = realized_by_cycle[j]
             if realized is None:
-                realized = realized_by_cycle[j] = _full_diagonal_offsets(tail.cycle[j])
+                realized = realized_by_cycle[j] = kernel.full_diagonals(tail.cycle[j])
         else:
-            realized = _full_diagonal_offsets(seq[i - 1])
+            realized = kernel.full_diagonals(seq[i - 1])
 
-        out.append(StepSets(i, congruent, combination, realized))
+        out.append(StepSets(n, i, congruent, combination, realized))
     return out
 
 
@@ -255,7 +289,7 @@ def step_set_stabilization(
     """Find and certify the first step count from which the three offset
     sets coincide for good; see StabilizationResult for the semantics."""
     if table is None:
-        table = power_table(build_matrix(spec))
+        table = power_table(ToeplitzKernel(spec))
     tail = table[0]
     if horizon is None:
         horizon = default_stabilization_horizon(spec, tail)
@@ -266,21 +300,22 @@ def step_set_stabilization(
     return _certify_stabilization(flags, tail.index, tail.period, combined, horizon)
 
 
+def congruence_step(spec: ToeplitzSpec, mask: int) -> int:
+    """Offsets one shortest forward step above or one shortest backward
+    step below an offset in `mask`, kept inside [-(n-1), n-1]."""
+    shifted = (mask << spec.min_forward) | (mask >> spec.min_backward)
+    return shifted & ((1 << (2 * spec.n - 1)) - 1)
+
+
 def congruence_recurrence_check(spec: ToeplitzSpec, i: int) -> bool:
     """The congruent set at i must be rebuildable from the one at i-1 by
     adding the shortest forward step or subtracting the shortest backward
     step (staying inside the offset range)."""
     if i < 2:
         raise ValueError("the recurrence starts at step count 2")
-    n = spec.n
-    prev = congruent_offsets(spec, i - 1)
-    s1, t1 = spec.min_forward, spec.min_backward
-    rebuilt = frozenset(
-        ell
-        for ell in range(-(n - 1), n)
-        if (ell - s1) in prev or (ell + t1) in prev
-    )
-    return rebuilt == congruent_offsets(spec, i)
+    n, d, s1 = spec.n, pair_sum_gcd(spec), spec.min_forward
+    prev = congruent_mask(n, d, ((i - 1) * s1) % d)
+    return congruence_step(spec, prev) == congruent_mask(n, d, (i * s1) % d)
 
 
 # -- walks --------------------------------------------------------------------
@@ -585,38 +620,30 @@ def walk_length_bound(spec: ToeplitzSpec, total_requests: int) -> int:
 
 def competition_index_bound(spec: ToeplitzSpec) -> int:
     """2*(ceil(n/d)-1)*(max(ceil(tmax/s1), ceil(smax/t1))+1) + 2*(s1+t1)."""
-    d = pair_sum_gcd(spec)
-    per_arc = max(
-        _ceil_div(spec.max_backward, spec.min_forward),
-        _ceil_div(spec.max_forward, spec.min_backward),
-    )
-    return 2 * (_ceil_div(spec.n, d) - 1) * (per_arc + 1) + 2 * (
-        spec.min_forward + spec.min_backward
-    )
+    requests = _ceil_div(spec.n, pair_sum_gcd(spec)) - 1
+    return 2 * walk_length_bound(spec, requests) + 2 * (spec.min_forward + spec.min_backward)
 
 
-def bound_hypothesis_holds(spec: ToeplitzSpec) -> bool:
+def bound_hypothesis_holds(spec: ToeplitzSpec, b1: BoolMatrix | None = None) -> bool:
     """Whether each residue class induces an irreducible principal
-    submatrix of A A^T, i.e. a connected subgraph (loops ignored; single
-    vertices count as irreducible)."""
-    A = build_matrix(spec)
-    b = A.multiply(A.transpose())
-    d = pair_sum_gcd(spec)
-    n = spec.n
-    for r in range(d):
-        verts = [v for v in range(1, n + 1) if v % d == (r + 1) % d]
-        if len(verts) <= 1:
-            continue
-        members = set(verts)
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            u = stack.pop()
-            row = b.rows[u - 1]
-            for v in members:
-                if v not in seen and v != u and (row >> (v - 1)) & 1:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(verts):
+    submatrix of B_1 = A A^T, i.e. a connected subgraph (loops ignored;
+    single vertices count as irreducible).  `b1` accepts a precomputed B_1."""
+    if b1 is None:
+        A = build_matrix(spec)
+        b1 = A.multiply(A.transpose())
+    n, d = spec.n, pair_sum_gcd(spec)
+    rows = b1.rows
+    for first in range(1, min(d, n) + 1):
+        members = sum(1 << (v - 1) for v in range(first, n + 1, d))
+        seen = frontier = 1 << (first - 1)
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & members & ~seen
+            seen |= frontier
+        if seen != members:
             return False
     return True

@@ -161,6 +161,15 @@ class TestVerifyCommand:
         assert code == EXIT_OK and len(lines) == 10
         assert json.loads(lines[0])["spec"] == "T2<1;1>"
 
+    def test_progress_goes_to_stderr(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--nmax", "4", "--all", "--format", "jsonl", "--progress", "1"
+        )
+        lines = out.splitlines()
+        assert code == EXIT_OK and len(lines) == 59
+        assert all(isinstance(json.loads(line), dict) for line in lines)
+        assert err.splitlines()[-1].strip() == "... 59 instances"
+
     def test_jobs_default_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TOEPLAB_JOBS", "2")
         code, out, _ = run(capsys, "verify", "--nmax", "3", "--all", "--format", "json")
@@ -180,6 +189,11 @@ class TestExitCodes:
     def test_bad_literal(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(capsys, "period", "T8[1;2]")
+        assert exc.value.code == EXIT_BAD_SPEC
+
+    def test_non_ascii_digit_is_bad_literal(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "period", "T\u0668<1,4;2,5>")
         assert exc.value.code == EXIT_BAD_SPEC
 
     def test_unknown_flag_is_usage_error(self, capsys):

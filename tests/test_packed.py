@@ -1,0 +1,298 @@
+"""Differential tests: the packed Toeplitz kernel against the generic
+BoolMatrix path and against the brute-force oracles."""
+
+import random
+from math import gcd, lcm
+
+from hypothesis import given, settings, strategies as st
+
+from toeplab.boolmat import BoolMatrix
+from toeplab.compgraph import SimpleGraph, competition_graph_formula, residue_clique_graph
+from toeplab.packed import ToeplitzKernel
+from toeplab.spectra import (
+    competition_table,
+    power_is_eventually_toeplitz,
+    power_table,
+    residue_block_matrix,
+)
+from toeplab.toeplitz import build_matrix, offset_generators, pair_sum_gcd, validate_spec
+from toeplab.verify import (
+    _CONDITIONAL,
+    FAILS,
+    HOLDS,
+    NOT_APPLICABLE,
+    PREDICATES,
+    InstanceReport,
+    verify_instance,
+)
+from toeplab.walks import (
+    _certify_stabilization,
+    _full_diagonal_offsets,
+    bound_hypothesis_holds,
+    combination_offsets,
+    competition_index_bound,
+    congruence_recurrence_check,
+    congruent_offsets,
+)
+
+import oracles
+
+MAX_N = 40
+
+
+@st.composite
+def specs(draw, max_n=MAX_N):
+    n = draw(st.integers(2, max_n))
+    steps = st.lists(st.integers(1, n - 1), min_size=1, max_size=4)
+    return validate_spec(n, draw(steps), draw(steps))
+
+
+@st.composite
+def spec_and_matrix(draw, max_n=MAX_N):
+    spec = draw(specs(max_n))
+    n = spec.n
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return spec, BoolMatrix(n, rows)
+
+
+def as_lists(mat):
+    return [[(r >> j) & 1 for j in range(mat.n)] for r in mat.rows]
+
+
+def naive_spec_matrix(spec):
+    return oracles.naive_from_spec(spec.n, spec.forward_steps, spec.backward_steps)
+
+
+def offsets_of(mask, n):
+    return frozenset(k - (n - 1) for k in range(2 * n - 1) if (mask >> k) & 1)
+
+
+class TestPacking:
+    @given(spec_and_matrix())
+    @settings(max_examples=60, deadline=None)
+    def test_pack_round_trip(self, case):
+        spec, x = case
+        kernel = ToeplitzKernel(spec)
+        assert kernel.unpack(kernel.pack(x)) == x
+
+    @given(specs())
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_is_build_matrix(self, spec):
+        kernel = ToeplitzKernel(spec)
+        assert kernel.unpack(kernel.adjacency) == build_matrix(spec)
+        assert kernel.unpack(kernel.identity) == BoolMatrix.identity(spec.n)
+
+    @given(specs(), st.integers(1, MAX_N))
+    @settings(max_examples=60, deadline=None)
+    def test_residue_matrix_is_residue_block_matrix(self, spec, d):
+        kernel = ToeplitzKernel(spec)
+        _, expected = residue_block_matrix(spec.n, min(d, spec.n))
+        assert kernel.unpack(kernel.residue_matrix(d)) == expected
+
+
+class TestPowerStep:
+    @given(spec_and_matrix())
+    @settings(max_examples=40, deadline=None)
+    def test_shift_or_step_matches_generic_and_oracle(self, case):
+        spec, x = case
+        kernel = ToeplitzKernel(spec)
+        step = kernel.unpack(kernel.times_a(kernel.pack(x)))
+        assert step == x.multiply(build_matrix(spec))
+        assert as_lists(step) == oracles.naive_multiply(as_lists(x), naive_spec_matrix(spec))
+
+    @given(specs(max_n=20))
+    @settings(max_examples=30, deadline=None)
+    def test_power_table_matches_generic(self, spec):
+        kernel = ToeplitzKernel(spec)
+        tail, seq = power_table(kernel)
+        gtail, gseq = power_table(build_matrix(spec))
+        assert (tail.index, tail.period) == (gtail.index, gtail.period)
+        assert [kernel.unpack(x) for x in seq] == gseq
+
+
+class TestCompetitionStep:
+    @given(specs(), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_recurrence_matches_generic_and_oracle(self, spec, m):
+        kernel = ToeplitzKernel(spec)
+        b = kernel.identity
+        for _ in range(m):
+            b = kernel.compete(b)
+        x = build_matrix(spec).power(m)
+        assert kernel.unpack(b) == x.multiply(x.transpose())
+        assert as_lists(kernel.unpack(b)) == oracles.naive_competition(naive_spec_matrix(spec), m)
+
+    @given(specs(max_n=20))
+    @settings(max_examples=30, deadline=None)
+    def test_competition_table_matches_generic(self, spec):
+        kernel = ToeplitzKernel(spec)
+        tail, bs = competition_table(kernel)
+        gtail, gbs = competition_table(build_matrix(spec))
+        assert (tail.index, tail.period) == (gtail.index, gtail.period)
+        assert [kernel.unpack(b) for b in bs] == gbs[: len(bs)]
+
+
+class TestFullDiagonals:
+    @given(spec_and_matrix())
+    @settings(max_examples=60, deadline=None)
+    def test_fold_matches_generic(self, case):
+        spec, x = case
+        kernel = ToeplitzKernel(spec)
+        # Random rows rarely fill a diagonal; filling some exercises both pads.
+        rng = random.Random(x.count_ones())
+        rows = list(x.rows)
+        for ell in rng.sample(range(-(x.n - 1), x.n), rng.randint(0, x.n)):
+            for r in range(max(0, -ell), min(x.n, x.n - ell)):
+                rows[r] |= 1 << (r + ell)
+        for mat in (x, BoolMatrix(x.n, rows)):
+            got = offsets_of(kernel.full_diagonals(kernel.pack(mat)), mat.n)
+            assert got == _full_diagonal_offsets(mat)
+
+    @given(specs(max_n=12), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_fold_of_power_matches_oracle(self, spec, i):
+        kernel = ToeplitzKernel(spec)
+        x = kernel.adjacency
+        for _ in range(i - 1):
+            x = kernel.times_a(x)
+        expected = oracles.naive_realized_offsets(
+            spec.n, spec.forward_steps, spec.backward_steps, i
+        )
+        assert offsets_of(kernel.full_diagonals(x), spec.n) == expected
+
+
+class TestToeplitzTest:
+    @given(spec_and_matrix())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_generic(self, case):
+        spec, x = case
+        kernel = ToeplitzKernel(spec)
+        assert kernel.is_toeplitz(kernel.pack(x)) == x.is_toeplitz()
+
+    @given(specs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_toeplitz_matrices_and_one_flip(self, spec, data):
+        n = spec.n
+        kernel = ToeplitzKernel(spec)
+        diagonals = data.draw(st.integers(0, (1 << (2 * n - 1)) - 1))
+        rows = [
+            sum(1 << c for c in range(n) if (diagonals >> (c - r + n - 1)) & 1) for r in range(n)
+        ]
+        x = BoolMatrix(n, rows)
+        assert kernel.is_toeplitz(kernel.pack(x)) and x.is_toeplitz()
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[r] ^= 1 << c
+        flipped = BoolMatrix(n, rows)
+        assert kernel.is_toeplitz(kernel.pack(flipped)) == flipped.is_toeplitz()
+
+
+# -- whole reports ----------------------------------------------------------------
+
+
+def generic_report(spec):
+    """verify_instance on the generic BoolMatrix path: products, transposes,
+    SimpleGraph edges and frozenset step sets."""
+    n = spec.n
+    d = pair_sum_gcd(spec)
+    d_prime = gcd(d, spec.min_forward)
+    pi = d // d_prime
+    report = InstanceReport(spec, d, d_prime, pi, spec.cond1, spec.cond2)
+    checks = report.checks
+    g = 0
+    for v in offset_generators(spec):
+        g = gcd(g, v)
+    checks["gcd_equality"] = HOLDS if g == d else FAILS
+
+    A = build_matrix(spec)
+    tail, seq = power_table(A)
+    qa, pa = tail.index, tail.period
+    report.power_index, report.power_period = qa, pa
+    ctail, bs = competition_table(A, power=(tail, seq))
+    report.comp_index, report.comp_period = ctail.index, ctail.period
+
+    one_step = SimpleGraph.from_symmetric_matrix(bs[0])
+    checks["formula_match"] = (
+        HOLDS if competition_graph_formula(spec).edges == one_step.edges else FAILS
+    )
+    adjacency_ok = all(
+        (v - u) % d == 0
+        for m in range(qa + pa)
+        for u, v in SimpleGraph.from_symmetric_matrix(bs[m]).edges
+    )
+    checks["adjacency_necessity"] = HOLDS if adjacency_ok else FAILS
+
+    horizon = qa + 2 * pa * pi if spec.conditions_hold else qa + pa
+    chain_ok, flags = True, []
+    for i in range(1, horizon + 1):
+        x = seq[i - 1] if i < qa else tail.cycle[(i - qa) % pa]
+        p, q, r = (
+            oracles.naive_congruent_offsets(n, spec.forward_steps, spec.backward_steps, i),
+            combination_offsets(spec, i),
+            _full_diagonal_offsets(x),
+        )
+        chain_ok = chain_ok and r <= q <= p
+        flags.append(p == q == r)
+    checks["containment_chain"] = HOLDS if chain_ok else FAILS
+
+    report.bound_value = competition_index_bound(spec)
+    if not spec.conditions_hold:
+        checks.update((name, NOT_APPLICABLE) for name in _CONDITIONAL)
+        report.checks = {name: checks[name] for name in PREDICATES}
+        return report
+
+    checks["period_match"] = HOLDS if pa == pi else FAILS
+    checks["competition_period_is_1"] = HOLDS if ctail.period == 1 else FAILS
+    block_ok = clique_ok = False
+    if ctail.period == 1:
+        limit = ctail.cycle[0]
+        block_ok = limit == residue_block_matrix(n, d)[1]
+        clique_ok = (
+            SimpleGraph.from_symmetric_matrix(limit).edges == residue_clique_graph(n, d).edges
+        )
+    checks["limit_block_match"] = HOLDS if block_ok else FAILS
+    checks["limit_clique_match"] = HOLDS if clique_ok else FAILS
+    toeplitz_ok, _ = power_is_eventually_toeplitz(A, tail, seq)
+    checks["eventually_toeplitz"] = HOLDS if toeplitz_ok else FAILS
+
+    stab = _certify_stabilization(flags, qa, pa, lcm(pi, pa), horizon)
+    report.m_emp = stab.m_emp
+    checks["pqr_stabilized"] = HOLDS if stab.m_emp is not None and stab.certified else FAILS
+
+    window = [congruent_offsets(spec, i) for i in range(1, pi + 1)]
+    recurrence_ok = (
+        all(congruence_recurrence_check(spec, i) for i in range(2, 2 * pi + 3))
+        and all(
+            congruent_offsets(spec, i) == congruent_offsets(spec, i + pi) for i in range(1, pi + 2)
+        )
+        and all(window[i].isdisjoint(window[j]) for i in range(pi) for j in range(i + 1, pi))
+    )
+    checks["p_recurrence"] = HOLDS if recurrence_ok else FAILS
+
+    report.bound_hypothesis = bound_hypothesis_holds(spec)
+    if report.bound_hypothesis:
+        checks["bound_holds"] = HOLDS if ctail.index <= report.bound_value else FAILS
+    else:
+        checks["bound_holds"] = NOT_APPLICABLE
+    report.checks = {name: checks[name] for name in PREDICATES}
+    return report
+
+
+def test_reports_match_generic_path_on_seeded_specs():
+    rng = random.Random(20221208)
+    for _ in range(200):
+        n = rng.randint(9, 40)
+        fwd = rng.sample(range(1, n), rng.randint(1, 3))
+        bwd = rng.sample(range(1, n), rng.randint(1, 3))
+        spec = validate_spec(n, fwd, bwd)
+        assert verify_instance(spec).to_json_dict() == generic_report(spec).to_json_dict(), (
+            spec.literal
+        )
+
+
+def test_reports_match_generic_path_on_small_sweep():
+    from toeplab.verify import enumerate_specs
+
+    for spec in enumerate_specs(5, False):
+        assert verify_instance(spec).to_json_dict() == generic_report(spec).to_json_dict(), (
+            spec.literal
+        )

@@ -69,7 +69,9 @@ class TestLiteral:
             assert parse_literal(text).literal == text
 
     @pytest.mark.parametrize(
-        "bad", ["T8[1,4;2,5]", "8<1;1>", "T8<1,4>", "T8<;1>", "T8<1;>", "T8<1,a;2>"]
+        "bad",
+        # "\u0668" is the Arabic-Indic digit eight.
+        ["T8[1,4;2,5]", "8<1;1>", "T8<1,4>", "T8<;1>", "T8<1;>", "T8<1,a;2>", "T\u0668<1,4;2,5>"],
     )
     def test_malformed_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ Every subcommand takes the instance literal "T<n><s1,..;t1,..>" (for
 example "T8<1,4;2,5>") and exposes one operation for scripting.  Exit
 codes: 0 ok, 1 computation failed (e.g. impossible walk, golden
 mismatch), 2 usage error, 3 malformed instance literal, 4 format not
-applicable to the subcommand, 5 verification violations.
+applicable to the subcommand, 5 verification violations, 6 a sequence scan
+exceeded its step budget.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ import sys
 from math import gcd
 
 from . import goldens
-from .compgraph import digraph_dot, graph_dot, m_step_graph
+from .compgraph import SimpleGraph, digraph_dot, graph_dot
+from .packed import ToeplitzKernel
 from .spectra import (
-    competition_tail,
-    power_tail,
-    residue_block_matrix,
+    BudgetExceeded,
+    competition_table,
+    power_from_table,
+    power_table,
     residue_classes,
 )
 from .toeplitz import (
@@ -31,7 +34,7 @@ from .toeplitz import (
     parse_literal,
     predicted_period,
 )
-from .verify import sweep
+from .verify import DEFAULT_STEP_BUDGET, sweep
 from .walks import (
     EndpointOutOfRange,
     InsufficientArcCount,
@@ -51,6 +54,7 @@ EXIT_USAGE = 2
 EXIT_BAD_SPEC = 3
 EXIT_BAD_FORMAT = 4
 EXIT_VIOLATIONS = 5
+EXIT_BUDGET = 6
 
 
 _ALL_FORMATS = ("text", "json", "dot", "jsonl")
@@ -111,7 +115,7 @@ def _cmd_power(args) -> int:
 
 def _cmd_period(args) -> int:
     spec = _parse_spec(args.spec)
-    tail = power_tail(build_matrix(spec))
+    tail, _ = power_table(ToeplitzKernel(spec), max_steps=DEFAULT_STEP_BUDGET)
     d = pair_sum_gcd(spec)
     d_prime = gcd(d, spec.min_forward)
     predicted = predicted_period(spec)
@@ -133,8 +137,8 @@ def _cmd_period(args) -> int:
 
 def _cmd_competition(args) -> int:
     spec = _parse_spec(args.spec)
-    A = build_matrix(spec)
-    tail = competition_tail(A)
+    kernel = ToeplitzKernel(spec)
+    tail, _ = competition_table(kernel, max_steps=DEFAULT_STEP_BUDGET)
     d = pair_sum_gcd(spec)
     payload = {
         "spec": spec.literal,
@@ -144,10 +148,10 @@ def _cmd_competition(args) -> int:
     }
     lines = [f"competition index={tail.index} period={tail.period} (d={d})"]
     if tail.period == 1:
-        limit = tail.cycle[0]
-        _, expected = residue_block_matrix(spec.n, d)
-        classes = residue_classes(spec.n, d)
-        block_match = limit == expected
+        limit = kernel.unpack(tail.cycle[0])
+        block_match = tail.cycle[0] == kernel.residue_matrix(d)
+        # For d >= n every class mod d is a singleton, as it is mod n.
+        classes = residue_classes(spec.n, min(d, spec.n))
         payload.update(
             {
                 "limit": limit.to_json_dict(),
@@ -172,7 +176,9 @@ def _cmd_graph(args) -> int:
     if args.m < 1:
         print("error: --m must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    g = m_step_graph(build_matrix(spec), args.m)
+    kernel = ToeplitzKernel(spec)
+    table = competition_table(kernel, max_steps=DEFAULT_STEP_BUDGET)
+    g = SimpleGraph.from_symmetric_matrix(kernel.unpack(power_from_table(*table, args.m)))
     if args.format == "dot":
         print(graph_dot(g, name=f"{spec.literal} m={args.m}"))
     elif args.format == "json":
@@ -190,8 +196,11 @@ def _fmt_offsets(values) -> str:
 
 def _cmd_psets(args) -> int:
     spec = _parse_spec(args.spec)
+    if args.horizon is not None and args.horizon < 1:
+        print("error: --horizon must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     if args.stabilize:
-        result = step_set_stabilization(spec, horizon=args.horizon)
+        result = step_set_stabilization(spec, args.horizon, max_steps=DEFAULT_STEP_BUDGET)
         payload = {
             "spec": spec.literal,
             "m_emp": result.m_emp,
@@ -451,7 +460,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_BAD_FORMAT
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -85,10 +85,11 @@ def power_tail(A: BoolMatrix) -> PeriodicTail:
     return power_table(A)[0]
 
 
-def power_from_table(tail: PeriodicTail, seq, m: int) -> BoolMatrix:
-    """A^m read off a power_table result (uses the cycle beyond the scan)."""
+def power_from_table(tail: PeriodicTail, seq, m: int):
+    """X_m read off a power_table or competition_table result (uses the
+    cycle beyond the scan)."""
     if m < 1:
-        raise ValueError("power index must be at least 1")
+        raise ValueError("sequence index must be at least 1")
     if m <= len(seq):
         return seq[m - 1]
     return tail.cycle[(m - tail.index) % tail.period]
@@ -107,45 +108,17 @@ def competition_matrix(A: BoolMatrix, m: int) -> BoolMatrix:
     return x.multiply(x.transpose())
 
 
-def competition_table(A, power=None, max_steps: int | None = None):
-    """Tail of the competition sequence B_m = A^m (A^T)^m plus a prefix.
+def competition_table(A, max_steps: int | None = None):
+    """Tail of the competition sequence B_m = A^m (A^T)^m plus its prefix.
 
-    For a BoolMatrix the prefix is B_1 .. B_{qa + 2*pa} where (qa, pa) is
-    the power tail of A: B_m is a pointwise image of A^m, so scanning one
-    combined window of the power cycle pins both minimal values exactly.
-    `power` accepts a precomputed power_table result.  A ToeplitzKernel
-    scans B_{m+1} = A B_m A^T instead, up to the first repeat.
+    Scans B_1 = A A^T, B_{m+1} = A B_m A^T up to the first repeat, so the
+    prefix B_1 .. B_{index+period-1} holds every distinct B_m.  A is a
+    BoolMatrix, or a ToeplitzKernel whose packed ints then fill the table.
     """
     if isinstance(A, ToeplitzKernel):
         return _scan(A.compete(A.identity), A.compete, max_steps, "competition")
-    tail, seq = power if power is not None else power_table(A, max_steps)
-    qa, pa = tail.index, tail.period
-
-    by_cycle: list[BoolMatrix | None] = [None] * pa
-    bs: list[BoolMatrix] = []
-    for m in range(1, qa + 2 * pa + 1):
-        if m < qa:
-            x = seq[m - 1]
-            bs.append(x.multiply(x.transpose()))
-        else:
-            j = (m - qa) % pa
-            if by_cycle[j] is None:
-                x = tail.cycle[j]
-                by_cycle[j] = x.multiply(x.transpose())
-            bs.append(by_cycle[j])
-
-    # Minimal period of the eventual cycle divides pa; test divisors upward.
-    period = pa
-    for p in range(1, pa + 1):
-        if pa % p == 0 and all(bs[qa - 1 + i] == bs[qa - 1 + p + i] for i in range(pa)):
-            period = p
-            break
-    # Minimal index: walk the entry point backwards while periodicity holds.
-    index = qa
-    while index > 1 and bs[index - 2] == bs[index - 2 + period]:
-        index -= 1
-    ctail = PeriodicTail(index, period, tuple(bs[index - 1 : index - 1 + period]))
-    return ctail, bs
+    at = A.transpose()
+    return _scan(A.multiply(at), lambda b: A.multiply(b).multiply(at), max_steps, "competition")
 
 
 def competition_tail(A: BoolMatrix) -> PeriodicTail:
@@ -181,16 +154,11 @@ def residue_block_matrix(n: int, d: int):
     """
     classes = residue_classes(n, d)
     perm = tuple(v for cls in classes for v in cls)
-    rows = []
-    masks = {}
+    rows = [0] * n
     for cls in classes:
-        mask = 0
+        mask = sum(1 << (v - 1) for v in cls)
         for v in cls:
-            mask |= 1 << (v - 1)
-        for v in cls:
-            masks[v] = mask
-    for v in range(1, n + 1):
-        rows.append(masks[v])
+            rows[v - 1] = mask
     return perm, BoolMatrix._raw(n, tuple(rows))
 
 

@@ -163,7 +163,8 @@ def generator_gcd(spec: ToeplitzSpec) -> tuple[tuple[int, ...], int]:
     """The generator set and its gcd; always equals pair_sum_gcd."""
     gens = offset_generators(spec)
     g = gcd(*gens)
-    assert g == pair_sum_gcd(spec), f"generator gcd {g} != pair-sum gcd on {spec}"
+    if g != pair_sum_gcd(spec):
+        raise ValueError(f"generator gcd {g} != pair-sum gcd on {spec}")
     return gens, g
 
 
@@ -189,10 +190,10 @@ class BezoutCertificate:
         spec = self.spec
         total = sum(c * s for c, s in zip(self.forward_coeffs, spec.forward_steps))
         total -= sum(c * t for c, t in zip(self.backward_coeffs, spec.backward_steps))
-        assert total == pair_sum_gcd(spec), "certificate does not reach the gcd"
-        assert sum(self.forward_coeffs) + sum(self.backward_coeffs) == 0, (
-            "certificate coefficients do not cancel"
-        )
+        if total != pair_sum_gcd(spec):
+            raise ValueError("certificate does not reach the gcd")
+        if sum(self.forward_coeffs) + sum(self.backward_coeffs) != 0:
+            raise ValueError("certificate coefficients do not cancel")
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -236,7 +237,8 @@ def bezout_certificate(spec: ToeplitzSpec) -> BezoutCertificate:
         coeffs = [x * c for c in coeffs]
         coeffs.append(y)
         g = g2
-    assert g == pair_sum_gcd(spec)
+    if g != pair_sum_gcd(spec):
+        raise ValueError(f"extended Euclid reached {g}, not the pair-sum gcd")
 
     # Telescope every generator into coefficients on consecutive
     # differences (alpha for forward, beta for backward) plus gamma copies
@@ -314,10 +316,13 @@ def consecutive_representations(spec: ToeplitzSpec, k: int) -> ConsecutiveRepres
     for j in range(1, k + 1):
         fr = tuple(j * ai + k * abs(ai) for ai in a)
         br = tuple(j * bi + k * abs(bi) for bi in b)
-        assert all(x >= 0 for x in fr) and all(x >= 0 for x in br)
+        if any(x < 0 for x in fr + br):
+            raise ValueError(f"row {j} has a negative term count")
         value = sum(x * s for x, s in zip(fr, fwd)) - sum(x * t for x, t in zip(br, bwd))
-        assert value == base + j * d, f"row {j} represents {value}, wanted {base + j * d}"
-        assert sum(fr) + sum(br) == expected_total, "term count is not constant"
+        if value != base + j * d:
+            raise ValueError(f"row {j} represents {value}, wanted {base + j * d}")
+        if sum(fr) + sum(br) != expected_total:
+            raise ValueError("term count is not constant")
         f_rows.append(fr)
         b_rows.append(br)
 

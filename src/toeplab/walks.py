@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .boolmat import BoolMatrix
 from .packed import ToeplitzKernel
-from .spectra import PeriodicTail, power_table
+from .spectra import BudgetExceeded, PeriodicTail, power_table
 from .toeplitz import ToeplitzSpec, build_matrix, pair_sum_gcd, predicted_period
 
 __all__ = [
@@ -284,17 +284,25 @@ def _certify_stabilization(
 
 
 def step_set_stabilization(
-    spec: ToeplitzSpec, horizon: int | None = None, table=None, run=None
+    spec: ToeplitzSpec,
+    horizon: int | None = None,
+    table=None,
+    run=None,
+    max_steps: int | None = None,
 ) -> StabilizationResult:
     """Find and certify the first step count from which the three offset
-    sets coincide for good; see StabilizationResult for the semantics."""
+    sets coincide for good; see StabilizationResult for the semantics.
+    max_steps caps both the power scan and the horizon."""
+    kernel = ToeplitzKernel(spec)
     if table is None:
-        table = power_table(ToeplitzKernel(spec))
+        table = power_table(kernel, max_steps)
     tail = table[0]
     if horizon is None:
         horizon = default_stabilization_horizon(spec, tail)
+    if max_steps is not None and horizon > max_steps:
+        raise BudgetExceeded(f"stabilization horizon {horizon} exceeds {max_steps} steps")
     if run is None:
-        run = step_set_run(spec, horizon, table=table)
+        run = step_set_run(spec, horizon, table=table, kernel=kernel)
     combined = lcm(predicted_period(spec), tail.period)
     flags = [ss.all_equal for ss in run[:horizon]]
     return _certify_stabilization(flags, tail.index, tail.period, combined, horizon)
@@ -426,10 +434,12 @@ def walk_offset_decomposition(walk: Walk):
     spec = walk.spec
     length = walk.length
     offset = walk.end - walk.start
-    assert sum(a) + sum(b) == length
+    if sum(a) + sum(b) != length:
+        raise ValueError("arc counts do not add up to the walk length")
     recombined = sum(x * s for x, s in zip(a, spec.forward_steps))
     recombined -= sum(x * t for x, t in zip(b, spec.backward_steps))
-    assert recombined == offset
+    if recombined != offset:
+        raise ValueError("arc counts do not recombine into the walk offset")
     return a, b, length, offset
 
 

@@ -1,10 +1,14 @@
 """Mutation canaries: each test plants one plausible bug in the packed path
-and checks that the sweep at n <= 6 reports its own predicate failing.  A
-predicate never seen to fail is no evidence."""
+or the predicate glue and checks that the sweep at n <= 6 reports its own
+predicate failing.  A predicate never seen to fail is no evidence."""
 
+import itertools
+
+from toeplab import verify
 from toeplab.packed import ToeplitzKernel
+from toeplab.toeplitz import pair_sum_gcd
 from toeplab.verify import sweep
-from toeplab.walks import StepSets
+from toeplab.walks import StepSets, walk_length_bound
 
 
 def sweep_fails(predicate):
@@ -95,3 +99,63 @@ def test_pqr_stabilized_catches_short_diagonal_pad(monkeypatch):
 
     monkeypatch.setattr(ToeplitzKernel, "__init__", short_pad)
     assert sweep_fails("pqr_stabilized") > 0
+
+
+def test_gcd_equality_catches_differences_for_sums(monkeypatch):
+    def generators_with_differences(spec):
+        gens = set()
+        for steps in (spec.forward_steps, spec.backward_steps):
+            gens.update(b - a for a, b in itertools.combinations(steps, 2))
+        gens.update(abs(s - t) for s in spec.forward_steps for t in spec.backward_steps)
+        return tuple(sorted(gens))  # |s - t| where s + t belongs
+
+    monkeypatch.setattr(verify, "offset_generators", generators_with_differences)
+    assert sweep_fails("gcd_equality") > 0
+
+
+def test_period_match_catches_dropped_backward_steps(monkeypatch):
+    # t1 for s1 in the predicted period is no canary: every step pair sum
+    # is a multiple of d, so gcd(d, t1) = gcd(d, s1).
+    def times_a_shortest_backward(self, x):
+        out = 0
+        right, left = self._times_a
+        for mask, s in right:
+            out |= (x & mask) << s
+        for mask, t in left[:1]:  # only t1 of the backward steps
+            out |= (x & mask) >> t
+        return out
+
+    monkeypatch.setattr(ToeplitzKernel, "times_a", times_a_shortest_backward)
+    assert sweep_fails("period_match") > 0
+
+
+def test_competition_period_is_1_catches_missing_row_shift(monkeypatch):
+    def compete_without_a(self, b):
+        out = 0
+        left, right = self._times_at
+        for mask, s in left:
+            out |= (b & mask) >> s
+        for mask, t in right:
+            out |= (b & mask) << t
+        return out  # B.A^T instead of A.B.A^T
+
+    monkeypatch.setattr(ToeplitzKernel, "compete", compete_without_a)
+    assert sweep_fails("competition_period_is_1") > 0
+
+
+def test_bound_holds_catches_dropped_constant_term(monkeypatch):
+    def bound_without_constant(spec):
+        requests = -(-spec.n // pair_sum_gcd(spec)) - 1
+        return 2 * walk_length_bound(spec, requests)  # the 2*(s1+t1) term left out
+
+    monkeypatch.setattr(verify, "competition_index_bound", bound_without_constant)
+    assert sweep_fails("bound_holds") > 0
+
+
+def test_p_recurrence_catches_swapped_shortest_steps(monkeypatch):
+    def step_swapped(spec, mask):
+        shifted = (mask << spec.min_backward) | (mask >> spec.min_forward)
+        return shifted & ((1 << (2 * spec.n - 1)) - 1)
+
+    monkeypatch.setattr(verify, "congruence_step", step_swapped)
+    assert sweep_fails("p_recurrence") > 0

@@ -1,15 +1,21 @@
 import json
+import random
 
 import pytest
 
+from toeplab import cli
 from toeplab.boolmat import BoolMatrix
 from toeplab.cli import (
     EXIT_BAD_FORMAT,
     EXIT_BAD_SPEC,
+    EXIT_BUDGET,
     EXIT_FAILURE,
     EXIT_OK,
     main,
 )
+from toeplab.compgraph import m_step_graph
+from toeplab.spectra import competition_tail, power_tail, residue_block_matrix
+from toeplab.toeplitz import build_matrix, pair_sum_gcd, validate_spec
 
 
 def run(capsys, *argv):
@@ -68,6 +74,17 @@ class TestCompetition:
     def test_text_mentions_both_views(self, capsys):
         code, out, _ = run(capsys, "competition", "T8<1,4;2,5>")
         assert "union of cliques" in out and "all-ones blocks" in out
+
+    def test_gcd_above_n_lists_singleton_classes(self, capsys):
+        # d = 2 + 2 = 4 exceeds n = 3: every residue class is one vertex.
+        code, out, _ = run(capsys, "competition", "T3<2;2>", "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["d"] == 4 and payload["period"] == 1
+        assert payload["classes"] == [[1], [2], [3]]
+        code, out, _ = run(capsys, "competition", "T3<2;2>")
+        assert code == EXIT_OK
+        assert "classes: {1} {2} {3}" in out
 
 
 class TestGraph:
@@ -206,7 +223,63 @@ class TestExitCodes:
         assert code == EXIT_BAD_FORMAT
         assert "does not apply" in err
 
+    def test_scan_over_budget(self, capsys, monkeypatch):
+        # The power index of T150<1;2> is 147.
+        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        for argv in (
+            ("period", "T150<1;2>"),
+            ("competition", "T150<1;2>"),
+            ("graph", "T150<1;2>", "--m", "1"),
+            ("psets", "T150<1;2>", "--stabilize"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_BUDGET and out == "", argv
+            assert err.startswith("error: ") and "10 steps" in err, argv
+
+    def test_horizon_over_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        code, _, err = run(capsys, "psets", "T8<1,4;2,5>", "--stabilize", "--horizon", "11")
+        assert code == EXIT_BUDGET and "horizon 11" in err
+        assert run(capsys, "psets", "T8<1,4;2,5>", "--stabilize", "--horizon", "10")[0] == EXIT_OK
+
     def test_bad_step_counts_are_usage_errors(self, capsys):
         assert run(capsys, "power", "T2<1;1>", "--m", "-1")[0] == 2
         assert run(capsys, "graph", "T2<1;1>", "--m", "0")[0] == 2
         assert run(capsys, "psets", "T2<1;1>", "--i", "0")[0] == 2
+        assert run(capsys, "psets", "T2<1;1>", "--stabilize", "--horizon", "0")[0] == 2
+
+
+def test_packed_commands_match_generic_path(capsys):
+    """period, competition and graph run on the packed kernel; the generic
+    BoolMatrix path is the reference."""
+    rng = random.Random(20260301)
+    specs = [validate_spec(6, (2, 3, 4), (5,)), validate_spec(7, (3, 4), (5,))]  # cycling
+    for _ in range(30):
+        n = rng.randint(2, 30)
+        fwd = rng.sample(range(1, n), rng.randint(1, min(3, n - 1)))
+        bwd = rng.sample(range(1, n), rng.randint(1, min(3, n - 1)))
+        specs.append(validate_spec(n, fwd, bwd))
+    for spec in specs:
+        n = spec.n
+        A = build_matrix(spec)
+        d = pair_sum_gcd(spec)
+
+        payload = json.loads(run(capsys, "period", spec.literal, "--format", "json")[1])
+        tail = power_tail(A)
+        assert (payload["index"], payload["period"]) == (tail.index, tail.period), spec.literal
+
+        payload = json.loads(run(capsys, "competition", spec.literal, "--format", "json")[1])
+        ctail = competition_tail(A)
+        assert (payload["index"], payload["period"]) == (ctail.index, ctail.period), spec.literal
+        if ctail.period == 1:
+            limit = ctail.cycle[0]
+            assert payload["limit"] == limit.to_json_dict(), spec.literal
+            _, expected = residue_block_matrix(n, min(d, n))
+            assert payload["block_match"] == (limit == expected), spec.literal
+        else:
+            assert payload["limit"] is None, spec.literal
+
+        for m in (1, 2, 3, 4, 1000):  # 1000 is read off the cycle
+            code, out, _ = run(capsys, "graph", spec.literal, "--m", str(m), "--format", "json")
+            assert code == EXIT_OK
+            assert json.loads(out)["graph"] == m_step_graph(A, m).to_json_dict(), spec.literal

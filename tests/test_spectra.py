@@ -136,13 +136,27 @@ class TestCompetitionTail:
         assert (tail.index, tail.period) == (index, period)
 
     def test_matches_definitional_oracle(self):
+        # General matrices with n 2..8, sparse ones included.  Periods above
+        # 1 are rare (about 1 in 200), so after the first 60 matrices only
+        # cycling ones are checked until 5 have been.
         rng = random.Random(37)
-        for _ in range(25):
-            a = random_matrix(rng, 5)
+        checked = cycling = 0
+        for _ in range(20_000):
+            if checked >= 60 and cycling >= 5:
+                break
+            n = rng.randint(2, 8)
+            density = rng.choice((0.1, 0.2, 0.3, 0.5))
+            rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+            a = BoolMatrix(n, rows)
             tail = competition_tail(a)
+            if checked >= 60 and tail.period == 1:
+                continue
             horizon = tail.index + 2 * tail.period + 6
             bs = [oracles.naive_competition(as_lists(a), m) for m in range(1, horizon + 1)]
             assert oracles.naive_tail(bs) == (tail.index, tail.period)
+            checked += 1
+            cycling += tail.period > 1
+        assert cycling >= 5
 
     def test_period_one_on_conditioned_sweep(self):
         for spec in enumerate_specs(6, True):

@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toeplab
 from toeplab.boolmat import BoolMatrix
 from toeplab.toeplitz import (
+    BezoutCertificate,
     bezout_certificate,
     build_matrix,
     consecutive_representations,
@@ -185,6 +191,32 @@ class TestBezout:
         # Construction asserts both identities; surviving is the test.
         for spec in enumerate_specs(7, False):
             bezout_certificate(spec)
+
+    def test_corrupted_certificate_raises(self):
+        spec = parse_literal("T8<1,4;2,5>")
+        with pytest.raises(ValueError, match="does not reach the gcd"):
+            BezoutCertificate(spec, (1, 1), (0, 0))
+        with pytest.raises(ValueError, match="do not cancel"):
+            BezoutCertificate(spec, (3, 0), (0, 0))  # 3 * 1 = 3 with three terms
+
+    def test_corrupted_certificate_raises_under_optimize(self):
+        # python -O strips assert statements; the certificate check must stay.
+        code = (
+            "import sys\n"
+            "from toeplab.toeplitz import BezoutCertificate, parse_literal\n"
+            "assert sys.flags.optimize, 'not running under -O'\n"
+            "try:\n"
+            "    BezoutCertificate(parse_literal('T8<1,4;2,5>'), (1, 1), (0, 0))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n"
+        )
+        src = str(Path(toeplab.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ValueError: certificate does not reach the gcd"
 
     def test_deterministic(self):
         spec = parse_literal("T9<2,3,7;1,4,8>")

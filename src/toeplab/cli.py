@@ -4,13 +4,14 @@ Every subcommand takes the instance literal "T<n><s1,..;t1,..>" (for
 example "T8<1,4;2,5>") and exposes one operation for scripting.  Exit
 codes: 0 ok, 1 computation failed (e.g. impossible walk, golden
 mismatch), 2 usage error, 3 malformed instance literal, 4 format not
-applicable to the subcommand, 5 verification violations, 6 a sequence scan
-exceeded its step budget.
+applicable to the subcommand, 5 verification violations, 6 a sequence scan,
+step count or walk length exceeded the step budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,8 +45,8 @@ from .walks import (
     build_walk_with_counts,
     competition_index_bound,
     extend_walk_exact,
+    step_set_run,
     step_set_stabilization,
-    step_sets,
 )
 
 EXIT_OK = 0
@@ -222,7 +223,11 @@ def _cmd_psets(args) -> int:
     if args.i < 1:
         print("error: --i must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    ss = step_sets(spec, args.i)
+    if args.i > DEFAULT_STEP_BUDGET:
+        raise BudgetExceeded(f"--i {args.i} exceeds {DEFAULT_STEP_BUDGET} steps")
+    kernel = ToeplitzKernel(spec)
+    table = power_table(kernel, max_steps=DEFAULT_STEP_BUDGET)
+    ss = step_set_run(spec, args.i, table=table, kernel=kernel)[-1]
     payload = {"spec": spec.literal, **ss.to_json_dict()}
     _emit(
         payload,
@@ -264,6 +269,17 @@ def _parse_counts(text: str, spec: ToeplitzSpec):
     return tuple(s_counts), tuple(t_counts)
 
 
+def _walk_length_cap(spec: ToeplitzSpec, s_counts, t_counts, exact, s1_count, t1_count) -> int:
+    """Longest walk the command can build, with or without the step-fit
+    conditions: each requested arc follows at most ceil((n-1)/step)
+    shortest-step positioning moves, and --exact appends at most s1 + t1
+    more arcs.  Negative counts are rejected later and count as 0 here."""
+    requests = sum(max(0, c) for c in s_counts + t_counts)
+    per_arc = 1 - (1 - spec.n) // min(spec.min_forward, spec.min_backward)
+    extra = max(0, s1_count) + max(0, t1_count) if exact else 0
+    return requests * per_arc + extra
+
+
 def _cmd_walk(args) -> int:
     spec = _parse_spec(args.spec)
     try:
@@ -271,6 +287,9 @@ def _cmd_walk(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    bound = _walk_length_cap(spec, s_counts, t_counts, args.exact, args.s1, args.t1)
+    if bound > DEFAULT_STEP_BUDGET:
+        raise BudgetExceeded(f"walk length bound {bound} exceeds {DEFAULT_STEP_BUDGET} steps")
     try:
         if args.exact:
             walk = extend_walk_exact(spec, args.start, args.s1, args.t1, s_counts, t_counts)
@@ -450,9 +469,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import.  Reuse carries nothing over:
+    # parse_args returns a fresh Namespace and no action has a mutable
+    # default.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     allowed = getattr(args, "allowed_formats", None)
     if allowed is not None and args.format not in allowed:
         print(

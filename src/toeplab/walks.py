@@ -77,10 +77,10 @@ class EndpointOutOfRange(ValueError):
 # -- step sets ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class StepSets:
+class StepSets(NamedTuple):
     """The three offset sets at one step count, each an int bitmask over
-    [-(n-1), n-1] where bit ell + n - 1 stands for offset ell."""
+    [-(n-1), n-1] where bit ell + n - 1 stands for offset ell.  A named
+    tuple: immutable, and cheap to build in bulk in step_set_run."""
 
     n: int
     i: int
@@ -639,8 +639,8 @@ def bound_hypothesis_holds(spec: ToeplitzSpec, b1: BoolMatrix | None = None) -> 
     submatrix of B_1 = A A^T, i.e. a connected subgraph (loops ignored;
     single vertices count as irreducible).  `b1` accepts a precomputed B_1."""
     if b1 is None:
-        A = build_matrix(spec)
-        b1 = A.multiply(A.transpose())
+        kernel = ToeplitzKernel(spec)
+        b1 = kernel.unpack(kernel.compete(kernel.identity))
     n, d = spec.n, pair_sum_gcd(spec)
     rows = b1.rows
     for first in range(1, min(d, n) + 1):

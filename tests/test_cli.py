@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toeplab
 from toeplab import cli
 from toeplab.boolmat import BoolMatrix
 from toeplab.cli import (
@@ -242,6 +247,34 @@ class TestExitCodes:
         assert code == EXIT_BUDGET and "horizon 11" in err
         assert run(capsys, "psets", "T8<1,4;2,5>", "--stabilize", "--horizon", "10")[0] == EXIT_OK
 
+    def test_psets_i_over_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        code, out, err = run(capsys, "psets", "T8<1,4;2,5>", "--i", "11")
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("error: ") and "--i 11" in err
+        assert run(capsys, "psets", "T8<1,4;2,5>", "--i", "10")[0] == EXIT_OK
+
+    def test_walk_over_budget(self, capsys, monkeypatch):
+        # With s1 = t1 = 1 each requested arc may take n - 1 positioning
+        # moves, so one request bounds the walk by n.
+        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        code, out, err = run(capsys, "walk", "T11<1,2;1>", "--start", "1", "--counts", "s2=1")
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("error: ") and "bound 11" in err
+        walk = ("walk", "T10<1,2;1>", "--start", "1", "--counts", "s2=1")
+        assert run(capsys, *walk)[0] == EXIT_OK
+        assert run(capsys, "walk", "T10<1,2;1>", "--start", "1", "--counts", "s2=2")[0] == EXIT_BUDGET
+
+    def test_exact_walk_over_budget(self, capsys, monkeypatch):
+        # T8<1,4;2,5>: one request bounds the base walk by 1 + 7 = 8, and
+        # --exact adds the --s1 and --t1 totals.
+        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        walk = ("walk", "T8<1,4;2,5>", "--start", "1", "--counts", "s2=1", "--exact", "--t1", "0")
+        code, out, err = run(capsys, *walk, "--s1", "3")
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("error: ") and "bound 11" in err
+        assert run(capsys, *walk, "--s1", "2")[0] == EXIT_OK
+
     def test_bad_step_counts_are_usage_errors(self, capsys):
         assert run(capsys, "power", "T2<1;1>", "--m", "-1")[0] == 2
         assert run(capsys, "graph", "T2<1;1>", "--m", "0")[0] == 2
@@ -283,3 +316,89 @@ def test_packed_commands_match_generic_path(capsys):
             code, out, _ = run(capsys, "graph", spec.literal, "--m", str(m), "--format", "json")
             assert code == EXIT_OK
             assert json.loads(out)["graph"] == m_step_graph(A, m).to_json_dict(), spec.literal
+
+
+# Pairs of calls whose second member would go wrong if the first one left
+# state in a reused parser: opposite flags, other formats, other modes.
+_REUSE_EPISODES = (
+    (("build", "T6<2,4;4,5>", "--format", "dot"), ("build", "T6<2,4;4,5>")),
+    (("power", "T5<2;4>", "--m", "3", "--format", "json"), ("power", "T5<2;4>", "--m", "2")),
+    (("period", "T8<1,4;2,5>", "--format", "json"), ("period", "T5<2;4>")),
+    (("competition", "T8<1,4;2,5>", "--format", "json"), ("competition", "T7<3,4;5>")),
+    (("graph", "T8<1,4;2,5>", "--m", "3", "--format", "dot"), ("graph", "T3<1;2>", "--m", "2")),
+    (("psets", "T8<1,4;2,5>", "--stabilize", "--horizon", "12"), ("psets", "T8<1,4;2,5>", "--i", "3")),
+    (
+        ("psets", "T6<2,3,4;5>", "--stabilize", "--format", "json"),
+        ("psets", "T6<2,3,4;5>", "--i", "4", "--format", "json"),
+    ),
+    (
+        ("walk", "T8<1,4;2,5>", "--start", "1", "--exact", "--s1", "3", "--t1", "0"),
+        ("walk", "T8<1,4;2,5>", "--start", "7", "--counts", "s2=5,t2=6"),
+    ),
+    (
+        ("walk", "T8<1,4;2,5>", "--start", "2", "--counts", "s2=1", "--format", "json"),
+        ("walk", "T6<2,4;4,5>", "--start", "1", "--counts", "t2=1"),
+    ),
+    (("bound", "T8<1,4;2,5>", "--format", "json"), ("bound", "T6<2,4;4,5>")),
+    (("certificate", "T9<2,3,7;1,4,8>", "--format", "json"), ("certificate", "T8<1,4;2,5>")),
+    (("verify", "--nmax", "3", "--all", "--format", "json"), ("verify", "--nmax", "3")),
+    (("examples",), ("period", "T2<1;1>")),
+    (("period", "T2<1;1>", "--bogus"), ("period", "T2<1;1>")),
+    (("--help",), ("certificate", "T2<1;1>")),
+    (("walk", "--help"), ("walk", "T8<1,4;2,5>", "--start", "3")),
+    (("period", "T8[1;2]"), ("period", "T8<1,4;2,5>", "--format", "json")),
+    (("graph", "T2<1;1>", "--m", "1", "--format", "jsonl"), ("graph", "T2<1;1>", "--m", "1")),
+    (("psets", "T8<1,4;2,5>"), ("psets", "T8<1,4;2,5>", "--stabilize")),
+    (("walk", "T8<1,4;2,5>", "--start", "1", "--counts", "x9"), ("bound", "T5<2;4>")),
+)
+
+
+def _run_sequence(capsys, sequence):
+    outcomes = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        episodes = list(_REUSE_EPISODES)
+        random.Random(4).shuffle(episodes)
+        sequence = [argv for episode in episodes for argv in episode]
+        assert {argv[0] for argv in sequence} - {"--help"} == {
+            "build", "power", "period", "competition", "graph", "psets",
+            "walk", "bound", "certificate", "verify", "examples",
+        }
+        cli._parser()  # built before the sequence, so every call below reuses it
+        hits = cli._parser.cache_info().hits
+        reused = _run_sequence(capsys, sequence)
+        assert cli._parser.cache_info().hits - hits == len(sequence)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = _run_sequence(capsys, sequence)
+        for argv, got, want in zip(sequence, reused, fresh):
+            assert got == want, argv
+        # The sequence exercises usage errors, help and every exit path.
+        codes = {code for code, _, _ in fresh}
+        assert {EXIT_OK, EXIT_FAILURE, 2, EXIT_BAD_FORMAT, ("exit", 0), ("exit", 2)} <= codes
+        assert ("exit", EXIT_BAD_SPEC) in codes
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(toeplab.__file__).resolve().parent.parent)
+        code = "import toeplab.cli as cli; print(cli._parser.cache_info().currsize)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0"
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

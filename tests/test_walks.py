@@ -141,6 +141,16 @@ class TestStepSetRun:
         }
 
 
+    def test_immutable(self):
+        ss = step_sets(T8, 3)
+        for field in ("n", "i", "congruent_mask", "combination_mask", "realized_mask"):
+            with pytest.raises(AttributeError):
+                setattr(ss, field, 0)
+        with pytest.raises(AttributeError):
+            ss.extra = 0
+        assert ss == step_sets(T8, 3)
+
+
 class TestStabilization:
     def test_running_example_exact_point(self):
         # Independent scan: brute-force all three sets per step count.

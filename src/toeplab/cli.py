@@ -361,9 +361,20 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.nmax < 2:
+        print("error: --nmax must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.progress is not None and args.progress < 1:
+        print("error: --progress must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("TOEPLAB_JOBS", "1"))
+        env = os.environ.get("TOEPLAB_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            print(f"error: TOEPLAB_JOBS must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_USAGE
     stream = sys.stdout if args.format == "jsonl" else None
     agg = sweep(
         args.nmax,
@@ -457,7 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--all", action="store_true", help="include condition-violating instances")
     p.add_argument(
-        "--jobs", type=int, default=None, help="worker processes (default $TOEPLAB_JOBS or 1)"
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes, at most the CPU count (default $TOEPLAB_JOBS or 1)",
     )
     p.add_argument("--progress", type=int, default=None, help="print a line every N instances")
     _format_arg(p, ("text", "json", "jsonl"))

@@ -11,9 +11,10 @@ route on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .boolmat import BoolMatrix
-from .packed import ToeplitzKernel
+from .packed import ToeplitzKernel, geometry
 from .spectra import competition_matrix, competition_table, residue_classes
 from .toeplitz import ToeplitzSpec, pair_sum_gcd
 
@@ -100,33 +101,40 @@ def competition_formula(kernel: ToeplitzKernel) -> int:
         holds automatically), or
       - delta is a forward step plus a backward step.
     Each rule admits an interval of u per delta, laid down as one segment
-    of the diagonals delta and -delta.
+    of the diagonals delta and -delta.  The first rule depends on (n, S)
+    only and the second on (n, T) only, so each is built once per step set;
+    the third admits every u, the whole diagonal pair.
     """
     spec = kernel.spec
     n = spec.n
-    sums = {s + t for s in spec.forward_steps for t in spec.backward_steps}
-    min_fwd_low = _min_lower_partner(spec.forward_steps, n)
-    min_bwd_low = _min_lower_partner(spec.backward_steps, n)
-
-    out = 0
-    for delta in range(1, n):
-        last = n - delta
-        if delta in sums:
-            spans = ((1, last),)
-        else:
-            spans = ((1, last - min_fwd_low[delta]), (min_bwd_low[delta] + 1, last))
-        for lo, hi in spans:
-            if lo <= hi:
-                # Diagonal entries (u, u) for u = lo..hi, moved onto (u, u+delta)
-                # and (u+delta, u).
-                seg = (kernel.identity & ((1 << (hi - lo + 1) * n) - 1)) << (lo - 1) * (n + 1)
-                out |= (seg << delta) | (seg << delta * n)
+    segment = kernel.geometry.segment
+    out = _partner_segments(n, spec.forward_steps, True) | _partner_segments(
+        n, spec.backward_steps, False
+    )
+    for delta in {s + t for s in spec.forward_steps for t in spec.backward_steps}:
+        if delta < n:
+            out |= segment(delta, 1, n - delta)
     return out
 
 
-def _min_lower_partner(steps, n: int) -> list[int]:
-    # delta -> smallest k with k and k + delta both steps; n + 1 when none.
-    low = [n + 1] * n
+@lru_cache(maxsize=2048)  # both rules of all 2^(n-1) - 1 step sets of a size, n <= 11
+def _partner_segments(n: int, steps: tuple[int, ...], forward: bool) -> int:
+    # Pairs admitted by the forward rule (forward=True) or the backward rule
+    # for steps of one set: per delta, the smallest lower partner k of a
+    # pair k, k + delta of steps bounds u.
+    segment = geometry(n).segment
+    out = 0
+    for delta, k in _min_lower_partner(steps).items():
+        last = n - delta
+        lo, hi = (1, last - k) if forward else (k + 1, last)
+        if lo <= hi:
+            out |= segment(delta, lo, hi)
+    return out
+
+
+def _min_lower_partner(steps) -> dict[int, int]:
+    # delta -> smallest k with k and k + delta both steps.
+    low = {}
     for k in reversed(steps):
         for k2 in steps:
             if k2 > k:

@@ -11,26 +11,149 @@ H_k keeping columns k+1..n, both repeated on every row:
     Y.A^T = OR_s ((Y & H_s) >> s)  |  OR_t ((Y & L_t) << t)
 
 so a power step and a competition step B -> A.B.A^T each cost O(|S|+|T|)
-big-int operations whatever the density.  Only the masks of the instance's
-own steps are built.
+big-int operations whatever the density.  The masks that depend on n alone
+live in one Geometry per size, shared by every kernel of that size; its
+column masks and residue matrices are built on first use, and the shift
+lists of a step set once per (n, step set).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .boolmat import BoolMatrix
 from .toeplitz import ToeplitzSpec
 
-__all__ = ["ToeplitzKernel"]
+__all__ = ["Geometry", "ToeplitzKernel", "geometry"]
+
+# Step sets whose shift lists one Geometry keeps: all 2^(n-1) - 1 of a size
+# up to n = 12, and a bound on memory for larger sizes.
+STEP_SETS = 2048
+
+
+class Geometry:
+    """The masks of one size n, shared by every kernel of that size.
+
+    The all-ones and identity matrices, the Toeplitz-test and diagonal-fold
+    masks are built with the geometry; the column masks L_k and H_k, the
+    residue matrices and the shift lists of a step set on first use.  Every
+    entry depends on n and at most one step, step set or modulus, never on
+    a whole instance.
+    """
+
+    __slots__ = (
+        "n",
+        "full",
+        "identity",
+        "inner",
+        "pad_lower",
+        "pad_upper",
+        "fold_shifts",
+        "_ones",
+        "_low",
+        "_high",
+        "_residues",
+        "_step_sets",
+    )
+
+    def __init__(self, n: int):
+        self.n = n
+        row = (1 << n) - 1
+        self.full = full = (1 << n * n) - 1
+        self._ones = ones = full // row  # bit 0 of every row
+        self.identity = ((1 << n * (n + 1)) - 1) // ((1 << (n + 1)) - 1)
+        # Entries with a lower-right neighbour: rows and columns 1..n-1.
+        self.inner = (ones >> n) * (row >> 1)
+        # Diagonal fold pads: the strict lower (upper) triangle plus the n
+        # bits just above the matrix read as ones.  Row r of identity - ones
+        # is (1 << r) - 1, the strict lower triangle.
+        lower = self.identity - ones
+        above = row << (n * n)
+        self.pad_lower = lower | above
+        self.pad_upper = (full ^ lower) | above
+        # AND-fold shifts along stride n+1: spans 1, 2, 4, ... and then the
+        # rest, so bit p ends up ANDing bits p, p+(n+1), ..., p+(n-1)(n+1).
+        stride = n + 1
+        shifts = []
+        span = 1
+        while 2 * span <= n:
+            shifts.append(span * stride)
+            span *= 2
+        shifts.append((n - span) * stride)
+        self.fold_shifts = tuple(shifts)
+        # Indexed by step 1..n-1; None until first asked for.
+        self._low = [None] * n
+        self._high = [None] * n
+        self._residues: dict[int, int] = {}
+        self._step_sets: dict[tuple[int, ...], tuple] = {}
+
+    def low(self, k: int) -> int:
+        """L_k: columns 1..n-k of every row."""
+        mask = self._low[k]
+        if mask is None:
+            mask = self._low[k] = self._ones * ((1 << (self.n - k)) - 1)
+        return mask
+
+    def high(self, k: int) -> int:
+        """H_k: columns k+1..n of every row."""
+        mask = self._high[k]
+        if mask is None:
+            mask = self._high[k] = self._ones * (((1 << self.n) - 1) ^ ((1 << k) - 1))
+        return mask
+
+    def step_masks(self, steps: tuple[int, ...]) -> tuple:
+        """The (L_k, k) and (H_k, k) pairs and the row shifts k*n of one step
+        set, kept for the first STEP_SETS step sets asked for."""
+        entry = self._step_sets.get(steps)
+        if entry is None:
+            # tuple(list), not tuple(generator): a tuple grown from a
+            # generator is resized, which parks one cached tuple per call in
+            # another size's free list and inflates peak memory over a sweep.
+            entry = (
+                tuple([(self.low(k), k) for k in steps]),
+                tuple([(self.high(k), k) for k in steps]),
+                tuple([k * self.n for k in steps]),
+            )
+            if len(self._step_sets) < STEP_SETS:
+                self._step_sets[steps] = entry
+        return entry
+
+    def segment(self, delta: int, lo: int, hi: int) -> int:
+        """Entries (u, u+delta) and (u+delta, u) for u = lo..hi."""
+        n = self.n
+        # Diagonal entries (u, u) for u = lo..hi, moved onto both diagonals.
+        seg = (self.identity & ((1 << (hi - lo + 1) * n) - 1)) << (lo - 1) * (n + 1)
+        return (seg << delta) | (seg << delta * n)
+
+    def residue_matrix(self, d: int) -> int:
+        """Entry (u, v) is 1 iff u = v (mod d): the diagonals at multiples of d."""
+        mask = self._residues.get(d)
+        if mask is None:
+            n = self.n
+            mask = self.identity
+            for ell in range(d, n, d):
+                mask |= self.segment(ell, 1, n - ell)
+            self._residues[d] = mask
+        return mask
+
+
+@lru_cache(maxsize=16)
+def geometry(n: int) -> Geometry:
+    """The Geometry of size n, built once while n stays among the 16 sizes
+    asked for last."""
+    return Geometry(n)
 
 
 class ToeplitzKernel:
     """Packed matrix algebra for one instance: the adjacency matrix, the
     power and competition steps, full-diagonal offsets and the Toeplitz
-    test, all on packed ints."""
+    test, all on packed ints.  The masks come from the size's Geometry;
+    the kernel only picks those of its own steps."""
 
     __slots__ = (
         "spec",
         "n",
+        "geometry",
         "full",
         "identity",
         "adjacency",
@@ -47,30 +170,16 @@ class ToeplitzKernel:
         n = spec.n
         self.spec = spec
         self.n = n
-        row = (1 << n) - 1
-        self.full = full = (1 << n * n) - 1
-        ones = full // row  # bit 0 of every row
-        self.identity = ((1 << n * (n + 1)) - 1) // ((1 << (n + 1)) - 1)
-        steps = set(spec.forward_steps) | set(spec.backward_steps)
-        low = {k: ones * ((1 << (n - k)) - 1) for k in steps}  # L_k
-        high = {k: ones * (row ^ ((1 << k) - 1)) for k in steps}  # H_k
-        # Lists, not tuple(generator): a tuple grown from a generator is
-        # resized, which parks one cached tuple per call in another size's
-        # free list and inflates peak memory over a sweep.
-        fwd, bwd = spec.forward_steps, spec.backward_steps
-        self._times_a = [(low[s], s) for s in fwd], [(high[t], t) for t in bwd]
-        self._rows_down = [s * n for s in fwd]
-        self._rows_up = [t * n for t in bwd]
-        self._times_at = [(high[s], s) for s in fwd], [(low[t], t) for t in bwd]
-        # Entries with a lower-right neighbour: rows and columns 1..n-1.
-        self._inner = (ones >> n) * (row >> 1)
-        # Diagonal fold pads: the strict lower (upper) triangle plus the n
-        # bits just above the matrix read as ones.  Row r of identity - ones
-        # is (1 << r) - 1, the strict lower triangle.
-        lower = self.identity - ones
-        above = row << (n * n)
-        self._pad_lower = lower | above
-        self._pad_upper = (full ^ lower) | above
+        self.geometry = g = geometry(n)
+        self.full = g.full
+        self.identity = g.identity
+        self._inner = g.inner
+        self._pad_lower = g.pad_lower
+        self._pad_upper = g.pad_upper
+        fwd_low, fwd_high, self._rows_down = g.step_masks(spec.forward_steps)
+        bwd_low, bwd_high, self._rows_up = g.step_masks(spec.backward_steps)
+        self._times_a = fwd_low, bwd_high
+        self._times_at = fwd_high, bwd_low
         self.adjacency = self.times_a(self.identity)
 
     def times_a(self, x: int) -> int:
@@ -101,13 +210,8 @@ class ToeplitzKernel:
         return out
 
     def residue_matrix(self, d: int) -> int:
-        """Entry (u, v) is 1 iff u = v (mod d): the diagonals at multiples of d."""
-        n = self.n
-        out = 0
-        for ell in range(0, n, d):
-            diagonal = self.identity & ((1 << (n - ell) * n) - 1)
-            out |= (diagonal << ell) | (diagonal << ell * n)
-        return out
+        """Entry (u, v) is 1 iff u = v (mod d), built once per (n, d)."""
+        return self.geometry.residue_matrix(d)
 
     def is_toeplitz(self, x: int) -> bool:
         """Every entry equals its lower-right neighbour."""
@@ -129,13 +233,9 @@ class ToeplitzKernel:
 
     def _fold(self, y: int) -> int:
         # Bit p of the result ANDs bits p, p+(n+1), ..., p+(n-1)(n+1) of y.
-        n = self.n
-        stride = n + 1
-        span = 1
-        while 2 * span <= n:
-            y &= y >> (span * stride)
-            span *= 2
-        return y & (y >> ((n - span) * stride))
+        for shift in self.geometry.fold_shifts:
+            y &= y >> shift
+        return y
 
     def pack(self, mat: BoolMatrix) -> int:
         n = self.n

@@ -148,14 +148,10 @@ def offset_generators(spec: ToeplitzSpec) -> tuple[int, ...]:
     These generate every offset change achievable between two equal-length
     walks, hence the congruence class that competition edges live in.
     """
-    gens = set()
-    for a, b in itertools.combinations(spec.forward_steps, 2):
-        gens.add(b - a)
-    for a, b in itertools.combinations(spec.backward_steps, 2):
-        gens.add(b - a)
-    for s in spec.forward_steps:
-        for t in spec.backward_steps:
-            gens.add(s + t)
+    fwd, bwd = spec.forward_steps, spec.backward_steps
+    gens = {s + t for s in fwd for t in bwd}
+    gens.update([b - a for a, b in itertools.combinations(fwd, 2)])
+    gens.update([b - a for a, b in itertools.combinations(bwd, 2)])
     return tuple(sorted(gens))
 
 

@@ -10,6 +10,7 @@ and never silently dropped; the violation list of a healthy run is empty.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -163,15 +164,17 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     step-fit conditions fail."""
     n = spec.n
     d = pair_sum_gcd(spec)
-    d_prime = gcd(d, spec.min_forward)
+    s1 = spec.min_forward
+    d_prime = gcd(d, s1)
     pi = d // d_prime
+    cond1, cond2 = spec.cond1, spec.cond2
     report = InstanceReport(
         spec=spec,
         d=d,
         d_prime=d_prime,
         predicted=pi,
-        cond1=spec.cond1,
-        cond2=spec.cond2,
+        cond1=cond1,
+        cond2=cond2,
     )
     checks = report.checks
 
@@ -197,13 +200,13 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     residues = kernel.residue_matrix(d)
     checks["adjacency_necessity"] = HOLDS if all(b & ~residues == 0 for b in bs) else FAILS
 
-    conditions = spec.conditions_hold
+    conditions = cond1 and cond2
     chain_horizon = qa + pa
     pqr_horizon = qa + 2 * pa * pi
     horizon = pqr_horizon if conditions else chain_horizon
     if horizon > step_budget:
         return _not_applicable_report(spec, report)
-    run = step_set_run(spec, horizon, table=table, kernel=kernel)
+    run = step_set_run(spec, horizon, table=table, kernel=kernel, d=d)
     checks["containment_chain"] = HOLDS if all(ss.chain_holds for ss in run) else FAILS
 
     if not conditions:
@@ -237,8 +240,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     checks["pqr_stabilized"] = HOLDS if (stab.m_emp is not None and stab.certified) else FAILS
 
     # Congruent sets P_1 .. P_{2 pi + 2}.
-    s1 = spec.min_forward
-    congruent = [congruent_mask(n, d, (i * s1) % d) for i in range(1, 2 * pi + 3)]
+    congruent = [congruent_mask(n, d, i * s1) for i in range(1, 2 * pi + 3)]
     recurrence_ok = all(
         congruence_step(spec, prev) == cur for prev, cur in zip(congruent, congruent[1:])
     )
@@ -249,7 +251,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     checks["p_recurrence"] = HOLDS if (recurrence_ok and periodicity_ok and disjoint_ok) else FAILS
 
     report.bound_value = competition_index_bound(spec)
-    report.bound_hypothesis = bound_hypothesis_holds(spec, kernel.unpack(bs[0]))
+    report.bound_hypothesis = bound_hypothesis_holds(spec, bs[0], d)
     if report.bound_hypothesis:
         checks["bound_holds"] = HOLDS if ctail.index <= report.bound_value else FAILS
     else:
@@ -280,10 +282,11 @@ class SweepReport:
             self.condition_instances += 1
         if report.incomplete:
             self.incomplete.append(report.spec.literal)
+        outcome_counts = self.outcome_counts
         for name, outcome in report.checks.items():
-            counts = self.outcome_counts.setdefault(
-                name, {HOLDS: 0, FAILS: 0, NOT_APPLICABLE: 0}
-            )
+            counts = outcome_counts.get(name)
+            if counts is None:
+                counts = outcome_counts[name] = {HOLDS: 0, FAILS: 0, NOT_APPLICABLE: 0}
             counts[outcome] += 1
             if outcome == FAILS:
                 self.violations.append((report.spec.literal, name))
@@ -342,9 +345,11 @@ def sweep(
     """Verify every instance up to n_max and fold the reports.
 
     Per-instance work is pure, so any worker count produces the same
-    aggregate; jobs > 1 fans out over processes.  report_stream, when
+    aggregate; jobs > 1 fans out over processes, at most one per CPU
+    (a larger count is lowered to os.cpu_count()).  report_stream, when
     given, receives one JSON line per instance in enumeration order.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     agg = SweepReport(n_max=n_max, require_conditions=require_conditions)
     specs = enumerate_specs(n_max, require_conditions)
     worker = partial(verify_instance, step_budget=step_budget)

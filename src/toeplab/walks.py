@@ -21,6 +21,7 @@ evaluates the competition-index bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
@@ -129,10 +130,16 @@ def _mask_to_offsets(mask: int, n: int) -> frozenset:
 
 def congruent_mask(n: int, d: int, residue: int) -> int:
     """Offsets in [-(n-1), n-1] congruent to residue mod d, as a mask."""
-    mask = 0
-    for k in range((residue + n - 1) % d, 2 * n - 1, d):
-        mask |= 1 << k
-    return mask
+    return _congruent_masks(n, d)[residue % d]
+
+
+@lru_cache(maxsize=256)
+def _congruent_masks(n: int, d: int) -> tuple[int, ...]:
+    # The congruent mask of every residue 0..d-1, built once per (n, d).
+    masks = [0] * d
+    for k in range(2 * n - 1):
+        masks[(k - n + 1) % d] |= 1 << k
+    return tuple(masks)
 
 
 def congruent_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
@@ -197,40 +204,42 @@ def step_sets(spec: ToeplitzSpec, i: int) -> StepSets:
 
 
 def step_set_run(
-    spec: ToeplitzSpec, horizon: int, table=None, kernel: ToeplitzKernel | None = None
+    spec: ToeplitzSpec,
+    horizon: int,
+    table=None,
+    kernel: ToeplitzKernel | None = None,
+    d: int | None = None,
 ) -> list[StepSets]:
     """StepSets for i = 1..horizon, sharing one power scan and one
     combination mask stream across all step counts.  `table` is a
-    power_table result of `kernel`, the instance's ToeplitzKernel; both are
-    built here when not given."""
+    power_table result of `kernel`, the instance's ToeplitzKernel, and `d`
+    its pair-sum gcd; each is computed here when not given."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     n = spec.n
-    d = pair_sum_gcd(spec)
+    if d is None:
+        d = pair_sum_gcd(spec)
     s1 = spec.min_forward
     if kernel is None:
         kernel = ToeplitzKernel(spec)
     tail, seq = table if table is not None else power_table(kernel)
-
-    congruent_by_residue: dict[int, int] = {}
+    congruents = _congruent_masks(n, d)
     realized_by_cycle: list[int | None] = [None] * tail.period
 
     shifts = _combination_shifts(spec)
     tmax = spec.max_backward
+    width = (1 << (2 * n - 1)) - 1
     mask = 1
 
     out = []
     for i in range(1, horizon + 1):
-        r = (i * s1) % d
-        congruent = congruent_by_residue.get(r)
-        if congruent is None:
-            congruent = congruent_by_residue[r] = congruent_mask(n, d, r)
-
         nxt = 0
         for sh in shifts:
             nxt |= mask << sh
         mask = nxt
-        combination = _clip(mask, i * tmax, n)
+        # _clip(mask, i * tmax, n), inline.
+        shift = i * tmax - n + 1
+        combination = (mask >> shift if shift >= 0 else mask << -shift) & width
 
         if i >= tail.index:
             j = (i - tail.index) % tail.period
@@ -240,7 +249,7 @@ def step_set_run(
         else:
             realized = kernel.full_diagonals(seq[i - 1])
 
-        out.append(StepSets(n, i, congruent, combination, realized))
+        out.append(StepSets(n, i, congruents[i * s1 % d], combination, realized))
     return out
 
 
@@ -634,15 +643,20 @@ def competition_index_bound(spec: ToeplitzSpec) -> int:
     return 2 * walk_length_bound(spec, requests) + 2 * (spec.min_forward + spec.min_backward)
 
 
-def bound_hypothesis_holds(spec: ToeplitzSpec, b1: BoolMatrix | None = None) -> bool:
+def bound_hypothesis_holds(
+    spec: ToeplitzSpec, b1: int | None = None, d: int | None = None
+) -> bool:
     """Whether each residue class induces an irreducible principal
     submatrix of B_1 = A A^T, i.e. a connected subgraph (loops ignored;
-    single vertices count as irreducible).  `b1` accepts a precomputed B_1."""
+    single vertices count as irreducible).  `b1` accepts a precomputed B_1
+    packed by the instance's ToeplitzKernel, and `d` the pair-sum gcd."""
+    n = spec.n
     if b1 is None:
         kernel = ToeplitzKernel(spec)
-        b1 = kernel.unpack(kernel.compete(kernel.identity))
-    n, d = spec.n, pair_sum_gcd(spec)
-    rows = b1.rows
+        b1 = kernel.compete(kernel.identity)
+    if d is None:
+        d = pair_sum_gcd(spec)
+    row = (1 << n) - 1
     for first in range(1, min(d, n) + 1):
         members = sum(1 << (v - 1) for v in range(first, n + 1, d))
         seen = frontier = 1 << (first - 1)
@@ -650,7 +664,7 @@ def bound_hypothesis_holds(spec: ToeplitzSpec, b1: BoolMatrix | None = None) -> 
             reach = 0
             while frontier:
                 low = frontier & -frontier
-                reach |= rows[low.bit_length() - 1]
+                reach |= (b1 >> (low.bit_length() - 1) * n) & row  # row of vertex low
                 frontier ^= low
             frontier = reach & members & ~seen
             seen |= frontier

@@ -159,3 +159,20 @@ def test_p_recurrence_catches_swapped_shortest_steps(monkeypatch):
 
     monkeypatch.setattr(verify, "congruence_step", step_swapped)
     assert sweep_fails("p_recurrence") > 0
+
+
+def test_warm_caches_carry_no_result_across_mutations(monkeypatch):
+    # The per-size and per-step-set masks are cached process-wide.  After a
+    # clean sweep has filled them, each canary must still fail, and a clean
+    # sweep after the canaries must match the first one.
+    clean = sweep(6, require_conditions=False)
+    assert clean.violation_count == 0
+    for canary in (
+        test_adjacency_necessity_catches_shifted_residue_class,
+        test_limit_block_match_catches_missing_main_diagonal,
+        test_formula_match_catches_dropped_transpose,
+        test_pqr_stabilized_catches_short_diagonal_pad,
+    ):
+        with monkeypatch.context() as patch:
+            canary(patch)
+    assert sweep(6, require_conditions=False).to_json_dict() == clean.to_json_dict()

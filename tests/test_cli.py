@@ -16,6 +16,7 @@ from toeplab.cli import (
     EXIT_BUDGET,
     EXIT_FAILURE,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
 from toeplab.compgraph import m_step_graph
@@ -274,6 +275,34 @@ class TestExitCodes:
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("error: ") and "bound 11" in err
         assert run(capsys, *walk, "--s1", "2")[0] == EXIT_OK
+
+    def test_verify_nmax_below_2_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--nmax", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "--nmax" in err
+
+    def test_verify_progress_below_1_is_usage_error(self, capsys):
+        for value in ("0", "-3"):
+            code, out, err = run(capsys, "verify", "--nmax", "3", "--progress", value)
+            assert code == EXIT_USAGE and out == "", value
+            assert err.startswith("error: ") and "--progress" in err, value
+
+    def test_verify_non_integer_jobs_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TOEPLAB_JOBS", "abc")
+        code, out, err = run(capsys, "verify", "--nmax", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "TOEPLAB_JOBS" in err and "'abc'" in err
+        # An explicit --jobs never reads the variable.
+        assert run(capsys, "verify", "--nmax", "3", "--jobs", "1")[0] == EXIT_OK
+
+    def test_verify_jobs_capped_at_cpu_count(self, capsys, monkeypatch, pool_sizes):
+        # pool_sizes reports 2 CPUs and records each pool's worker count.
+        argv = ("verify", "--nmax", "4", "--all", "--format", "json")
+        serial = run(capsys, *argv)[1]
+        assert run(capsys, *argv, "--jobs", "100000")[1] == serial
+        monkeypatch.setenv("TOEPLAB_JOBS", "100000")
+        assert run(capsys, *argv)[1] == serial
+        assert pool_sizes == [2, 2]
 
     def test_bad_step_counts_are_usage_errors(self, capsys):
         assert run(capsys, "power", "T2<1;1>", "--m", "-1")[0] == 2

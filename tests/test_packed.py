@@ -7,8 +7,14 @@ from math import gcd, lcm
 from hypothesis import given, settings, strategies as st
 
 from toeplab.boolmat import BoolMatrix
-from toeplab.compgraph import SimpleGraph, competition_graph_formula, residue_clique_graph
-from toeplab.packed import ToeplitzKernel
+from toeplab.compgraph import (
+    SimpleGraph,
+    competition_formula,
+    competition_graph_formula,
+    connected_components,
+    residue_clique_graph,
+)
+from toeplab.packed import ToeplitzKernel, geometry
 from toeplab.spectra import (
     competition_table,
     power_is_eventually_toeplitz,
@@ -23,6 +29,7 @@ from toeplab.verify import (
     NOT_APPLICABLE,
     PREDICATES,
     InstanceReport,
+    enumerate_specs,
     verify_instance,
 )
 from toeplab.walks import (
@@ -288,9 +295,111 @@ def test_reports_match_generic_path_on_seeded_specs():
 
 
 def test_reports_match_generic_path_on_small_sweep():
-    from toeplab.verify import enumerate_specs
-
     for spec in enumerate_specs(5, False):
         assert verify_instance(spec).to_json_dict() == generic_report(spec).to_json_dict(), (
             spec.literal
         )
+
+
+# -- per-size and per-step-set masks ---------------------------------------------
+
+
+def kernel_from_scratch(spec):
+    """Every mask of a ToeplitzKernel, bit by bit from its definition."""
+    n = spec.n
+
+    def matrix(entry):
+        return sum(1 << r * n + c for r in range(n) for c in range(n) if entry(r, c))
+
+    def low(k):  # columns 1..n-k
+        return matrix(lambda r, c: c < n - k)
+
+    def high(k):  # columns k+1..n
+        return matrix(lambda r, c: c >= k)
+
+    above = sum(1 << n * n + c for c in range(n))
+    fwd, bwd = spec.forward_steps, spec.backward_steps
+    return {
+        "full": matrix(lambda r, c: True),
+        "identity": matrix(lambda r, c: r == c),
+        "adjacency": matrix(lambda r, c: c - r in fwd or r - c in bwd),
+        "_inner": matrix(lambda r, c: r < n - 1 and c < n - 1),
+        "_pad_lower": matrix(lambda r, c: c < r) | above,
+        "_pad_upper": matrix(lambda r, c: c >= r) | above,
+        "_times_a": (tuple((low(s), s) for s in fwd), tuple((high(t), t) for t in bwd)),
+        "_rows_down": tuple(s * n for s in fwd),
+        "_rows_up": tuple(t * n for t in bwd),
+        "_times_at": (tuple((high(s), s) for s in fwd), tuple((low(t), t) for t in bwd)),
+        "residues": [matrix(lambda r, c: (r - c) % d == 0) for d in range(1, 2 * n)],
+    }
+
+
+class TestGeometry:
+    def test_kernels_match_kernels_built_from_scratch(self):
+        rng = random.Random(20261018)
+        for n in range(2, MAX_N + 1):
+            for _ in range(3):
+                # Twice per size and step set: the second kernel reads a warm geometry.
+                fwd = rng.sample(range(1, n), rng.randint(1, min(4, n - 1)))
+                bwd = rng.sample(range(1, n), rng.randint(1, min(4, n - 1)))
+                spec = validate_spec(n, fwd, bwd)
+                expected = kernel_from_scratch(spec)
+                for kernel in (ToeplitzKernel(spec), ToeplitzKernel(spec)):
+                    got = {name: getattr(kernel, name) for name in expected if name != "residues"}
+                    got["residues"] = [kernel.residue_matrix(d) for d in range(1, 2 * n)]
+                    assert got == expected, spec.literal
+
+    def test_one_geometry_per_size(self):
+        a = ToeplitzKernel(validate_spec(9, (1, 4), (2,)))
+        b = ToeplitzKernel(validate_spec(9, (3,), (5, 7)))
+        assert a.geometry is b.geometry is geometry(9)
+        assert ToeplitzKernel(validate_spec(10, (1,), (1,))).geometry is not a.geometry
+
+
+def naive_one_step_graph(spec):
+    b = oracles.naive_competition(naive_spec_matrix(spec), 1)
+    return [[b[u][v] if u != v else 0 for v in range(spec.n)] for u in range(spec.n)]
+
+
+class TestCachedCompetitionFormula:
+    def test_matches_oracle_on_every_instance_up_to_7(self):
+        # Each step set meets every partner, so its cached segments are reused.
+        for spec in enumerate_specs(7, False):
+            kernel = ToeplitzKernel(spec)
+            got = as_lists(kernel.unpack(competition_formula(kernel)))
+            assert got == naive_one_step_graph(spec), spec.literal
+
+    @given(specs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, spec):
+        kernel = ToeplitzKernel(spec)
+        assert as_lists(kernel.unpack(competition_formula(kernel))) == naive_one_step_graph(spec)
+
+
+def boolmatrix_bound_hypothesis(spec):
+    """Each residue class connected in the graph of the generic B_1 = A A^T."""
+    a = build_matrix(spec)
+    b1 = SimpleGraph.from_symmetric_matrix(a.multiply(a.transpose()))
+    d = pair_sum_gcd(spec)
+    for r in range(d):
+        members = [v for v in range(1, spec.n + 1) if v % d == r]
+        index = {v: k for k, v in enumerate(members, start=1)}
+        edges = frozenset((index[u], index[v]) for u, v in b1.edges if u in index and v in index)
+        if len(connected_components(SimpleGraph(len(members), edges))) > 1:
+            return False
+    return True
+
+
+class TestPackedBoundHypothesis:
+    def test_matches_boolmatrix_path_on_every_instance_up_to_6(self):
+        for spec in enumerate_specs(6, False):
+            assert bound_hypothesis_holds(spec) == boolmatrix_bound_hypothesis(spec), spec.literal
+
+    @given(specs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_boolmatrix_path(self, spec):
+        kernel = ToeplitzKernel(spec)
+        b1 = kernel.compete(kernel.identity)
+        expected = boolmatrix_bound_hypothesis(spec)
+        assert bound_hypothesis_holds(spec, b1, pair_sum_gcd(spec)) == expected
+        assert bound_hypothesis_holds(spec) == expected

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -129,6 +130,17 @@ class TestSweep:
         serial = sweep(4, require_conditions=False)
         parallel = sweep(4, require_conditions=False, jobs=2)
         assert serial.to_json_dict() == parallel.to_json_dict()
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, pool_sizes):
+        # pool_sizes reports 2 CPUs and records each pool's worker count.
+        serial = sweep(4, require_conditions=False).to_json_dict()
+        for jobs in (2, 3, 10**6):
+            assert sweep(4, require_conditions=False, jobs=jobs).to_json_dict() == serial
+        assert pool_sizes == [2, 2, 2]
+        # An unknown CPU count means one CPU: no pool at all.
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sweep(4, require_conditions=False, jobs=8).to_json_dict() == serial
+        assert pool_sizes == [2, 2, 2]
 
     def test_filtered_sweep(self):
         agg = sweep(5, require_conditions=True)

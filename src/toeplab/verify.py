@@ -13,7 +13,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from contextlib import ExitStack
+from functools import cache, partial
 from math import gcd, lcm
 from typing import Iterator
 
@@ -133,29 +134,43 @@ class InstanceReport:
         }
 
 
+@cache
+def _subsets(n: int) -> tuple[tuple[int, ...], ...]:
+    """The nonempty step sets of size n, as bitmask integers ascending."""
+    return tuple(
+        tuple(e for e in range(1, n) if (mask >> (e - 1)) & 1) for mask in range(1, 1 << (n - 1))
+    )
+
+
+def _rows(n_max: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The enumeration rows (n, forward set), in enumeration order."""
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    return [(n, fwd) for n in range(2, n_max + 1) for fwd in _subsets(n)]
+
+
+def _row_specs(n: int, fwd: tuple[int, ...], require_conditions: bool) -> Iterator[ToeplitzSpec]:
+    """The instances of one row, backward sets ascending."""
+    for bwd in _subsets(n):
+        spec = ToeplitzSpec(n, fwd, bwd)
+        if require_conditions and not spec.conditions_hold:
+            continue
+        yield spec
+
+
 def enumerate_specs(n_max: int, require_conditions: bool) -> Iterator[ToeplitzSpec]:
     """All instances with 2 <= n <= n_max, in deterministic order: n
     ascending, then the two step sets as bitmask integers ascending."""
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    for n in range(2, n_max + 1):
-        subsets = []
-        for mask in range(1, 1 << (n - 1)):
-            subsets.append(tuple(e for e in range(1, n) if (mask >> (e - 1)) & 1))
-        for fwd in subsets:
-            for bwd in subsets:
-                spec = ToeplitzSpec(n, fwd, bwd)
-                if require_conditions and not spec.conditions_hold:
-                    continue
-                yield spec
+    for n, fwd in _rows(n_max):
+        yield from _row_specs(n, fwd, require_conditions)
 
 
-def _not_applicable_report(spec: ToeplitzSpec, partial: InstanceReport) -> InstanceReport:
+def _not_applicable_report(spec: ToeplitzSpec, report: InstanceReport) -> InstanceReport:
     for name in PREDICATES:
-        partial.checks.setdefault(name, NOT_APPLICABLE)
-    partial.checks = {name: partial.checks[name] for name in PREDICATES}
-    partial.incomplete = True
-    return partial
+        report.checks.setdefault(name, NOT_APPLICABLE)
+    report.checks = {name: report.checks[name] for name in PREDICATES}
+    report.incomplete = True
+    return report
 
 
 def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) -> InstanceReport:
@@ -291,6 +306,22 @@ class SweepReport:
             if outcome == FAILS:
                 self.violations.append((report.spec.literal, name))
 
+    def merge(self, part: SweepReport):
+        """Fold in the aggregate of the next stretch of the enumeration; the
+        result equals add-ing that stretch's reports one by one."""
+        self.instances += part.instances
+        self.condition_instances += part.condition_instances
+        self.incomplete += part.incomplete
+        self.violations += part.violations
+        outcome_counts = self.outcome_counts
+        for name, counts in part.outcome_counts.items():
+            mine = outcome_counts.get(name)
+            if mine is None:
+                outcome_counts[name] = dict(counts)
+            else:
+                for outcome, count in counts.items():
+                    mine[outcome] += count
+
     @property
     def violation_count(self) -> int:
         return len(self.violations)
@@ -334,6 +365,22 @@ class SweepReport:
         }
 
 
+def _verify_row(
+    row: tuple[int, tuple[int, ...]], require_conditions: bool, step_budget: int, stream: bool
+) -> tuple[SweepReport, str]:
+    """Verify one enumeration row and fold it into a row-local aggregate;
+    with `stream`, also return the row's JSON lines as one string."""
+    n, fwd = row
+    part = SweepReport(n_max=n, require_conditions=require_conditions)
+    lines = []
+    for spec in _row_specs(n, fwd, require_conditions):
+        report = verify_instance(spec, step_budget)
+        part.add(report)
+        if stream:
+            lines.append(json.dumps(report.to_json_dict()) + "\n")
+    return part, "".join(lines)
+
+
 def sweep(
     n_max: int,
     require_conditions: bool,
@@ -344,31 +391,45 @@ def sweep(
 ) -> SweepReport:
     """Verify every instance up to n_max and fold the reports.
 
-    Per-instance work is pure, so any worker count produces the same
-    aggregate; jobs > 1 fans out over processes, at most one per CPU
-    (a larger count is lowered to os.cpu_count()).  report_stream, when
-    given, receives one JSON line per instance in enumeration order.
+    The unit of work is one enumeration row, (n, forward set): the row is
+    verified, folded into a row-local SweepReport and, when report_stream
+    is given, serialized to its JSON lines where it runs.  This process only
+    merges the rows' aggregates and writes their lines, in enumeration
+    order, so any worker count produces the same aggregate and the same
+    stream.  jobs > 1 runs the rows on a process pool, at most one worker
+    per CPU (a larger count is lowered to os.cpu_count()).  progress, when
+    given, prints a line to stderr every `progress` instances and one for
+    the total.
     """
     jobs = min(jobs, os.cpu_count() or 1)
     agg = SweepReport(n_max=n_max, require_conditions=require_conditions)
-    specs = enumerate_specs(n_max, require_conditions)
-    worker = partial(verify_instance, step_budget=step_budget)
+    rows = _rows(n_max)
+    verify_row = partial(
+        _verify_row,
+        require_conditions=require_conditions,
+        step_budget=step_budget,
+        stream=report_stream is not None,
+    )
+    with ExitStack() as stack:
+        if jobs > 1:
+            import multiprocessing as mp
 
-    def fold(reports):
-        done = 0
-        for report in reports:
-            agg.add(report)
-            if report_stream is not None:
-                report_stream.write(json.dumps(report.to_json_dict()) + "\n")
-            done += 1
-            if progress is not None and done % progress == 0:
-                print(f"  ... {done} instances", file=sys.stderr, flush=True)
-
-    if jobs <= 1:
-        fold(worker(spec) for spec in specs)
-    else:
-        import multiprocessing as mp
-
-        with mp.Pool(jobs) as pool:
-            fold(pool.imap(worker, specs, chunksize=256))
+            # Each result message costs the parent about a millisecond of
+            # CPU: the pool's worker-handler thread polls the result pipe
+            # until the result thread has read it.  Rows four to a message
+            # beat one to a message at n_max 8 and 9 on 2 cores; the last
+            # message still idles a worker for at most four rows.
+            parts = stack.enter_context(mp.Pool(jobs)).imap(verify_row, rows, chunksize=4)
+        else:
+            parts = map(verify_row, rows)
+        for part, text in parts:
+            done = agg.instances
+            agg.merge(part)
+            if text:
+                report_stream.write(text)
+            if progress is not None:
+                for count in range((done // progress + 1) * progress, agg.instances + 1, progress):
+                    print(f"  ... {count} instances", file=sys.stderr, flush=True)
+    if progress is not None and agg.instances % progress:
+        print(f"  ... {agg.instances} instances", file=sys.stderr, flush=True)
     return agg

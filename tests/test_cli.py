@@ -193,6 +193,26 @@ class TestVerifyCommand:
         assert all(isinstance(json.loads(line), dict) for line in lines)
         assert err.splitlines()[-1].strip() == "... 59 instances"
 
+    def test_two_workers_write_the_same_bytes(self, capsys, monkeypatch):
+        # A real two-process pool, whatever the CPU count.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for fmt in ("jsonl", "json"):
+            argv = ("verify", "--nmax", "5", "--all", "--format", fmt, "--jobs")
+            serial, pooled = run(capsys, *argv, "1"), run(capsys, *argv, "2")
+            assert serial[0] == pooled[0] == EXIT_OK
+            assert pooled[1] == serial[1], fmt
+
+    def test_progress_lines_independent_of_jobs(self, capsys, pool_sizes):
+        # 284 instances; multiples of 7 fall inside rows of 15 at n = 5.
+        argv = ("verify", "--nmax", "5", "--all", "--format", "jsonl", "--progress", "7", "--jobs")
+        code, out, err = run(capsys, *argv, "1")
+        assert code == EXIT_OK
+        expected = [f"... {k} instances" for k in range(7, 284, 7)] + ["... 284 instances"]
+        assert [line.strip() for line in err.splitlines()] == expected
+        assert all(isinstance(json.loads(line), dict) for line in out.splitlines())
+        assert run(capsys, *argv, "2") == (code, out, err)
+        assert pool_sizes == [2]
+
     def test_jobs_default_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("TOEPLAB_JOBS", "2")
         code, out, _ = run(capsys, "verify", "--nmax", "3", "--all", "--format", "json")

@@ -4,16 +4,19 @@ import os
 
 import pytest
 
+from toeplab import verify
 from toeplab.toeplitz import parse_literal
 from toeplab.verify import (
     FAILS,
     HOLDS,
     NOT_APPLICABLE,
     PREDICATES,
+    SweepReport,
     enumerate_specs,
     sweep,
     verify_instance,
 )
+from toeplab.walks import StepSets
 
 
 class TestEnumerate:
@@ -45,6 +48,18 @@ class TestEnumerate:
     def test_small_cap_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_specs(1, False))
+
+    def test_rows_concatenate_to_enumeration(self):
+        # Sweep workers build their instances row by row; the rows, in
+        # order, must be exactly the enumeration.
+        for n_max in range(2, 7):
+            for filtered in (False, True):
+                rows = [
+                    spec
+                    for n, fwd in verify._rows(n_max)
+                    for spec in verify._row_specs(n, fwd, filtered)
+                ]
+                assert rows == list(enumerate_specs(n_max, filtered)), (n_max, filtered)
 
 
 class TestVerifyInstance:
@@ -142,6 +157,20 @@ class TestSweep:
         assert sweep(4, require_conditions=False, jobs=8).to_json_dict() == serial
         assert pool_sizes == [2, 2, 2]
 
+    def test_pooled_matches_serial_under_a_canary(self, monkeypatch, pool_sizes):
+        # With a planted bug the aggregate carries violations, so their
+        # order across rows is compared too.
+        def reversed_chain(ss):
+            p, q, r = ss.congruent_mask, ss.combination_mask, ss.realized_mask
+            return p & ~q == 0 and q & ~r == 0
+
+        monkeypatch.setattr(StepSets, "chain_holds", property(reversed_chain))
+        serial = sweep(6, require_conditions=False).to_json_dict()
+        assert len(serial["violations"]) > 1
+        pooled = sweep(6, require_conditions=False, jobs=2).to_json_dict()
+        assert json.dumps(pooled) == json.dumps(serial)
+        assert pool_sizes == [2]
+
     def test_filtered_sweep(self):
         agg = sweep(5, require_conditions=True)
         assert agg.instances == agg.condition_instances
@@ -159,3 +188,53 @@ class TestSweep:
         table = agg.summary_table()
         assert "violations: 0" in table
         assert "gcd_equality" in table
+
+
+class TestMerge:
+    @staticmethod
+    def reports():
+        """Reports at n <= 5 with some incomplete (a small step budget) and
+        some violations (planted), grouped by enumeration row."""
+        rows = []
+        index = 0
+        for n, fwd in verify._rows(5):
+            row = []
+            for spec in verify._row_specs(n, fwd, False):
+                report = verify_instance(spec, step_budget=4)
+                if index % 7 == 3:
+                    report.checks["gcd_equality"] = FAILS
+                if index % 11 == 5:
+                    report.checks["bound_holds"] = FAILS
+                row.append(report)
+                index += 1
+            rows.append(row)
+        return rows
+
+    def test_merged_rows_equal_added_reports(self):
+        rows = self.reports()
+        added = SweepReport(n_max=5, require_conditions=False)
+        for row in rows:
+            for report in row:
+                added.add(report)
+        assert added.violations and added.incomplete
+
+        merged = SweepReport(n_max=5, require_conditions=False)
+        merged.merge(SweepReport(n_max=2, require_conditions=False))  # an empty first part
+        for row in rows:
+            part = SweepReport(n_max=row[0].spec.n, require_conditions=False)
+            for report in row:
+                part.add(report)
+            merged.merge(part)
+            merged.merge(SweepReport(n_max=5, require_conditions=False))  # a filtered-out row
+        # json.dumps keeps key order, which the --format json output hashes.
+        assert json.dumps(merged.to_json_dict()) == json.dumps(added.to_json_dict())
+        assert list(merged.outcome_counts) == list(PREDICATES)
+
+    def test_merge_does_not_share_counts_with_the_part(self):
+        part = SweepReport(n_max=2, require_conditions=False)
+        part.add(verify_instance(parse_literal("T2<1;1>")))
+        agg = SweepReport(n_max=2, require_conditions=False)
+        agg.merge(part)
+        agg.merge(part)
+        assert agg.instances == 2 and agg.holds("gcd_equality") == 2
+        assert part.holds("gcd_equality") == 1

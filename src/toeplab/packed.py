@@ -11,10 +11,14 @@ H_k keeping columns k+1..n, both repeated on every row:
     Y.A^T = OR_s ((Y & H_s) >> s)  |  OR_t ((Y & L_t) << t)
 
 so a power step and a competition step B -> A.B.A^T each cost O(|S|+|T|)
-big-int operations whatever the density.  The masks that depend on n alone
-live in one Geometry per size, shared by every kernel of that size; its
-column masks and residue matrices are built on first use, and the shift
-lists of a step set once per (n, step set).
+big-int operations whatever the density.  The full diagonals of a matrix
+(the realized offsets of a power) are read off rows 1 and n when the matrix
+is Toeplitz, as the powers of A are from some m on; only a matrix that is
+not Toeplitz pays for the AND-fold along stride n+1.
+
+The masks that depend on n alone live in one Geometry per size, shared by
+every kernel of that size; its column masks and residue matrices are built
+on first use, and the shift lists of a step set once per (n, step set).
 """
 
 from __future__ import annotations
@@ -219,7 +223,27 @@ class ToeplitzKernel:
 
     def full_diagonals(self, x: int) -> int:
         """Offsets ell whose whole diagonal (u, u+ell) is ones, as a mask
-        over [-(n-1), n-1]: bit ell + n - 1 stands for ell.
+        over [-(n-1), n-1]: bit ell + n - 1 stands for ell."""
+        return self.diagonals(x)[1]
+
+    def diagonals(self, x: int) -> tuple[bool, int]:
+        """(is_toeplitz(x), full_diagonals(x)), testing x for Toeplitz once:
+        the mask is read off rows 1 and n when x is Toeplitz, and folded
+        otherwise."""
+        if self.is_toeplitz(x):
+            return True, self.read_diagonals(x)
+        return False, self.fold_diagonals(x)
+
+    def read_diagonals(self, x: int) -> int:
+        """full_diagonals of a Toeplitz x: each diagonal is constant, so row
+        1 holds diagonals 0..n-1 and row n diagonals -(n-1)..-1, already in
+        mask order.  Meaningless for any other x."""
+        n = self.n
+        row = (1 << n) - 1
+        return ((x & row) << (n - 1)) | ((x >> n * (n - 1)) & (row >> 1))
+
+    def fold_diagonals(self, x: int) -> int:
+        """full_diagonals of any x, in two log-depth AND-folds.
 
         Bits of stride n+1 run down a diagonal and wrap into the next one,
         so one AND-fold along the stride, with the other triangle padded to

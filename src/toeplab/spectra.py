@@ -162,19 +162,18 @@ def residue_block_matrix(n: int, d: int):
     return perm, BoolMatrix._raw(n, tuple(rows))
 
 
-def power_is_eventually_toeplitz(A, tail: PeriodicTail, seq=None):
+def power_is_eventually_toeplitz(A: BoolMatrix, tail: PeriodicTail, seq=None):
     """Whether all large powers of A are Toeplitz, and the first threshold.
 
     Checks one full cycle (enough, by periodicity) and then extends the
-    threshold backwards through the pre-cycle powers.  A is a BoolMatrix or
-    a ToeplitzKernel, matching the entries of tail and seq.
+    threshold backwards through the pre-cycle powers.  The packed sweep
+    reads the same test off its step-set run instead (StepSets.toeplitz).
     """
-    is_toeplitz = A.is_toeplitz if isinstance(A, ToeplitzKernel) else BoolMatrix.is_toeplitz
-    if not all(is_toeplitz(mat) for mat in tail.cycle):
+    if not all(mat.is_toeplitz() for mat in tail.cycle):
         return False, None
     if seq is None:
         seq = power_table(A)[1]
     first_m = tail.index
-    while first_m > 1 and is_toeplitz(seq[first_m - 2]):
+    while first_m > 1 and seq[first_m - 2].is_toeplitz():
         first_m -= 1
     return True, first_m

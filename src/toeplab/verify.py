@@ -20,12 +20,7 @@ from typing import Iterator
 
 from .compgraph import competition_formula
 from .packed import ToeplitzKernel
-from .spectra import (
-    BudgetExceeded,
-    competition_table,
-    power_table,
-    power_is_eventually_toeplitz,
-)
+from .spectra import BudgetExceeded, competition_table, power_table
 from .toeplitz import (
     ToeplitzSpec,
     offset_generators,
@@ -202,7 +197,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
         ctail, bs = competition_table(kernel, max_steps=step_budget)
     except BudgetExceeded:
         return _not_applicable_report(spec, report)
-    tail, seq = table
+    tail = table[0]
     qa, pa = tail.index, tail.period
     report.power_index, report.power_period = qa, pa
     report.comp_index, report.comp_period = ctail.index, ctail.period
@@ -227,7 +222,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     if not conditions:
         for name in _CONDITIONAL:
             checks[name] = NOT_APPLICABLE
-        report.bound_value = competition_index_bound(spec)
+        report.bound_value = competition_index_bound(spec, d)
         report.checks = {name: checks[name] for name in PREDICATES}
         return report
 
@@ -245,8 +240,9 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
         checks["limit_block_match"] = FAILS
         checks["limit_clique_match"] = FAILS
 
-    toeplitz_holds, _ = power_is_eventually_toeplitz(kernel, tail, seq)
-    checks["eventually_toeplitz"] = HOLDS if toeplitz_holds else FAILS
+    # The run covers the cycle, A^qa .. A^(qa+pa-1), as pqr_horizon >= qa + pa.
+    cycle = run[qa - 1 : qa - 1 + pa]
+    checks["eventually_toeplitz"] = HOLDS if all(ss.toeplitz for ss in cycle) else FAILS
 
     stab = _certify_stabilization(
         [ss.all_equal for ss in run], qa, pa, lcm(pi, pa), horizon
@@ -265,7 +261,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     )
     checks["p_recurrence"] = HOLDS if (recurrence_ok and periodicity_ok and disjoint_ok) else FAILS
 
-    report.bound_value = competition_index_bound(spec)
+    report.bound_value = competition_index_bound(spec, d)
     report.bound_hypothesis = bound_hypothesis_holds(spec, bs[0], d)
     if report.bound_hypothesis:
         checks["bound_holds"] = HOLDS if ctail.index <= report.bound_value else FAILS

@@ -33,6 +33,7 @@ from toeplab.verify import (
     verify_instance,
 )
 from toeplab.walks import (
+    ROW_BYTES_FROM,
     _certify_stabilization,
     _full_diagonal_offsets,
     bound_hypothesis_holds,
@@ -166,6 +167,38 @@ class TestFullDiagonals:
             spec.n, spec.forward_steps, spec.backward_steps, i
         )
         assert offsets_of(kernel.full_diagonals(x), spec.n) == expected
+
+    @given(specs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_read_off_and_fold_on_toeplitz_matrices_and_one_flip(self, spec, data):
+        # A Toeplitz matrix takes the row read-off; a one-bit flip off the
+        # corners is not Toeplitz and takes the fold, with most diagonals
+        # still full.
+        n = spec.n
+        kernel = ToeplitzKernel(spec)
+        diagonals = data.draw(st.integers(0, (1 << (2 * n - 1)) - 1))
+        rows = [
+            sum(1 << c for c in range(n) if (diagonals >> (c - r + n - 1)) & 1) for r in range(n)
+        ]
+        r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        flipped = list(rows)
+        flipped[r] ^= 1 << c
+        for mat in (BoolMatrix(n, rows), BoolMatrix(n, flipped)):
+            x = kernel.pack(mat)
+            expected = _full_diagonal_offsets(mat)
+            toeplitz, mask = kernel.diagonals(x)
+            assert toeplitz == mat.is_toeplitz()
+            assert offsets_of(mask, n) == offsets_of(kernel.full_diagonals(x), n) == expected
+            assert offsets_of(kernel.fold_diagonals(x), n) == expected
+            if toeplitz:
+                assert kernel.read_diagonals(x) == mask
+
+    def test_read_off_matches_fold_on_every_power_up_to_7(self):
+        for spec in enumerate_specs(7, False):
+            kernel = ToeplitzKernel(spec)
+            for x in power_table(kernel)[1]:
+                if kernel.is_toeplitz(x):
+                    assert kernel.read_diagonals(x) == kernel.fold_diagonals(x), spec.literal
 
 
 class TestToeplitzTest:
@@ -403,3 +436,19 @@ class TestPackedBoundHypothesis:
         expected = boolmatrix_bound_hypothesis(spec)
         assert bound_hypothesis_holds(spec, b1, pair_sum_gcd(spec)) == expected
         assert bound_hypothesis_holds(spec) == expected
+
+    def test_matches_boolmatrix_path_on_both_row_sources(self):
+        # B_1's rows are shifted out below ROW_BYTES_FROM and sliced out of
+        # its bytes from there on.
+        rng = random.Random(20261018)
+        sizes = [ROW_BYTES_FROM - 1, ROW_BYTES_FROM, 200]
+        sizes += [rng.randint(ROW_BYTES_FROM - 20, 200) for _ in range(27)]
+        outcomes = set()
+        for n in sizes:
+            fwd = rng.sample(range(1, n), rng.randint(1, 3))
+            bwd = rng.sample(range(1, n), rng.randint(1, 3))
+            spec = validate_spec(n, fwd, bwd)
+            expected = boolmatrix_bound_hypothesis(spec)
+            assert bound_hypothesis_holds(spec) == expected, spec.literal
+            outcomes.add(expected)
+        assert outcomes == {True, False}

@@ -35,7 +35,7 @@ from .toeplitz import (
     parse_literal,
     predicted_period,
 )
-from .verify import DEFAULT_STEP_BUDGET, sweep
+from .verify import DEFAULT_STEP_BUDGET, MAX_SWEEP_N, sweep
 from .walks import (
     EndpointOutOfRange,
     InsufficientArcCount,
@@ -363,6 +363,9 @@ def _cmd_certificate(args) -> int:
 def _cmd_verify(args) -> int:
     if args.nmax < 2:
         print("error: --nmax must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.nmax > MAX_SWEEP_N:
+        print(f"error: --nmax must be at most {MAX_SWEEP_N}", file=sys.stderr)
         return EXIT_USAGE
     if args.progress is not None and args.progress < 1:
         print("error: --progress must be at least 1", file=sys.stderr)

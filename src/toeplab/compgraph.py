@@ -15,18 +15,16 @@ from functools import lru_cache
 
 from .boolmat import BoolMatrix
 from .packed import ToeplitzKernel, geometry
-from .spectra import competition_matrix, competition_table, residue_classes
-from .toeplitz import ToeplitzSpec, pair_sum_gcd
+from .spectra import competition_matrix, residue_classes
+# pair_sum_gcd is unused here: perfbench/selftest.py checks tracing rebinds it in this module.
+from .toeplitz import ToeplitzSpec, pair_sum_gcd  # noqa: F401
 
 __all__ = [
     "SimpleGraph",
     "m_step_graph",
     "competition_graph_formula",
     "competition_formula",
-    "limit_graph",
-    "edges_respect_residues",
     "strong_components",
-    "connected_components",
     "residue_clique_graph",
     "digraph_dot",
     "graph_dot",
@@ -142,41 +140,6 @@ def _min_lower_partner(steps) -> dict[int, int]:
     return low
 
 
-def limit_graph(A: BoolMatrix):
-    """The eventual competition graph and the first step it is reached.
-
-    Requires competition period 1 (otherwise the graph sequence keeps
-    cycling and no limit exists).
-    """
-    tail, bs = competition_table(A)
-    if tail.period != 1:
-        raise ValueError(f"no limit exists: competition period is {tail.period}")
-    limit = SimpleGraph.from_symmetric_matrix(tail.cycle[0])
-    stabilization_m = tail.index
-    while stabilization_m > 1:
-        g = SimpleGraph.from_symmetric_matrix(bs[stabilization_m - 2])
-        if g.edges != limit.edges:
-            break
-        stabilization_m -= 1
-    return limit, stabilization_m
-
-
-def edges_respect_residues(spec: ToeplitzSpec, horizon: int) -> bool:
-    """True iff every competition edge up to the horizon joins vertices in
-    the same residue class mod the pair-sum gcd.  Holds with no side
-    conditions on the instance."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    kernel = ToeplitzKernel(spec)
-    outside = ~kernel.residue_matrix(pair_sum_gcd(spec))
-    b = kernel.identity
-    for _ in range(horizon):
-        b = kernel.compete(b)
-        if b & outside:
-            return False
-    return True
-
-
 def strong_components(A: BoolMatrix) -> tuple[tuple[int, ...], ...]:
     """Strongly connected components of the digraph of A, each sorted,
     ordered by smallest vertex (Kosaraju, iterative)."""
@@ -230,31 +193,6 @@ def strong_components(A: BoolMatrix) -> tuple[tuple[int, ...], ...]:
         components.append(tuple(sorted(comp)))
     components.sort(key=lambda c: c[0])
     return tuple(components)
-
-
-def connected_components(graph: SimpleGraph) -> tuple[tuple[int, ...], ...]:
-    """Components of an undirected graph, singletons included."""
-    neighbors = {v: set() for v in range(1, graph.n + 1)}
-    for u, v in graph.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    seen = set()
-    out = []
-    for start in range(1, graph.n + 1):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            comp.append(node)
-            for nxt in neighbors[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        out.append(tuple(sorted(comp)))
-    return tuple(sorted(out, key=lambda c: c[0]))
 
 
 def residue_clique_graph(n: int, d: int) -> SimpleGraph:

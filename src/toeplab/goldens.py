@@ -23,10 +23,8 @@ from .walks import (
     WalkConstructionError,
     build_walk_with_counts,
     competition_index_bound,
-    congruent_offsets,
-    combination_offsets,
     extend_walk_exact,
-    realized_offsets,
+    step_set_run,
     walk_offset_decomposition,
 )
 
@@ -138,19 +136,16 @@ def golden_t8_gcd():
 
 
 def golden_t8_step_sets():
-    spec = parse_literal(T8)
+    # The step-set run the sweep reads, at i = 1 and i = 3.
+    first, _, third = step_set_run(parse_literal(T8), 3)
     expected3 = frozenset({-6, -3, 0, 3, 6})
-    for name, fn in (
-        ("congruent", congruent_offsets),
-        ("combination", combination_offsets),
-        ("realized", realized_offsets),
-    ):
-        if fn(spec, 3) != expected3:
+    for name in ("congruent", "combination", "realized"):
+        if getattr(third, name) != expected3:
             return False, f"{name} offsets at i=3 differ from the frozen set"
-    ok, msg = _check(congruent_offsets(spec, 1), frozenset({-5, -2, 1, 4, 7}))
+    ok, msg = _check(first.congruent, frozenset({-5, -2, 1, 4, 7}))
     if not ok:
         return ok, msg
-    return _check(realized_offsets(spec, 1), frozenset({-5, -2, 1, 4}))
+    return _check(first.realized, frozenset({-5, -2, 1, 4}))
 
 
 def golden_t8_period():

@@ -221,29 +221,26 @@ class ToeplitzKernel:
         """Every entry equals its lower-right neighbour."""
         return ((x >> (self.n + 1)) ^ x) & self._inner == 0
 
-    def full_diagonals(self, x: int) -> int:
-        """Offsets ell whose whole diagonal (u, u+ell) is ones, as a mask
-        over [-(n-1), n-1]: bit ell + n - 1 stands for ell."""
-        return self.diagonals(x)[1]
-
     def diagonals(self, x: int) -> tuple[bool, int]:
-        """(is_toeplitz(x), full_diagonals(x)), testing x for Toeplitz once:
-        the mask is read off rows 1 and n when x is Toeplitz, and folded
-        otherwise."""
+        """(is_toeplitz(x), full diagonals of x), testing x for Toeplitz
+        once.  The full diagonals are the offsets ell whose whole diagonal
+        (u, u+ell) is ones, as a mask over [-(n-1), n-1] where bit
+        ell + n - 1 stands for ell: read off rows 1 and n when x is
+        Toeplitz, and folded otherwise."""
         if self.is_toeplitz(x):
             return True, self.read_diagonals(x)
         return False, self.fold_diagonals(x)
 
     def read_diagonals(self, x: int) -> int:
-        """full_diagonals of a Toeplitz x: each diagonal is constant, so row
-        1 holds diagonals 0..n-1 and row n diagonals -(n-1)..-1, already in
-        mask order.  Meaningless for any other x."""
+        """The full diagonals of a Toeplitz x: each diagonal is constant,
+        so row 1 holds diagonals 0..n-1 and row n diagonals -(n-1)..-1,
+        already in mask order.  Meaningless for any other x."""
         n = self.n
         row = (1 << n) - 1
         return ((x & row) << (n - 1)) | ((x >> n * (n - 1)) & (row >> 1))
 
     def fold_diagonals(self, x: int) -> int:
-        """full_diagonals of any x, in two log-depth AND-folds.
+        """The full diagonals of any x, in two log-depth AND-folds.
 
         Bits of stride n+1 run down a diagonal and wrap into the next one,
         so one AND-fold along the stride, with the other triangle padded to

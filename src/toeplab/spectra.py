@@ -19,7 +19,6 @@ __all__ = [
     "power_tail",
     "power_table",
     "power_from_table",
-    "matrix_period",
     "competition_matrix",
     "competition_tail",
     "competition_table",
@@ -93,10 +92,6 @@ def power_from_table(tail: PeriodicTail, seq, m: int):
     if m <= len(seq):
         return seq[m - 1]
     return tail.cycle[(m - tail.index) % tail.period]
-
-
-def matrix_period(A: BoolMatrix) -> int:
-    return power_tail(A).period
 
 
 def competition_matrix(A: BoolMatrix, m: int) -> BoolMatrix:

@@ -20,16 +20,12 @@ __all__ = [
     "ToeplitzSpec",
     "validate_spec",
     "parse_literal",
-    "spec_from_json_dict",
     "build_matrix",
     "pair_sum_gcd",
     "offset_generators",
-    "generator_gcd",
     "predicted_period",
     "BezoutCertificate",
     "bezout_certificate",
-    "ConsecutiveRepresentations",
-    "consecutive_representations",
 ]
 
 _LITERAL_RE = re.compile(r"^T(\d+)<([0-9,\s]+);([0-9,\s]+)>$", re.ASCII)
@@ -116,10 +112,6 @@ def parse_literal(text: str) -> ToeplitzSpec:
     return validate_spec(n, fwd, bwd)
 
 
-def spec_from_json_dict(data: dict) -> ToeplitzSpec:
-    return validate_spec(int(data["n"]), data["S"], data["T"])
-
-
 def build_matrix(spec: ToeplitzSpec) -> BoolMatrix:
     """Adjacency matrix: entry (i, j) = 1 iff j-i is a forward step or
     i-j is a backward step."""
@@ -153,15 +145,6 @@ def offset_generators(spec: ToeplitzSpec) -> tuple[int, ...]:
     gens.update([b - a for a, b in itertools.combinations(fwd, 2)])
     gens.update([b - a for a, b in itertools.combinations(bwd, 2)])
     return tuple(sorted(gens))
-
-
-def generator_gcd(spec: ToeplitzSpec) -> tuple[tuple[int, ...], int]:
-    """The generator set and its gcd; always equals pair_sum_gcd."""
-    gens = offset_generators(spec)
-    g = gcd(*gens)
-    if g != pair_sum_gcd(spec):
-        raise ValueError(f"generator gcd {g} != pair-sum gcd on {spec}")
-    return gens, g
 
 
 def predicted_period(spec: ToeplitzSpec) -> int:
@@ -276,50 +259,3 @@ def bezout_certificate(spec: ToeplitzSpec) -> BezoutCertificate:
         b[k2 - 1] = -beta[k2 - 1]
 
     return BezoutCertificate(spec, tuple(a), tuple(b))
-
-
-@dataclass(frozen=True, slots=True)
-class ConsecutiveRepresentations:
-    """Nonnegative representations of base + j*d for j = 1..k, all using the
-    same total number of terms."""
-
-    spec: ToeplitzSpec
-    base: int
-    term_count: int
-    forward_rows: tuple[tuple[int, ...], ...]
-    backward_rows: tuple[tuple[int, ...], ...]
-
-    def offset_for(self, j: int) -> int:
-        return self.base + j * pair_sum_gcd(self.spec)
-
-
-def consecutive_representations(spec: ToeplitzSpec, k: int) -> ConsecutiveRepresentations:
-    """Shift a zero-sum certificate so k consecutive multiples of the gcd
-    beyond a fixed base all get nonnegative representations of equal size."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    cert = bezout_certificate(spec)
-    fwd, bwd = spec.forward_steps, spec.backward_steps
-    a, b = cert.forward_coeffs, cert.backward_coeffs
-    d = pair_sum_gcd(spec)
-
-    base = sum(k * abs(ai) * s for ai, s in zip(a, fwd))
-    base -= sum(k * abs(bi) * t for bi, t in zip(b, bwd))
-
-    f_rows = []
-    b_rows = []
-    expected_total = k * (sum(abs(x) for x in a) + sum(abs(x) for x in b))
-    for j in range(1, k + 1):
-        fr = tuple(j * ai + k * abs(ai) for ai in a)
-        br = tuple(j * bi + k * abs(bi) for bi in b)
-        if any(x < 0 for x in fr + br):
-            raise ValueError(f"row {j} has a negative term count")
-        value = sum(x * s for x, s in zip(fr, fwd)) - sum(x * t for x, t in zip(br, bwd))
-        if value != base + j * d:
-            raise ValueError(f"row {j} represents {value}, wanted {base + j * d}")
-        if sum(fr) + sum(br) != expected_total:
-            raise ValueError("term count is not constant")
-        f_rows.append(fr)
-        b_rows.append(br)
-
-    return ConsecutiveRepresentations(spec, base, expected_total, tuple(f_rows), tuple(b_rows))

@@ -25,30 +25,24 @@ from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .boolmat import BoolMatrix
 from .packed import ToeplitzKernel
-from .spectra import BudgetExceeded, PeriodicTail, power_table
-from .toeplitz import ToeplitzSpec, build_matrix, pair_sum_gcd, predicted_period
+from .spectra import BudgetExceeded, power_table
+from .toeplitz import ToeplitzSpec, pair_sum_gcd, predicted_period
 
 __all__ = [
     "StepSets",
     "StabilizationResult",
     "Arc",
     "Walk",
-    "WalkPlan",
     "SchedulingFailure",
     "WalkConstructionError",
     "InsufficientArcCount",
     "EndpointOutOfRange",
     "congruent_mask",
     "congruent_offsets",
-    "combination_offsets",
-    "realized_offsets",
-    "step_sets",
     "step_set_run",
     "step_set_stabilization",
     "congruence_step",
-    "congruence_recurrence_check",
     "schedule_steps",
     "build_walk_with_counts",
     "extend_walk_exact",
@@ -159,52 +153,6 @@ def _combination_shifts(spec: ToeplitzSpec) -> list[int]:
     return [s + tmax for s in spec.forward_steps] + [tmax - t for t in spec.backward_steps]
 
 
-def _clip(mask: int, base: int, n: int) -> int:
-    # Re-base a mask holding offset ell at bit ell + base onto [-(n-1), n-1].
-    shift = base - (n - 1)
-    moved = mask >> shift if shift >= 0 else mask << -shift
-    return moved & ((1 << (2 * n - 1)) - 1)
-
-
-def combination_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
-    """Offsets reachable as a sum of exactly i signed steps, clipped to
-    [-n+1, n-1] only at the end (intermediate sums may leave the range)."""
-    if i < 1:
-        raise ValueError("step count must be at least 1")
-    shifts = _combination_shifts(spec)
-    mask = 1
-    for _ in range(i):
-        nxt = 0
-        for sh in shifts:
-            nxt |= mask << sh
-        mask = nxt
-    return _mask_to_offsets(_clip(mask, i * spec.max_backward, spec.n), spec.n)
-
-
-def _full_diagonal_offsets(mat: BoolMatrix) -> frozenset:
-    """Offsets ell whose whole diagonal of entries (u, u+ell) is ones."""
-    n = mat.n
-    rows = mat.rows
-    out = []
-    for off in range(-(n - 1), n):
-        rng = range(0, n - off) if off >= 0 else range(-off, n)
-        if all((rows[r] >> (r + off)) & 1 for r in rng):
-            out.append(off)
-    return frozenset(out)
-
-
-def realized_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
-    """Offsets ell such that every pair (u, u+ell) is joined by a walk of
-    exactly i arcs, read off the full diagonals of the i-th power."""
-    if i < 1:
-        raise ValueError("step count must be at least 1")
-    return _full_diagonal_offsets(build_matrix(spec).power(i))
-
-
-def step_sets(spec: ToeplitzSpec, i: int) -> StepSets:
-    return step_set_run(spec, i)[-1]
-
-
 def step_set_run(
     spec: ToeplitzSpec,
     horizon: int,
@@ -241,7 +189,7 @@ def step_set_run(
         for sh in shifts:
             nxt |= mask << sh
         mask = nxt
-        # _clip(mask, i * tmax, n), inline.
+        # Re-base from bit ell + i * tmax onto [-(n-1), n-1].
         shift = i * tmax - n + 1
         combination = (mask >> shift if shift >= 0 else mask << -shift) & width
 
@@ -278,10 +226,6 @@ class StabilizationResult:
     power_period: int
 
 
-def default_stabilization_horizon(spec: ToeplitzSpec, tail: PeriodicTail) -> int:
-    return tail.index + 2 * tail.period * predicted_period(spec)
-
-
 def _certify_stabilization(
     equal_flags: list[bool], power_index: int, power_period: int, combined_period: int, horizon: int
 ) -> StabilizationResult:
@@ -298,28 +242,24 @@ def _certify_stabilization(
 
 
 def step_set_stabilization(
-    spec: ToeplitzSpec,
-    horizon: int | None = None,
-    table=None,
-    run=None,
-    max_steps: int | None = None,
+    spec: ToeplitzSpec, horizon: int | None = None, max_steps: int | None = None
 ) -> StabilizationResult:
     """Find and certify the first step count from which the three offset
     sets coincide for good; see StabilizationResult for the semantics.
-    max_steps caps both the power scan and the horizon."""
+    The default horizon is the power index plus two combined cycles of the
+    power and the congruent sets.  max_steps caps both the power scan and
+    the horizon."""
     kernel = ToeplitzKernel(spec)
-    if table is None:
-        table = power_table(kernel, max_steps)
+    table = power_table(kernel, max_steps)
     tail = table[0]
+    pi = predicted_period(spec)
     if horizon is None:
-        horizon = default_stabilization_horizon(spec, tail)
+        horizon = tail.index + 2 * tail.period * pi
     if max_steps is not None and horizon > max_steps:
         raise BudgetExceeded(f"stabilization horizon {horizon} exceeds {max_steps} steps")
-    if run is None:
-        run = step_set_run(spec, horizon, table=table, kernel=kernel)
-    combined = lcm(predicted_period(spec), tail.period)
-    flags = [ss.all_equal for ss in run[:horizon]]
-    return _certify_stabilization(flags, tail.index, tail.period, combined, horizon)
+    run = step_set_run(spec, horizon, table=table, kernel=kernel)
+    flags = [ss.all_equal for ss in run]
+    return _certify_stabilization(flags, tail.index, tail.period, lcm(pi, tail.period), horizon)
 
 
 def congruence_step(spec: ToeplitzSpec, mask: int) -> int:
@@ -327,17 +267,6 @@ def congruence_step(spec: ToeplitzSpec, mask: int) -> int:
     step below an offset in `mask`, kept inside [-(n-1), n-1]."""
     shifted = (mask << spec.min_forward) | (mask >> spec.min_backward)
     return shifted & ((1 << (2 * spec.n - 1)) - 1)
-
-
-def congruence_recurrence_check(spec: ToeplitzSpec, i: int) -> bool:
-    """The congruent set at i must be rebuildable from the one at i-1 by
-    adding the shortest forward step or subtracting the shortest backward
-    step (staying inside the offset range)."""
-    if i < 2:
-        raise ValueError("the recurrence starts at step count 2")
-    n, d, s1 = spec.n, pair_sum_gcd(spec), spec.min_forward
-    prev = congruent_mask(n, d, ((i - 1) * s1) % d)
-    return congruence_step(spec, prev) == congruent_mask(n, d, (i * s1) % d)
 
 
 # -- walks --------------------------------------------------------------------
@@ -412,33 +341,6 @@ class Walk:
 
     def __str__(self):
         return " -> ".join(map(str, self.vertices))
-
-
-@dataclass(frozen=True, slots=True)
-class WalkPlan:
-    """A walk request: start vertex plus per-step-type arc counts."""
-
-    spec: ToeplitzSpec
-    start: int
-    forward_counts: tuple[int, ...]
-    backward_counts: tuple[int, ...]
-
-    def __post_init__(self):
-        spec = self.spec
-        if not 1 <= self.start <= spec.n:
-            raise ValueError(f"start vertex {self.start} outside [1, {spec.n}]")
-        if len(self.forward_counts) != len(spec.forward_steps):
-            raise ValueError("one forward count per forward step required")
-        if len(self.backward_counts) != len(spec.backward_steps):
-            raise ValueError("one backward count per backward step required")
-        if any(c < 0 for c in self.forward_counts + self.backward_counts):
-            raise ValueError("arc counts must be nonnegative")
-
-    @property
-    def endpoint(self) -> int:
-        off = sum(c * s for c, s in zip(self.forward_counts, self.spec.forward_steps))
-        off -= sum(c * t for c, t in zip(self.backward_counts, self.spec.backward_steps))
-        return self.start + off
 
 
 def walk_offset_decomposition(walk: Walk):

@@ -96,6 +96,59 @@ def naive_combination_offsets(n, fwd, bwd, i):
     return frozenset(v for v in sums if -(n - 1) <= v <= n - 1)
 
 
+def combination_offsets(n, fwd, bwd, i):
+    """Exactly-i-term signed sums, one shift-OR per term over a bitmask
+    (bit v + j*max(bwd) holds sum v after j terms), clipped to
+    [-(n-1), n-1] only at the end."""
+    tmax = max(bwd)
+    shifts = [s + tmax for s in fwd] + [tmax - t for t in bwd]
+    mask = 1
+    for _ in range(i):
+        nxt = 0
+        for sh in shifts:
+            nxt |= mask << sh
+        mask = nxt
+    sums = (k - i * tmax for k in range(mask.bit_length()) if (mask >> k) & 1)
+    return frozenset(v for v in sums if -(n - 1) <= v <= n - 1)
+
+
+def full_diagonal_offsets(n, rows):
+    """Offsets ell whose whole diagonal of entries (u, u+ell) is ones; row r
+    is an int whose bit c is entry (r+1, c+1)."""
+    out = []
+    for off in range(-(n - 1), n):
+        rng = range(0, n - off) if off >= 0 else range(-off, n)
+        if all((rows[r] >> (r + off)) & 1 for r in rng):
+            out.append(off)
+    return frozenset(out)
+
+
+def connected_components(n, edges):
+    """Components of the undirected graph on 1..n with the given (u, v)
+    edges, singletons included, each sorted, ordered by smallest vertex."""
+    neighbors = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    seen = set()
+    out = []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        comp = []
+        stack = [start]
+        seen.add(start)
+        while stack:
+            node = stack.pop()
+            comp.append(node)
+            for nxt in neighbors[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
 def naive_realized_offsets(n, fwd, bwd, i):
     a = naive_from_spec(n, fwd, bwd)
     ai = naive_power(a, i)

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from toeplab.boolmat import BoolMatrix
-from toeplab.compgraph import connected_components, limit_graph, strong_components
+from toeplab.compgraph import SimpleGraph, strong_components
 from toeplab.spectra import (
     competition_limit,
     competition_tail,
@@ -24,12 +24,11 @@ from toeplab.verify import FAILS, HOLDS, NOT_APPLICABLE, sweep
 from toeplab.walks import (
     WalkConstructionError,
     build_walk_with_counts,
-    combination_offsets,
     competition_index_bound,
     congruent_offsets,
     extend_walk_exact,
-    realized_offsets,
     schedule_steps,
+    step_set_run,
     walk_length_bound,
 )
 
@@ -75,18 +74,17 @@ def test_criterion_2_running_example_regression():
     if pair_sum_gcd(T8) != 3:
         failures.append("pair-sum gcd != 3")
     target = frozenset({-6, -3, 0, 3, 6})
-    for name, fn in (
-        ("congruent", congruent_offsets),
-        ("combination", combination_offsets),
-        ("realized", realized_offsets),
-    ):
-        if fn(T8, 3) != target:
+    first, _, third = step_set_run(T8, 3)
+    for name in ("congruent", "combination", "realized"):
+        if getattr(third, name) != target:
             failures.append(f"{name} offsets at 3 wrong")
-    if congruent_offsets(T8, 1) != frozenset({-5, -2, 1, 4, 7}):
+    if congruent_offsets(T8, 3) != target:
+        failures.append("pointwise congruent offsets at 3 wrong")
+    if first.congruent != frozenset({-5, -2, 1, 4, 7}):
         failures.append("congruent offsets at 1 wrong")
-    if realized_offsets(T8, 1) != frozenset({-5, -2, 1, 4}):
+    if first.realized != frozenset({-5, -2, 1, 4}):
         failures.append("realized offsets at 1 wrong")
-    if not realized_offsets(T8, 1) < congruent_offsets(T8, 1):
+    if not first.realized < first.congruent:
         failures.append("containment at 1 not strict")
 
     a = build_matrix(T8)
@@ -98,8 +96,8 @@ def test_criterion_2_running_example_regression():
     _, expected = residue_block_matrix(8, 3)
     if competition_limit(a) != expected:
         failures.append("competition limit != residue block matrix")
-    g, _ = limit_graph(a)
-    if connected_components(g) != ((1, 4, 7), (2, 5, 8), (3, 6)):
+    g = SimpleGraph.from_symmetric_matrix(competition_limit(a))
+    if oracles.connected_components(8, g.edges) != ((1, 4, 7), (2, 5, 8), (3, 6)):
         failures.append("limit cliques wrong")
     if competition_index_bound(T8) != 30:
         failures.append("bound != 30")

@@ -22,6 +22,8 @@ from toeplab.cli import (
 from toeplab.compgraph import m_step_graph
 from toeplab.spectra import competition_tail, power_tail, residue_block_matrix
 from toeplab.toeplitz import build_matrix, pair_sum_gcd, validate_spec
+from toeplab import verify
+from toeplab.verify import MAX_SWEEP_N
 
 
 def run(capsys, *argv):
@@ -300,6 +302,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify", "--nmax", "1")
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and "--nmax" in err
+
+    def test_verify_nmax_above_cap_is_usage_error_before_enumerating(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("step sets enumerated before --nmax was checked")
+
+        monkeypatch.setattr(verify, "_subsets", refuse)
+        code, out, err = run(capsys, "verify", "--nmax", str(MAX_SWEEP_N + 1))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "--nmax" in err and str(MAX_SWEEP_N) in err
 
     def test_verify_progress_below_1_is_usage_error(self, capsys):
         for value in ("0", "-3"):

@@ -6,17 +6,15 @@ from toeplab.boolmat import BoolMatrix
 from toeplab.compgraph import (
     SimpleGraph,
     competition_graph_formula,
-    connected_components,
     digraph_dot,
-    edges_respect_residues,
     graph_dot,
-    limit_graph,
     m_step_graph,
     residue_clique_graph,
     strong_components,
 )
+from toeplab.spectra import competition_limit, competition_matrix, competition_tail
 from toeplab.toeplitz import build_matrix, parse_literal, validate_spec
-from toeplab.verify import enumerate_specs
+from toeplab.verify import HOLDS, enumerate_specs, verify_instance
 
 import oracles
 
@@ -93,25 +91,36 @@ class TestFormulaGraph:
         assert competition_graph_formula(spec).edges == frozenset()
 
 
+def limit_graph(a):
+    """The eventual competition graph: the off-diagonal part of the
+    competition limit."""
+    return SimpleGraph.from_symmetric_matrix(competition_limit(a))
+
+
+def components(g):
+    return oracles.connected_components(g.n, g.edges)
+
+
 class TestLimitGraph:
     def test_running_example_cliques(self):
-        g, stabilization_m = limit_graph(build_matrix(parse_literal("T8<1,4;2,5>")))
-        assert connected_components(g) == ((1, 4, 7), (2, 5, 8), (3, 6))
+        g = limit_graph(build_matrix(parse_literal("T8<1,4;2,5>")))
+        assert components(g) == ((1, 4, 7), (2, 5, 8), (3, 6))
         assert g.edges == residue_clique_graph(8, 3).edges
-        assert stabilization_m >= 1
 
     def test_three_cycle_limit_is_empty(self):
-        g, _ = limit_graph(build_matrix(parse_literal("T3<1;2>")))
+        g = limit_graph(build_matrix(parse_literal("T3<1;2>")))
         assert g.edges == frozenset()
-        assert connected_components(g) == ((1,), (2,), (3,))
+        assert components(g) == ((1,), (2,), (3,))
 
     def test_stabilization_point_is_minimal(self):
+        # The competition index is the first m whose B_m is the limit.
         for literal in ("T8<1,4;2,5>", "T5<2;4>", "T6<1,2;3>"):
             a = build_matrix(parse_literal(literal))
-            g, m0 = limit_graph(a)
-            assert m_step_graph(a, m0).edges == g.edges
-            if m0 > 1:
-                assert m_step_graph(a, m0 - 1).edges != g.edges
+            tail = competition_tail(a)
+            limit = competition_limit(a)
+            assert competition_matrix(a, tail.index) == limit
+            if tail.index > 1:
+                assert competition_matrix(a, tail.index - 1) != limit
 
     def test_cycling_sequence_has_no_limit(self):
         with pytest.raises(ValueError, match="no limit"):
@@ -121,20 +130,29 @@ class TestLimitGraph:
         from toeplab.toeplitz import pair_sum_gcd
 
         for spec in enumerate_specs(5, True):
-            g, _ = limit_graph(build_matrix(spec))
+            g = limit_graph(build_matrix(spec))
             assert g.edges == residue_clique_graph(spec.n, pair_sum_gcd(spec)).edges
+            assert verify_instance(spec).checks["limit_clique_match"] == HOLDS
+
+
+def adjacency_necessity(spec):
+    return verify_instance(spec).checks["adjacency_necessity"]
 
 
 class TestEdgesRespectResidues:
     def test_t5_counterexample_still_respects(self):
-        assert edges_respect_residues(parse_literal("T5<2;4>"), 10)
+        spec = parse_literal("T5<2;4>")
+        assert adjacency_necessity(spec) == HOLDS
+        # Its competition sequence has a limit, inside the classes mod d = 6.
+        limit = competition_limit(build_matrix(spec))
+        assert all((v - u) % 6 == 0 for u, v in SimpleGraph.from_symmetric_matrix(limit).edges)
 
     def test_exhaustive_small_no_conditions(self):
         for spec in enumerate_specs(5, False):
-            assert edges_respect_residues(spec, 8), spec.literal
+            assert adjacency_necessity(spec) == HOLDS, spec.literal
 
     def test_unit_gcd_trivial(self):
-        assert edges_respect_residues(parse_literal("T4<1;2>"), 6)
+        assert adjacency_necessity(parse_literal("T4<1;2>")) == HOLDS
 
 
 class TestStrongComponents:

@@ -11,7 +11,6 @@ from toeplab.compgraph import (
     SimpleGraph,
     competition_formula,
     competition_graph_formula,
-    connected_components,
     residue_clique_graph,
 )
 from toeplab.packed import ToeplitzKernel, geometry
@@ -35,12 +34,8 @@ from toeplab.verify import (
 from toeplab.walks import (
     ROW_BYTES_FROM,
     _certify_stabilization,
-    _full_diagonal_offsets,
     bound_hypothesis_holds,
-    combination_offsets,
     competition_index_bound,
-    congruence_recurrence_check,
-    congruent_offsets,
 )
 
 import oracles
@@ -73,6 +68,10 @@ def naive_spec_matrix(spec):
 
 def offsets_of(mask, n):
     return frozenset(k - (n - 1) for k in range(2 * n - 1) if (mask >> k) & 1)
+
+
+def full_diagonal_offsets(mat):
+    return oracles.full_diagonal_offsets(mat.n, mat.rows)
 
 
 class TestPacking:
@@ -153,8 +152,8 @@ class TestFullDiagonals:
             for r in range(max(0, -ell), min(x.n, x.n - ell)):
                 rows[r] |= 1 << (r + ell)
         for mat in (x, BoolMatrix(x.n, rows)):
-            got = offsets_of(kernel.full_diagonals(kernel.pack(mat)), mat.n)
-            assert got == _full_diagonal_offsets(mat)
+            got = offsets_of(kernel.diagonals(kernel.pack(mat))[1], mat.n)
+            assert got == full_diagonal_offsets(mat)
 
     @given(specs(max_n=12), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -166,7 +165,7 @@ class TestFullDiagonals:
         expected = oracles.naive_realized_offsets(
             spec.n, spec.forward_steps, spec.backward_steps, i
         )
-        assert offsets_of(kernel.full_diagonals(x), spec.n) == expected
+        assert offsets_of(kernel.diagonals(x)[1], spec.n) == expected
 
     @given(specs(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -185,13 +184,21 @@ class TestFullDiagonals:
         flipped[r] ^= 1 << c
         for mat in (BoolMatrix(n, rows), BoolMatrix(n, flipped)):
             x = kernel.pack(mat)
-            expected = _full_diagonal_offsets(mat)
+            expected = full_diagonal_offsets(mat)
             toeplitz, mask = kernel.diagonals(x)
             assert toeplitz == mat.is_toeplitz()
-            assert offsets_of(mask, n) == offsets_of(kernel.full_diagonals(x), n) == expected
+            assert offsets_of(mask, n) == expected
             assert offsets_of(kernel.fold_diagonals(x), n) == expected
             if toeplitz:
                 assert kernel.read_diagonals(x) == mask
+
+    @given(specs(max_n=12), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_row_oracle_matches_list_oracle(self, spec, i):
+        # The two oracles the tests read full diagonals with agree.
+        n, fwd, bwd = spec.n, spec.forward_steps, spec.backward_steps
+        x = build_matrix(spec).power(i)
+        assert full_diagonal_offsets(x) == oracles.naive_realized_offsets(n, fwd, bwd, i)
 
     def test_read_off_matches_fold_on_every_power_up_to_7(self):
         for spec in enumerate_specs(7, False):
@@ -232,7 +239,7 @@ class TestToeplitzTest:
 def generic_report(spec):
     """verify_instance on the generic BoolMatrix path: products, transposes,
     SimpleGraph edges and frozenset step sets."""
-    n = spec.n
+    n, fwd, bwd = spec.n, spec.forward_steps, spec.backward_steps
     d = pair_sum_gcd(spec)
     d_prime = gcd(d, spec.min_forward)
     pi = d // d_prime
@@ -264,9 +271,9 @@ def generic_report(spec):
     for i in range(1, horizon + 1):
         x = seq[i - 1] if i < qa else tail.cycle[(i - qa) % pa]
         p, q, r = (
-            oracles.naive_congruent_offsets(n, spec.forward_steps, spec.backward_steps, i),
-            combination_offsets(spec, i),
-            _full_diagonal_offsets(x),
+            oracles.naive_congruent_offsets(n, fwd, bwd, i),
+            oracles.combination_offsets(n, fwd, bwd, i),
+            full_diagonal_offsets(x),
         )
         chain_ok = chain_ok and r <= q <= p
         flags.append(p == q == r)
@@ -296,13 +303,20 @@ def generic_report(spec):
     report.m_emp = stab.m_emp
     checks["pqr_stabilized"] = HOLDS if stab.m_emp is not None and stab.certified else FAILS
 
-    window = [congruent_offsets(spec, i) for i in range(1, pi + 1)]
+    # P_0 .. P_(2 pi + 2), with P_i = P_(i-1) + s1 or - t1 inside the range.
+    congruent = [oracles.naive_congruent_offsets(n, fwd, bwd, i) for i in range(2 * pi + 3)]
+    s1, t1 = spec.min_forward, spec.min_backward
     recurrence_ok = (
-        all(congruence_recurrence_check(spec, i) for i in range(2, 2 * pi + 3))
-        and all(
-            congruent_offsets(spec, i) == congruent_offsets(spec, i + pi) for i in range(1, pi + 2)
+        all(
+            cur == {v for u in prev for v in (u + s1, u - t1) if -n < v < n}
+            for prev, cur in zip(congruent[1:], congruent[2:])
         )
-        and all(window[i].isdisjoint(window[j]) for i in range(pi) for j in range(i + 1, pi))
+        and all(congruent[i] == congruent[i + pi] for i in range(1, pi + 2))
+        and all(
+            congruent[i].isdisjoint(congruent[j])
+            for i in range(1, pi + 1)
+            for j in range(i + 1, pi + 1)
+        )
     )
     checks["p_recurrence"] = HOLDS if recurrence_ok else FAILS
 
@@ -418,7 +432,7 @@ def boolmatrix_bound_hypothesis(spec):
         members = [v for v in range(1, spec.n + 1) if v % d == r]
         index = {v: k for k, v in enumerate(members, start=1)}
         edges = frozenset((index[u], index[v]) for u, v in b1.edges if u in index and v in index)
-        if len(connected_components(SimpleGraph(len(members), edges))) > 1:
+        if len(oracles.connected_components(len(members), edges)) > 1:
             return False
     return True
 

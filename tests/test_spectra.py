@@ -8,7 +8,6 @@ from toeplab.spectra import (
     competition_limit,
     competition_matrix,
     competition_tail,
-    matrix_period,
     power_is_eventually_toeplitz,
     power_table,
     power_tail,
@@ -89,14 +88,14 @@ class TestPowerTail:
 class TestMatrixPeriod:
     def test_running_example_matches_prediction(self):
         spec = parse_literal("T8<1,4;2,5>")
-        assert matrix_period(build_matrix(spec)) == 3 == predicted_period(spec)
+        assert power_tail(build_matrix(spec)).period == 3 == predicted_period(spec)
 
     def test_two_cycle(self):
-        assert matrix_period(build_matrix(parse_literal("T2<1;1>"))) == 2
+        assert power_tail(build_matrix(parse_literal("T2<1;1>"))).period == 2
 
     def test_prediction_on_conditioned_sweep(self):
         for spec in enumerate_specs(6, True):
-            assert matrix_period(build_matrix(spec)) == predicted_period(spec), spec.literal
+            assert power_tail(build_matrix(spec)).period == predicted_period(spec), spec.literal
 
 
 class TestCompetitionMatrix:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,6 @@ from toeplab.toeplitz import (
     BezoutCertificate,
     bezout_certificate,
     build_matrix,
-    consecutive_representations,
-    generator_gcd,
     offset_generators,
     pair_sum_gcd,
     parse_literal,
@@ -87,10 +86,9 @@ class TestLiteral:
         assert parse_literal("T8<1,4;2,5>").to_json_dict() == {"n": 8, "S": [1, 4], "T": [2, 5]}
 
     def test_json_round_trip(self):
-        from toeplab.toeplitz import spec_from_json_dict
-
         spec = parse_literal("T9<2,3;1,8>")
-        assert spec_from_json_dict(spec.to_json_dict()) == spec
+        data = spec.to_json_dict()
+        assert validate_spec(data["n"], data["S"], data["T"]) == spec
 
 
 class TestBuildMatrix:
@@ -131,19 +129,17 @@ class TestGcds:
 
     def test_generators_running_example(self):
         spec = parse_literal("T8<1,4;2,5>")
-        gens, g = generator_gcd(spec)
-        assert gens == (3, 6, 9)
-        assert g == 3
+        assert offset_generators(spec) == (3, 6, 9)
+        assert gcd(*offset_generators(spec)) == pair_sum_gcd(spec) == 3
 
     def test_singleton_sets_have_single_generator(self):
         spec = validate_spec(9, {3}, {5})
         assert offset_generators(spec) == (8,)
-        assert generator_gcd(spec)[1] == 8
+        assert gcd(*offset_generators(spec)) == 8
 
     def test_generator_gcd_equals_pair_sum_gcd_exhaustively(self):
         for spec in enumerate_specs(7, False):
-            gens, g = generator_gcd(spec)  # asserts equality internally
-            assert g == pair_sum_gcd(spec)
+            assert gcd(*offset_generators(spec)) == pair_sum_gcd(spec), spec.literal
 
     def test_divisibility_structure(self):
         for spec in enumerate_specs(6, False):
@@ -224,32 +220,3 @@ class TestBezout:
         second = bezout_certificate(spec)
         assert first.forward_coeffs == second.forward_coeffs
         assert first.backward_coeffs == second.backward_coeffs
-
-
-class TestConsecutiveRepresentations:
-    def test_single_row(self):
-        spec = parse_literal("T8<1,4;2,5>")
-        reps = consecutive_representations(spec, 1)
-        assert len(reps.forward_rows) == 1
-        assert reps.offset_for(1) == reps.base + 3
-
-    def test_running_example_five_rows(self):
-        spec = parse_literal("T8<1,4;2,5>")
-        reps = consecutive_representations(spec, 5)
-        d = pair_sum_gcd(spec)
-        for j in range(1, 6):
-            fr = reps.forward_rows[j - 1]
-            br = reps.backward_rows[j - 1]
-            value = sum(x * s for x, s in zip(fr, spec.forward_steps))
-            value -= sum(x * t for x, t in zip(br, spec.backward_steps))
-            assert value == reps.base + j * d
-            assert sum(fr) + sum(br) == reps.term_count
-            assert min(fr + br) >= 0
-
-    def test_exhaustive_small(self):
-        for spec in enumerate_specs(7, False):
-            consecutive_representations(spec, 3)
-
-    def test_k_validated(self):
-        with pytest.raises(ValueError):
-            consecutive_representations(parse_literal("T2<1;1>"), 0)

@@ -1,14 +1,16 @@
 import io
 import json
 import os
+import random
 
 import pytest
 
 from toeplab import verify
-from toeplab.toeplitz import parse_literal
+from toeplab.toeplitz import parse_literal, validate_spec
 from toeplab.verify import (
     FAILS,
     HOLDS,
+    MAX_SWEEP_N,
     NOT_APPLICABLE,
     PREDICATES,
     SweepReport,
@@ -48,6 +50,13 @@ class TestEnumerate:
     def test_small_cap_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_specs(1, False))
+
+    def test_cap_above_max_sweep_n_rejected(self):
+        assert MAX_SWEEP_N == 16
+        with pytest.raises(ValueError):
+            verify._rows(MAX_SWEEP_N + 1)
+        with pytest.raises(ValueError):
+            next(enumerate_specs(MAX_SWEEP_N + 1, False))
 
     def test_rows_concatenate_to_enumeration(self):
         # Sweep workers build their instances row by row; the rows, in
@@ -116,6 +125,39 @@ class TestVerifyInstance:
         data = json.loads(json.dumps(report.to_json_dict()))
         assert data["spec"] == "T3<1;2>"
         assert set(data["checks"]) == set(PREDICATES)
+
+
+def fields(report, mirror=False):
+    """The report without its spec; with `mirror`, as the mirror
+    T<n><T;S> should have it, the two step-fit conditions swapped."""
+    data = report.to_json_dict()
+    del data["spec"]
+    if mirror:
+        data["cond1"], data["cond2"] = data["cond2"], data["cond1"]
+    return data
+
+
+class TestMirrorInvariance:
+    def test_every_instance_up_to_7_matches_its_mirror(self):
+        # Reversing the vertex order swaps the forward and backward steps,
+        # which leaves every measurement and check unchanged.
+        reports = {
+            (spec.n, spec.forward_steps, spec.backward_steps): verify_instance(spec)
+            for spec in enumerate_specs(7, False)
+        }
+        assert len(reports) == 5214
+        for (n, fwd, bwd), report in reports.items():
+            assert fields(reports[n, bwd, fwd], mirror=True) == fields(report), report.spec.literal
+
+    def test_seeded_large_instances_match_their_mirrors(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            n = rng.randint(9, 40)
+            fwd = rng.sample(range(1, n), rng.randint(1, 3))
+            bwd = rng.sample(range(1, n), rng.randint(1, 3))
+            report = verify_instance(validate_spec(n, fwd, bwd))
+            mirror = verify_instance(validate_spec(n, bwd, fwd))
+            assert fields(mirror, mirror=True) == fields(report), report.spec.literal
 
 
 class TestSweep:

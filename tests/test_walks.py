@@ -14,16 +14,14 @@ from toeplab.walks import (
     WalkConstructionError,
     bound_hypothesis_holds,
     build_walk_with_counts,
-    combination_offsets,
     competition_index_bound,
-    congruence_recurrence_check,
+    congruence_step,
+    congruent_mask,
     congruent_offsets,
     extend_walk_exact,
-    realized_offsets,
     schedule_steps,
     step_set_run,
     step_set_stabilization,
-    step_sets,
     walk_length_bound,
     walk_offset_decomposition,
 )
@@ -32,6 +30,19 @@ import oracles
 
 T8 = parse_literal("T8<1,4;2,5>")
 T6 = parse_literal("T6<2,4;4,5>")
+
+
+def step_sets(spec, i):
+    """The step sets at step count i, as the sweep's step-set run has them."""
+    return step_set_run(spec, i)[-1]
+
+
+def combination_offsets(spec, i):
+    return step_sets(spec, i).combination
+
+
+def realized_offsets(spec, i):
+    return step_sets(spec, i).realized
 
 
 def random_conditioned_spec(rng, max_n=16):
@@ -75,19 +86,23 @@ class TestCombinationOffsets:
 
     def test_matches_enumeration_oracle(self):
         for spec in enumerate_specs(4, False):
+            run = step_set_run(spec, 5)
             for i in (1, 2, 3, 4, 5):
                 expected = oracles.naive_combination_offsets(
                     spec.n, spec.forward_steps, spec.backward_steps, i
                 )
-                assert combination_offsets(spec, i) == expected, (spec.literal, i)
+                assert run[i - 1].combination == expected, (spec.literal, i)
+                assert oracles.combination_offsets(
+                    spec.n, spec.forward_steps, spec.backward_steps, i
+                ) == expected
 
     def test_contained_in_congruent_with_matching_residue(self):
         from toeplab.toeplitz import pair_sum_gcd
 
         for spec in enumerate_specs(5, False):
             d = pair_sum_gcd(spec)
-            for i in range(1, 13):
-                q = combination_offsets(spec, i)
+            for ss in step_set_run(spec, 12):
+                i, q = ss.i, ss.combination
                 assert q <= congruent_offsets(spec, i)
                 assert all(v % d == (i * spec.min_forward) % d for v in q)
 
@@ -109,22 +124,25 @@ class TestRealizedOffsets:
 
     def test_matches_oracle(self):
         for spec in enumerate_specs(4, False):
+            run = step_set_run(spec, 6)
             for i in (1, 2, 3, 6):
                 expected = oracles.naive_realized_offsets(
                     spec.n, spec.forward_steps, spec.backward_steps, i
                 )
-                assert realized_offsets(spec, i) == expected
+                assert run[i - 1].realized == expected
 
 
 class TestStepSetRun:
     def test_agrees_with_pointwise_functions(self):
         for literal in ("T8<1,4;2,5>", "T5<2;4>", "T6<2,4;4,5>"):
             spec = parse_literal(literal)
+            n, fwd, bwd = spec.n, spec.forward_steps, spec.backward_steps
+            a = build_matrix(spec)
             run = step_set_run(spec, 14)
             for ss in run:
                 assert ss.congruent == congruent_offsets(spec, ss.i)
-                assert ss.combination == combination_offsets(spec, ss.i)
-                assert ss.realized == realized_offsets(spec, ss.i)
+                assert ss.combination == oracles.combination_offsets(n, fwd, bwd, ss.i)
+                assert ss.realized == oracles.full_diagonal_offsets(n, a.power(ss.i).rows)
 
     def test_containment_chain_everywhere(self):
         for spec in enumerate_specs(5, False):
@@ -181,15 +199,38 @@ class TestStabilization:
         assert result.m_emp == 2
         assert not result.certified
 
+    def test_default_horizon_is_two_combined_cycles_past_the_index(self):
+        from toeplab.spectra import power_tail
+        from toeplab.toeplitz import predicted_period
+
+        for spec in enumerate_specs(5, False):
+            tail = power_tail(build_matrix(spec))
+            expected = tail.index + 2 * tail.period * predicted_period(spec)
+            result = step_set_stabilization(spec)
+            assert result.horizon == expected, spec.literal
+            assert (result.power_index, result.power_period) == (tail.index, tail.period)
+
     def test_conditioned_sweep_certifies(self):
         for spec in enumerate_specs(6, True):
             result = step_set_stabilization(spec)
             assert result.m_emp is not None and result.certified, spec.literal
 
 
+def recurrence_holds(spec, i):
+    """P_i is P_(i-1) moved one shortest forward step up or one shortest
+    backward step down, inside [-(n-1), n-1]; the sets come from the
+    oracle, the move is verify's congruence_step."""
+    n, fwd, bwd = spec.n, spec.forward_steps, spec.backward_steps
+    prev = oracles.naive_congruent_offsets(n, fwd, bwd, i - 1)
+    moved = congruence_step(spec, sum(1 << (v + n - 1) for v in prev))
+    cur = oracles.naive_congruent_offsets(n, fwd, bwd, i)
+    return moved == sum(1 << (v + n - 1) for v in cur)
+
+
 class TestRecurrence:
     def test_running_example_step_two(self):
-        assert congruence_recurrence_check(T8, 2)
+        assert recurrence_holds(T8, 2)
+        assert congruence_step(T8, congruent_mask(8, 3, 1)) == congruent_mask(8, 3, 2)
 
     def test_exhaustive_conditioned(self):
         from toeplab.toeplitz import predicted_period
@@ -197,7 +238,7 @@ class TestRecurrence:
         for spec in enumerate_specs(6, True):
             limit = 2 * predicted_period(spec) + 2
             for i in range(2, limit + 1):
-                assert congruence_recurrence_check(spec, i), (spec.literal, i)
+                assert recurrence_holds(spec, i), (spec.literal, i)
 
     def test_consecutive_window_disjoint(self):
         from toeplab.toeplitz import predicted_period
@@ -216,10 +257,6 @@ class TestRecurrence:
             pi = predicted_period(spec)
             for i in range(1, pi + 2):
                 assert congruent_offsets(spec, i) == congruent_offsets(spec, i + pi)
-
-    def test_first_step_rejected(self):
-        with pytest.raises(ValueError):
-            congruence_recurrence_check(T8, 1)
 
 
 class TestScheduleSteps:
@@ -354,26 +391,6 @@ class TestExtendWalk:
             assert ga == (s1_total,) + s_counts
             assert gb == (t1_total,) + t_counts
             produced += 1
-
-
-class TestWalkPlan:
-    def test_endpoint_recorded(self):
-        from toeplab.walks import WalkPlan
-
-        plan = WalkPlan(T8, 7, (0, 5), (0, 6))
-        assert plan.endpoint == 7 + 5 * 4 - 6 * 5
-
-    def test_negative_counts_rejected(self):
-        from toeplab.walks import WalkPlan
-
-        with pytest.raises(ValueError):
-            WalkPlan(T8, 7, (0, -1), (0, 0))
-
-    def test_count_shape_checked(self):
-        from toeplab.walks import WalkPlan
-
-        with pytest.raises(ValueError):
-            WalkPlan(T8, 7, (1,), (0, 0))
 
 
 class TestWalkType:

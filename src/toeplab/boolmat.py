@@ -54,12 +54,6 @@ class BoolMatrix:
             raise ValueError("dimension must be at least 1")
         return cls._raw(n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def zeros(cls, n: int) -> "BoolMatrix":
-        if n < 1:
-            raise ValueError("dimension must be at least 1")
-        return cls._raw(n, (0,) * n)
-
     def get(self, i: int, j: int) -> int:
         """Entry at row i, column j (both 1-indexed)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):

@@ -149,8 +149,8 @@ def _cmd_competition(args) -> int:
     }
     lines = [f"competition index={tail.index} period={tail.period} (d={d})"]
     if tail.period == 1:
-        limit = kernel.unpack(tail.cycle[0])
-        block_match = tail.cycle[0] == kernel.residue_matrix(d)
+        limit = kernel.geometry.unpack(tail.cycle[0])
+        block_match = tail.cycle[0] == kernel.geometry.residue_matrix(d)
         # For d >= n every class mod d is a singleton, as it is mod n.
         classes = residue_classes(spec.n, min(d, spec.n))
         payload.update(
@@ -179,7 +179,7 @@ def _cmd_graph(args) -> int:
         return EXIT_USAGE
     kernel = ToeplitzKernel(spec)
     table = competition_table(kernel, max_steps=DEFAULT_STEP_BUDGET)
-    g = SimpleGraph.from_symmetric_matrix(kernel.unpack(power_from_table(*table, args.m)))
+    g = SimpleGraph.from_symmetric_matrix(kernel.geometry.unpack(power_from_table(*table, args.m)))
     if args.format == "dot":
         print(graph_dot(g, name=f"{spec.literal} m={args.m}"))
     elif args.format == "json":

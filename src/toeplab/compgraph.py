@@ -11,10 +11,9 @@ route on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .boolmat import BoolMatrix
-from .packed import ToeplitzKernel, geometry
+from .packed import ToeplitzKernel
 from .spectra import competition_matrix, residue_classes
 # pair_sum_gcd is unused here: perfbench/selftest.py checks tracing rebinds it in this module.
 from .toeplitz import ToeplitzSpec, pair_sum_gcd  # noqa: F401
@@ -85,7 +84,7 @@ def m_step_graph(A: BoolMatrix, m: int) -> SimpleGraph:
 def competition_graph_formula(spec: ToeplitzSpec) -> SimpleGraph:
     """One-step competition graph computed from the step sets alone."""
     kernel = ToeplitzKernel(spec)
-    return SimpleGraph.from_symmetric_matrix(kernel.unpack(competition_formula(kernel)))
+    return SimpleGraph.from_symmetric_matrix(kernel.geometry.unpack(competition_formula(kernel)))
 
 
 def competition_formula(kernel: ToeplitzKernel) -> int:
@@ -100,44 +99,18 @@ def competition_formula(kernel: ToeplitzKernel) -> int:
       - delta is a forward step plus a backward step.
     Each rule admits an interval of u per delta, laid down as one segment
     of the diagonals delta and -delta.  The first rule depends on (n, S)
-    only and the second on (n, T) only, so each is built once per step set;
-    the third admits every u, the whole diagonal pair.
+    only and the second on (n, T) only, so the size's Geometry keeps each
+    per step set (Geometry.partners); the third admits every u, the whole
+    diagonal pair.
     """
     spec = kernel.spec
     n = spec.n
-    segment = kernel.geometry.segment
-    out = _partner_segments(n, spec.forward_steps, True) | _partner_segments(
-        n, spec.backward_steps, False
-    )
+    g = kernel.geometry
+    out = g.partners(spec.forward_steps, True) | g.partners(spec.backward_steps, False)
     for delta in {s + t for s in spec.forward_steps for t in spec.backward_steps}:
         if delta < n:
-            out |= segment(delta, 1, n - delta)
+            out |= g.segment(delta, 1, n - delta)
     return out
-
-
-@lru_cache(maxsize=2048)  # both rules of all 2^(n-1) - 1 step sets of a size, n <= 11
-def _partner_segments(n: int, steps: tuple[int, ...], forward: bool) -> int:
-    # Pairs admitted by the forward rule (forward=True) or the backward rule
-    # for steps of one set: per delta, the smallest lower partner k of a
-    # pair k, k + delta of steps bounds u.
-    segment = geometry(n).segment
-    out = 0
-    for delta, k in _min_lower_partner(steps).items():
-        last = n - delta
-        lo, hi = (1, last - k) if forward else (k + 1, last)
-        if lo <= hi:
-            out |= segment(delta, lo, hi)
-    return out
-
-
-def _min_lower_partner(steps) -> dict[int, int]:
-    # delta -> smallest k with k and k + delta both steps.
-    low = {}
-    for k in reversed(steps):
-        for k2 in steps:
-            if k2 > k:
-                low[k2 - k] = k
-    return low
 
 
 def strong_components(A: BoolMatrix) -> tuple[tuple[int, ...], ...]:

@@ -16,9 +16,13 @@ big-int operations whatever the density.  The full diagonals of a matrix
 is Toeplitz, as the powers of A are from some m on; only a matrix that is
 not Toeplitz pays for the AND-fold along stride n+1.
 
-The masks that depend on n alone live in one Geometry per size, shared by
-every kernel of that size; its column masks and residue matrices are built
-on first use, and the shift lists of a step set once per (n, step set).
+Everything that depends on n and at most one step set or modulus lives in
+one Geometry per size, shared by every kernel of that size: the fixed
+masks, the Toeplitz test, the diagonal read-off and fold, packing, and the
+tables filled on first use (column masks; residue matrices, congruent
+offset masks and residue classes per modulus; shift lists and one-step
+partner rules per step set).  A ToeplitzKernel keeps only what its own
+steps pick: the shift lists, the adjacency matrix and the two steps.
 """
 
 from __future__ import annotations
@@ -30,19 +34,19 @@ from .toeplitz import ToeplitzSpec
 
 __all__ = ["Geometry", "ToeplitzKernel", "geometry"]
 
-# Step sets whose shift lists one Geometry keeps: all 2^(n-1) - 1 of a size
-# up to n = 12, and a bound on memory for larger sizes.
+# Step sets whose shift lists and partner rules one Geometry keeps: all
+# 2^(n-1) - 1 of a size up to n = 12, and a bound on memory for larger sizes.
 STEP_SETS = 2048
 
 
 class Geometry:
-    """The masks of one size n, shared by every kernel of that size.
+    """Everything of one size n that no single instance owns.
 
     The all-ones and identity matrices, the Toeplitz-test and diagonal-fold
-    masks are built with the geometry; the column masks L_k and H_k, the
-    residue matrices and the shift lists of a step set on first use.  Every
-    entry depends on n and at most one step, step set or modulus, never on
-    a whole instance.
+    masks are built with the geometry; the column masks L_k and H_k and the
+    tables per modulus and per step set on first use.  Every entry depends
+    on n and at most one step, step set or modulus, never on a whole
+    instance.
     """
 
     __slots__ = (
@@ -57,7 +61,10 @@ class Geometry:
         "_low",
         "_high",
         "_residues",
+        "_congruents",
+        "_classes",
         "_step_sets",
+        "_partners",
     )
 
     def __init__(self, n: int):
@@ -88,8 +95,15 @@ class Geometry:
         # Indexed by step 1..n-1; None until first asked for.
         self._low = [None] * n
         self._high = [None] * n
+        # Keyed by modulus d.
         self._residues: dict[int, int] = {}
+        self._congruents: dict[int, tuple[int, ...]] = {}
+        self._classes: dict[int, tuple[int, ...]] = {}
+        # Keyed by step set.
         self._step_sets: dict[tuple[int, ...], tuple] = {}
+        self._partners: dict[tuple[int, ...], list] = {}
+
+    # -- per step and per step set ------------------------------------------------
 
     def low(self, k: int) -> int:
         """L_k: columns 1..n-k of every row."""
@@ -122,12 +136,46 @@ class Geometry:
                 self._step_sets[steps] = entry
         return entry
 
+    def partners(self, steps: tuple[int, ...], forward: bool) -> int:
+        """The pairs the one-step competition formula admits for the step
+        differences of one set, by the forward rule (forward=True) or the
+        backward rule; see compgraph.competition_formula.  Both rules of
+        the first STEP_SETS step sets asked for are kept, each built on
+        first use."""
+        rules = self._partners.get(steps)
+        if rules is None:
+            rules = [None, None]  # indexed by forward
+            if len(self._partners) < STEP_SETS:
+                self._partners[steps] = rules
+        rule = rules[forward]
+        if rule is None:
+            rule = rules[forward] = self._partner_rule(steps, forward)
+        return rule
+
+    def _partner_rule(self, steps: tuple[int, ...], forward: bool) -> int:
+        # Per delta, the smallest lower partner k of a pair k, k + delta of
+        # steps bounds u: u <= n - delta - k forward, u >= k + 1 backward.
+        lowest = {}
+        for k in reversed(steps):
+            for k2 in steps:
+                if k2 > k:
+                    lowest[k2 - k] = k
+        out = 0
+        for delta, k in lowest.items():
+            last = self.n - delta
+            lo, hi = (1, last - k) if forward else (k + 1, last)
+            if lo <= hi:
+                out |= self.segment(delta, lo, hi)
+        return out
+
     def segment(self, delta: int, lo: int, hi: int) -> int:
         """Entries (u, u+delta) and (u+delta, u) for u = lo..hi."""
         n = self.n
         # Diagonal entries (u, u) for u = lo..hi, moved onto both diagonals.
         seg = (self.identity & ((1 << (hi - lo + 1) * n) - 1)) << (lo - 1) * (n + 1)
         return (seg << delta) | (seg << delta * n)
+
+    # -- per modulus ----------------------------------------------------------------
 
     def residue_matrix(self, d: int) -> int:
         """Entry (u, v) is 1 iff u = v (mod d): the diagonals at multiples of d."""
@@ -140,86 +188,34 @@ class Geometry:
             self._residues[d] = mask
         return mask
 
+    def congruent_masks(self, d: int) -> tuple[int, ...]:
+        """Entry r: the offsets in [-(n-1), n-1] congruent to r mod d, as a
+        mask where bit ell + n - 1 stands for ell."""
+        masks = self._congruents.get(d)
+        if masks is None:
+            n = self.n
+            masks = [0] * d
+            for k in range(2 * n - 1):
+                masks[(k - n + 1) % d] |= 1 << k
+            masks = self._congruents[d] = tuple(masks)
+        return masks
 
-@lru_cache(maxsize=16)
-def geometry(n: int) -> Geometry:
-    """The Geometry of size n, built once while n stays among the 16 sizes
-    asked for last."""
-    return Geometry(n)
+    def class_masks(self, d: int) -> tuple[int, ...]:
+        """Entry r - 1: the vertices v = r (mod d) of 1..n, as a mask where
+        bit v - 1 stands for v, for r = 1..min(d, n)."""
+        masks = self._classes.get(d)
+        if masks is None:
+            n = self.n
+            masks = self._classes[d] = tuple(
+                [sum(1 << (v - 1) for v in range(r, n + 1, d)) for r in range(1, min(d, n) + 1)]
+            )
+        return masks
 
-
-class ToeplitzKernel:
-    """Packed matrix algebra for one instance: the adjacency matrix, the
-    power and competition steps, full-diagonal offsets and the Toeplitz
-    test, all on packed ints.  The masks come from the size's Geometry;
-    the kernel only picks those of its own steps."""
-
-    __slots__ = (
-        "spec",
-        "n",
-        "geometry",
-        "full",
-        "identity",
-        "adjacency",
-        "_times_a",
-        "_rows_down",
-        "_rows_up",
-        "_times_at",
-        "_inner",
-        "_pad_upper",
-        "_pad_lower",
-    )
-
-    def __init__(self, spec: ToeplitzSpec):
-        n = spec.n
-        self.spec = spec
-        self.n = n
-        self.geometry = g = geometry(n)
-        self.full = g.full
-        self.identity = g.identity
-        self._inner = g.inner
-        self._pad_lower = g.pad_lower
-        self._pad_upper = g.pad_upper
-        fwd_low, fwd_high, self._rows_down = g.step_masks(spec.forward_steps)
-        bwd_low, bwd_high, self._rows_up = g.step_masks(spec.backward_steps)
-        self._times_a = fwd_low, bwd_high
-        self._times_at = fwd_high, bwd_low
-        self.adjacency = self.times_a(self.identity)
-
-    def times_a(self, x: int) -> int:
-        """X.A: column shifts of X, masked so no bit crosses a row end."""
-        out = 0
-        right, left = self._times_a
-        for mask, s in right:
-            out |= (x & mask) << s
-        for mask, t in left:
-            out |= (x & mask) >> t
-        return out
-
-    def compete(self, b: int) -> int:
-        """A.B.A^T: row shifts for A.B, then masked column shifts for .A^T.
-        From B_0 = I this yields B_m = A^m (A^T)^m.  Rows shifted past row
-        n are dropped by the column masks."""
-        y = 0
-        for shift in self._rows_down:
-            y |= b >> shift
-        for shift in self._rows_up:
-            y |= b << shift
-        out = 0
-        left, right = self._times_at
-        for mask, s in left:
-            out |= (y & mask) >> s
-        for mask, t in right:
-            out |= (y & mask) << t
-        return out
-
-    def residue_matrix(self, d: int) -> int:
-        """Entry (u, v) is 1 iff u = v (mod d), built once per (n, d)."""
-        return self.geometry.residue_matrix(d)
+    # -- matrices of this size ------------------------------------------------------
 
     def is_toeplitz(self, x: int) -> bool:
         """Every entry equals its lower-right neighbour."""
-        return ((x >> (self.n + 1)) ^ x) & self._inner == 0
+        return ((x >> (self.n + 1)) ^ x) & self.inner == 0
 
     def diagonals(self, x: int) -> tuple[bool, int]:
         """(is_toeplitz(x), full diagonals of x), testing x for Toeplitz
@@ -248,13 +244,13 @@ class ToeplitzKernel:
         n+1-j.
         """
         n = self.n
-        upper = self._fold(x | self._pad_lower)
-        lower = self._fold(x | self._pad_upper)
+        upper = self._fold(x | self.pad_lower)
+        lower = self._fold(x | self.pad_upper)
         return ((upper & ((1 << n) - 1)) << (n - 1)) | ((lower >> 2) & ((1 << (n - 1)) - 1))
 
     def _fold(self, y: int) -> int:
         # Bit p of the result ANDs bits p, p+(n+1), ..., p+(n-1)(n+1) of y.
-        for shift in self.geometry.fold_shifts:
+        for shift in self.fold_shifts:
             y &= y >> shift
         return y
 
@@ -266,3 +262,62 @@ class ToeplitzKernel:
         n = self.n
         bits = format(x, f"0{n * n}b")
         return BoolMatrix._raw(n, tuple([int(bits[k : k + n], 2) for k in range(n * n - n, -1, -n)]))
+
+
+@lru_cache(maxsize=16)
+def geometry(n: int) -> Geometry:
+    """The Geometry of size n, built once while n stays among the 16 sizes
+    asked for last."""
+    return Geometry(n)
+
+
+class ToeplitzKernel:
+    """The power and competition steps of one instance, on packed ints.
+    Everything that depends on n alone is the size's Geometry; the kernel
+    keeps the shift lists of its own steps and the adjacency matrix."""
+
+    __slots__ = (
+        "spec",
+        "geometry",
+        "adjacency",
+        "_times_a",
+        "_rows_down",
+        "_rows_up",
+        "_times_at",
+    )
+
+    def __init__(self, spec: ToeplitzSpec):
+        self.spec = spec
+        self.geometry = g = geometry(spec.n)
+        fwd_low, fwd_high, self._rows_down = g.step_masks(spec.forward_steps)
+        bwd_low, bwd_high, self._rows_up = g.step_masks(spec.backward_steps)
+        self._times_a = fwd_low, bwd_high
+        self._times_at = fwd_high, bwd_low
+        self.adjacency = self.times_a(g.identity)
+
+    def times_a(self, x: int) -> int:
+        """X.A: column shifts of X, masked so no bit crosses a row end."""
+        out = 0
+        right, left = self._times_a
+        for mask, s in right:
+            out |= (x & mask) << s
+        for mask, t in left:
+            out |= (x & mask) >> t
+        return out
+
+    def compete(self, b: int) -> int:
+        """A.B.A^T: row shifts for A.B, then masked column shifts for .A^T.
+        From B_0 = I this yields B_m = A^m (A^T)^m.  Rows shifted past row
+        n are dropped by the column masks."""
+        y = 0
+        for shift in self._rows_down:
+            y |= b >> shift
+        for shift in self._rows_up:
+            y |= b << shift
+        out = 0
+        left, right = self._times_at
+        for mask, s in left:
+            out |= (y & mask) >> s
+        for mask, t in right:
+            out |= (y & mask) << t
+        return out

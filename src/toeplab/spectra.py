@@ -47,9 +47,6 @@ class PeriodicTail:
     period: int
     cycle: tuple
 
-    def to_json_dict(self) -> dict:
-        return {"index": self.index, "period": self.period}
-
 
 def power_table(A, max_steps: int | None = None):
     """Scan A^1, A^2, ... to the first repeat.
@@ -111,7 +108,7 @@ def competition_table(A, max_steps: int | None = None):
     BoolMatrix, or a ToeplitzKernel whose packed ints then fill the table.
     """
     if isinstance(A, ToeplitzKernel):
-        return _scan(A.compete(A.identity), A.compete, max_steps, "competition")
+        return _scan(A.compete(A.geometry.identity), A.compete, max_steps, "competition")
     at = A.transpose()
     return _scan(A.multiply(at), lambda b: A.multiply(b).multiply(at), max_steps, "competition")
 

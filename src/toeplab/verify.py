@@ -31,7 +31,6 @@ from .walks import (
     bound_hypothesis_holds,
     competition_index_bound,
     congruence_step,
-    congruent_mask,
     step_set_run,
 )
 
@@ -75,20 +74,6 @@ PREDICATES = (
     "p_recurrence",
     "containment_chain",
     "formula_match",
-)
-
-# Predicates whose theorem carries the two step-fit conditions as hypothesis.
-_CONDITIONAL = frozenset(
-    (
-        "period_match",
-        "competition_period_is_1",
-        "limit_block_match",
-        "limit_clique_match",
-        "eventually_toeplitz",
-        "pqr_stabilized",
-        "bound_holds",
-        "p_recurrence",
-    )
 )
 
 
@@ -166,19 +151,12 @@ def enumerate_specs(n_max: int, require_conditions: bool) -> Iterator[ToeplitzSp
         yield from _row_specs(n, fwd, require_conditions)
 
 
-def _not_applicable_report(report: InstanceReport) -> InstanceReport:
-    for name in PREDICATES:
-        report.checks.setdefault(name, NOT_APPLICABLE)
-    report.checks = {name: report.checks[name] for name in PREDICATES}
-    report.incomplete = True
-    return report
-
-
 def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) -> InstanceReport:
     """Run every predicate on one instance with exact, tail-derived
-    horizons.  Conditional predicates are marked not-applicable when the
-    step-fit conditions fail."""
-    n = spec.n
+    horizons.  Every predicate starts not-applicable and keeps that outcome
+    when the instance runs past `step_budget` (the report is then marked
+    incomplete) or when its theorem's hypothesis fails: the step-fit
+    conditions, or the bound's irreducibility hypothesis."""
     d = pair_sum_gcd(spec)
     s1 = spec.min_forward
     d_prime = gcd(d, s1)
@@ -191,6 +169,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
         predicted=pi,
         cond1=cond1,
         cond2=cond2,
+        checks=dict.fromkeys(PREDICATES, NOT_APPLICABLE),
     )
     checks = report.checks
 
@@ -202,18 +181,20 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
         # bs holds B_1 up to its first repeat: every B_m, as B_{m+1} = A B_m A^T.
         ctail, bs = competition_table(kernel, max_steps=step_budget)
     except BudgetExceeded:
-        return _not_applicable_report(report)
+        report.incomplete = True
+        return report
     tail = table[0]
     qa, pa = tail.index, tail.period
     report.power_index, report.power_period = qa, pa
     report.comp_index, report.comp_period = ctail.index, ctail.period
 
     # Unconditional checks -------------------------------------------------
-    off_diagonal = kernel.full ^ kernel.identity
+    g = kernel.geometry
+    off_diagonal = g.full ^ g.identity
     checks["formula_match"] = (
         HOLDS if competition_formula(kernel) == bs[0] & off_diagonal else FAILS
     )
-    residues = kernel.residue_matrix(d)
+    residues = g.residue_matrix(d)
     checks["adjacency_necessity"] = HOLDS if all(b & ~residues == 0 for b in bs) else FAILS
 
     conditions = cond1 and cond2
@@ -221,15 +202,13 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     pqr_horizon = qa + 2 * pa * pi
     horizon = pqr_horizon if conditions else chain_horizon
     if horizon > step_budget:
-        return _not_applicable_report(report)
+        report.incomplete = True
+        return report
     run = step_set_run(spec, horizon, table=table, kernel=kernel, d=d)
     checks["containment_chain"] = HOLDS if all(ss.chain_holds for ss in run) else FAILS
 
     if not conditions:
-        for name in _CONDITIONAL:
-            checks[name] = NOT_APPLICABLE
         report.bound_value = competition_index_bound(spec, d)
-        report.checks = {name: checks[name] for name in PREDICATES}
         return report
 
     # Conditional checks ---------------------------------------------------
@@ -257,7 +236,8 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     checks["pqr_stabilized"] = HOLDS if (stab.m_emp is not None and stab.certified) else FAILS
 
     # Congruent sets P_1 .. P_{2 pi + 2}.
-    congruent = [congruent_mask(n, d, i * s1) for i in range(1, 2 * pi + 3)]
+    congruents = g.congruent_masks(d)
+    congruent = [congruents[i * s1 % d] for i in range(1, 2 * pi + 3)]
     recurrence_ok = all(
         congruence_step(spec, prev) == cur for prev, cur in zip(congruent, congruent[1:])
     )
@@ -271,10 +251,6 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     report.bound_hypothesis = bound_hypothesis_holds(spec, bs[0], d)
     if report.bound_hypothesis:
         checks["bound_holds"] = HOLDS if ctail.index <= report.bound_value else FAILS
-    else:
-        checks["bound_holds"] = NOT_APPLICABLE
-
-    report.checks = {name: checks[name] for name in PREDICATES}
     return report
 
 
@@ -368,7 +344,7 @@ class SweepReport:
 
 
 def _verify_row(
-    row: tuple[int, tuple[int, ...]], require_conditions: bool, step_budget: int, stream: bool
+    row: tuple[int, tuple[int, ...]], require_conditions: bool, stream: bool
 ) -> tuple[SweepReport, str]:
     """Verify one enumeration row and fold it into a row-local aggregate;
     with `stream`, also return the row's JSON lines as one string."""
@@ -376,7 +352,7 @@ def _verify_row(
     part = SweepReport(n_max=n, require_conditions=require_conditions)
     lines = []
     for spec in _row_specs(n, fwd, require_conditions):
-        report = verify_instance(spec, step_budget)
+        report = verify_instance(spec)
         part.add(report)
         if stream:
             lines.append(json.dumps(report.to_json_dict()) + "\n")
@@ -387,7 +363,6 @@ def sweep(
     n_max: int,
     require_conditions: bool,
     jobs: int = 1,
-    step_budget: int = DEFAULT_STEP_BUDGET,
     report_stream=None,
     progress=None,
 ) -> SweepReport:
@@ -409,7 +384,6 @@ def sweep(
     verify_row = partial(
         _verify_row,
         require_conditions=require_conditions,
-        step_budget=step_budget,
         stream=report_stream is not None,
     )
     with ExitStack() as stack:

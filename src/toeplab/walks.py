@@ -21,11 +21,10 @@ evaluates the competition-index bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
-from .packed import ToeplitzKernel
+from .packed import ToeplitzKernel, geometry
 from .spectra import BudgetExceeded, power_table
 from .toeplitz import ToeplitzSpec, pair_sum_gcd, predicted_period
 
@@ -126,16 +125,7 @@ def _mask_to_offsets(mask: int, n: int) -> frozenset:
 
 def congruent_mask(n: int, d: int, residue: int) -> int:
     """Offsets in [-(n-1), n-1] congruent to residue mod d, as a mask."""
-    return _congruent_masks(n, d)[residue % d]
-
-
-@lru_cache(maxsize=256)
-def _congruent_masks(n: int, d: int) -> tuple[int, ...]:
-    # The congruent mask of every residue 0..d-1, built once per (n, d).
-    masks = [0] * d
-    for k in range(2 * n - 1):
-        masks[(k - n + 1) % d] |= 1 << k
-    return tuple(masks)
+    return geometry(n).congruent_masks(d)[residue % d]
 
 
 def congruent_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
@@ -174,7 +164,8 @@ def step_set_run(
     if kernel is None:
         kernel = ToeplitzKernel(spec)
     tail, seq = table if table is not None else power_table(kernel)
-    congruents = _congruent_masks(n, d)
+    congruents = kernel.geometry.congruent_masks(d)
+    diagonals_of = kernel.geometry.diagonals
     # (Toeplitz, realized mask) of each cycle position, filled on first visit.
     diagonals_by_cycle: list[tuple[bool, int] | None] = [None] * tail.period
 
@@ -197,9 +188,9 @@ def step_set_run(
             j = (i - tail.index) % tail.period
             diagonals = diagonals_by_cycle[j]
             if diagonals is None:
-                diagonals = diagonals_by_cycle[j] = kernel.diagonals(tail.cycle[j])
+                diagonals = diagonals_by_cycle[j] = diagonals_of(tail.cycle[j])
         else:
-            diagonals = kernel.diagonals(seq[i - 1])
+            diagonals = diagonals_of(seq[i - 1])
         toeplitz, realized = diagonals
 
         out.append(StepSets(n, i, congruents[i * s1 % d], combination, realized, toeplitz))
@@ -570,7 +561,7 @@ def bound_hypothesis_holds(
     n = spec.n
     if b1 is None:
         kernel = ToeplitzKernel(spec)
-        b1 = kernel.compete(kernel.identity)
+        b1 = kernel.compete(kernel.geometry.identity)
     if d is None:
         d = pair_sum_gcd(spec)
     row = (1 << n) - 1
@@ -581,9 +572,8 @@ def bound_hypothesis_holds(
             (int.from_bytes(data[k >> 3 : (k + n + 7) >> 3], "little") >> (k & 7)) & row
             for k in range(0, n * n, n)
         ]
-    for first in range(1, min(d, n) + 1):
-        members = sum(1 << (v - 1) for v in range(first, n + 1, d))
-        seen = frontier = 1 << (first - 1)
+    for first, members in enumerate(geometry(n).class_masks(d)):
+        seen = frontier = 1 << first  # vertex first + 1, the class's smallest
         while frontier:
             reach = 0
             while frontier:

@@ -5,7 +5,7 @@ predicate failing.  A predicate never seen to fail is no evidence."""
 import itertools
 
 from toeplab import verify
-from toeplab.packed import ToeplitzKernel
+from toeplab.packed import Geometry, ToeplitzKernel
 from toeplab.verify import sweep
 from toeplab.walks import StepSets, walk_length_bound
 
@@ -15,7 +15,7 @@ def sweep_fails(predicate):
 
 
 def residue_diagonals(self, d, first):
-    # ToeplitzKernel.residue_matrix with its diagonals counted from `first`.
+    # Geometry.residue_matrix with its diagonals counted from `first`.
     n, out = self.n, 0
     for ell in range(first, n, d):
         diagonal = self.identity & ((1 << (n - ell) * n) - 1)
@@ -38,7 +38,7 @@ def test_formula_match_catches_dropped_transpose(monkeypatch):
 
 def test_adjacency_necessity_catches_shifted_residue_class(monkeypatch):
     monkeypatch.setattr(
-        ToeplitzKernel, "residue_matrix", lambda self, d: residue_diagonals(self, d, 1)
+        Geometry, "residue_matrix", lambda self, d: residue_diagonals(self, d, 1)
     )
     assert sweep_fails("adjacency_necessity") > 0
 
@@ -54,7 +54,7 @@ def test_containment_chain_catches_reversed_comparison(monkeypatch):
 
 def test_limit_block_match_catches_missing_main_diagonal(monkeypatch):
     monkeypatch.setattr(
-        ToeplitzKernel, "residue_matrix", lambda self, d: residue_diagonals(self, d, d)
+        Geometry, "residue_matrix", lambda self, d: residue_diagonals(self, d, d)
     )
     assert sweep_fails("limit_block_match") > 0
 
@@ -69,7 +69,7 @@ def test_limit_clique_match_catches_unmasked_column_shift(monkeypatch):
         out = 0
         left, right = self._times_at
         for _, s in left:
-            out |= (y >> s) & self.full  # column mask dropped: bits cross row ends
+            out |= (y >> s) & self.geometry.full  # column mask dropped: bits cross row ends
         for mask, t in right:
             out |= (y & mask) << t
         return out
@@ -80,9 +80,9 @@ def test_limit_clique_match_catches_unmasked_column_shift(monkeypatch):
 
 def test_eventually_toeplitz_catches_vertical_neighbour(monkeypatch):
     monkeypatch.setattr(
-        ToeplitzKernel,
+        Geometry,
         "is_toeplitz",
-        lambda self, x: ((x >> self.n) ^ x) & self._inner == 0,  # n where n+1 belongs
+        lambda self, x: ((x >> self.n) ^ x) & self.inner == 0,  # n where n+1 belongs
     )
     assert sweep_fails("eventually_toeplitz") > 0
 
@@ -96,7 +96,7 @@ def test_pqr_stabilized_catches_short_diagonal_pad(monkeypatch):
         row = (1 << n) - 1
         return ((x & row) << (n - 1)) | ((x >> n * (n - 1)) & (row >> 2))
 
-    monkeypatch.setattr(ToeplitzKernel, "read_diagonals", read_short_row)
+    monkeypatch.setattr(Geometry, "read_diagonals", read_short_row)
     assert sweep_fails("pqr_stabilized") > 0
 
 

@@ -13,7 +13,7 @@ from toeplab.compgraph import (
     competition_graph_formula,
     residue_clique_graph,
 )
-from toeplab.packed import ToeplitzKernel, geometry
+from toeplab.packed import Geometry, ToeplitzKernel, geometry
 from toeplab.spectra import (
     competition_table,
     power_is_eventually_toeplitz,
@@ -22,12 +22,13 @@ from toeplab.spectra import (
 )
 from toeplab.toeplitz import build_matrix, offset_generators, pair_sum_gcd, validate_spec
 from toeplab.verify import (
-    _CONDITIONAL,
     FAILS,
     HOLDS,
     NOT_APPLICABLE,
     PREDICATES,
     InstanceReport,
+    _row_specs,
+    _subsets,
     enumerate_specs,
     verify_instance,
 )
@@ -41,6 +42,18 @@ from toeplab.walks import (
 import oracles
 
 MAX_N = 40
+
+# Predicates whose theorem carries the two step-fit conditions as hypothesis.
+CONDITIONAL = (
+    "period_match",
+    "competition_period_is_1",
+    "limit_block_match",
+    "limit_clique_match",
+    "eventually_toeplitz",
+    "pqr_stabilized",
+    "bound_holds",
+    "p_recurrence",
+)
 
 
 @st.composite
@@ -78,23 +91,23 @@ class TestPacking:
     @given(spec_and_matrix())
     @settings(max_examples=60, deadline=None)
     def test_pack_round_trip(self, case):
-        spec, x = case
-        kernel = ToeplitzKernel(spec)
-        assert kernel.unpack(kernel.pack(x)) == x
+        _, x = case
+        g = geometry(x.n)
+        assert g.unpack(g.pack(x)) == x
 
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_adjacency_is_build_matrix(self, spec):
-        kernel = ToeplitzKernel(spec)
-        assert kernel.unpack(kernel.adjacency) == build_matrix(spec)
-        assert kernel.unpack(kernel.identity) == BoolMatrix.identity(spec.n)
+        g = geometry(spec.n)
+        assert g.unpack(ToeplitzKernel(spec).adjacency) == build_matrix(spec)
+        assert g.unpack(g.identity) == BoolMatrix.identity(spec.n)
 
     @given(specs(), st.integers(1, MAX_N))
     @settings(max_examples=60, deadline=None)
     def test_residue_matrix_is_residue_block_matrix(self, spec, d):
-        kernel = ToeplitzKernel(spec)
+        g = geometry(spec.n)
         _, expected = residue_block_matrix(spec.n, min(d, spec.n))
-        assert kernel.unpack(kernel.residue_matrix(d)) == expected
+        assert g.unpack(g.residue_matrix(d)) == expected
 
 
 class TestPowerStep:
@@ -102,8 +115,8 @@ class TestPowerStep:
     @settings(max_examples=40, deadline=None)
     def test_shift_or_step_matches_generic_and_oracle(self, case):
         spec, x = case
-        kernel = ToeplitzKernel(spec)
-        step = kernel.unpack(kernel.times_a(kernel.pack(x)))
+        kernel, g = ToeplitzKernel(spec), geometry(spec.n)
+        step = g.unpack(kernel.times_a(g.pack(x)))
         assert step == x.multiply(build_matrix(spec))
         assert as_lists(step) == oracles.naive_multiply(as_lists(x), naive_spec_matrix(spec))
 
@@ -114,20 +127,20 @@ class TestPowerStep:
         tail, seq = power_table(kernel)
         gtail, gseq = power_table(build_matrix(spec))
         assert (tail.index, tail.period) == (gtail.index, gtail.period)
-        assert [kernel.unpack(x) for x in seq] == gseq
+        assert [kernel.geometry.unpack(x) for x in seq] == gseq
 
 
 class TestCompetitionStep:
     @given(specs(), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
     def test_recurrence_matches_generic_and_oracle(self, spec, m):
-        kernel = ToeplitzKernel(spec)
-        b = kernel.identity
+        kernel, g = ToeplitzKernel(spec), geometry(spec.n)
+        b = g.identity
         for _ in range(m):
             b = kernel.compete(b)
         x = build_matrix(spec).power(m)
-        assert kernel.unpack(b) == x.multiply(x.transpose())
-        assert as_lists(kernel.unpack(b)) == oracles.naive_competition(naive_spec_matrix(spec), m)
+        assert g.unpack(b) == x.multiply(x.transpose())
+        assert as_lists(g.unpack(b)) == oracles.naive_competition(naive_spec_matrix(spec), m)
 
     @given(specs(max_n=20))
     @settings(max_examples=30, deadline=None)
@@ -136,15 +149,15 @@ class TestCompetitionStep:
         tail, bs = competition_table(kernel)
         gtail, gbs = competition_table(build_matrix(spec))
         assert (tail.index, tail.period) == (gtail.index, gtail.period)
-        assert [kernel.unpack(b) for b in bs] == gbs
+        assert [kernel.geometry.unpack(b) for b in bs] == gbs
 
 
 class TestFullDiagonals:
     @given(spec_and_matrix())
     @settings(max_examples=60, deadline=None)
     def test_fold_matches_generic(self, case):
-        spec, x = case
-        kernel = ToeplitzKernel(spec)
+        _, x = case
+        g = geometry(x.n)
         # Random rows rarely fill a diagonal; filling some exercises both pads.
         rng = random.Random(x.count_ones())
         rows = list(x.rows)
@@ -152,7 +165,7 @@ class TestFullDiagonals:
             for r in range(max(0, -ell), min(x.n, x.n - ell)):
                 rows[r] |= 1 << (r + ell)
         for mat in (x, BoolMatrix(x.n, rows)):
-            got = offsets_of(kernel.diagonals(kernel.pack(mat))[1], mat.n)
+            got = offsets_of(g.diagonals(g.pack(mat))[1], mat.n)
             assert got == full_diagonal_offsets(mat)
 
     @given(specs(max_n=12), st.integers(1, 4))
@@ -165,7 +178,7 @@ class TestFullDiagonals:
         expected = oracles.naive_realized_offsets(
             spec.n, spec.forward_steps, spec.backward_steps, i
         )
-        assert offsets_of(kernel.diagonals(x)[1], spec.n) == expected
+        assert offsets_of(kernel.geometry.diagonals(x)[1], spec.n) == expected
 
     @given(specs(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -174,7 +187,7 @@ class TestFullDiagonals:
         # corners is not Toeplitz and takes the fold, with most diagonals
         # still full.
         n = spec.n
-        kernel = ToeplitzKernel(spec)
+        g = geometry(n)
         diagonals = data.draw(st.integers(0, (1 << (2 * n - 1)) - 1))
         rows = [
             sum(1 << c for c in range(n) if (diagonals >> (c - r + n - 1)) & 1) for r in range(n)
@@ -183,14 +196,14 @@ class TestFullDiagonals:
         flipped = list(rows)
         flipped[r] ^= 1 << c
         for mat in (BoolMatrix(n, rows), BoolMatrix(n, flipped)):
-            x = kernel.pack(mat)
+            x = g.pack(mat)
             expected = full_diagonal_offsets(mat)
-            toeplitz, mask = kernel.diagonals(x)
+            toeplitz, mask = g.diagonals(x)
             assert toeplitz == mat.is_toeplitz()
             assert offsets_of(mask, n) == expected
-            assert offsets_of(kernel.fold_diagonals(x), n) == expected
+            assert offsets_of(g.fold_diagonals(x), n) == expected
             if toeplitz:
-                assert kernel.read_diagonals(x) == mask
+                assert g.read_diagonals(x) == mask
 
     @given(specs(max_n=12), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -203,34 +216,35 @@ class TestFullDiagonals:
     def test_read_off_matches_fold_on_every_power_up_to_7(self):
         for spec in enumerate_specs(7, False):
             kernel = ToeplitzKernel(spec)
+            g = kernel.geometry
             for x in power_table(kernel)[1]:
-                if kernel.is_toeplitz(x):
-                    assert kernel.read_diagonals(x) == kernel.fold_diagonals(x), spec.literal
+                if g.is_toeplitz(x):
+                    assert g.read_diagonals(x) == g.fold_diagonals(x), spec.literal
 
 
 class TestToeplitzTest:
     @given(spec_and_matrix())
     @settings(max_examples=60, deadline=None)
     def test_matches_generic(self, case):
-        spec, x = case
-        kernel = ToeplitzKernel(spec)
-        assert kernel.is_toeplitz(kernel.pack(x)) == x.is_toeplitz()
+        _, x = case
+        g = geometry(x.n)
+        assert g.is_toeplitz(g.pack(x)) == x.is_toeplitz()
 
     @given(specs(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_toeplitz_matrices_and_one_flip(self, spec, data):
         n = spec.n
-        kernel = ToeplitzKernel(spec)
+        g = geometry(n)
         diagonals = data.draw(st.integers(0, (1 << (2 * n - 1)) - 1))
         rows = [
             sum(1 << c for c in range(n) if (diagonals >> (c - r + n - 1)) & 1) for r in range(n)
         ]
         x = BoolMatrix(n, rows)
-        assert kernel.is_toeplitz(kernel.pack(x)) and x.is_toeplitz()
+        assert g.is_toeplitz(g.pack(x)) and x.is_toeplitz()
         r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         rows[r] ^= 1 << c
         flipped = BoolMatrix(n, rows)
-        assert kernel.is_toeplitz(kernel.pack(flipped)) == flipped.is_toeplitz()
+        assert g.is_toeplitz(g.pack(flipped)) == flipped.is_toeplitz()
 
 
 # -- whole reports ----------------------------------------------------------------
@@ -281,7 +295,7 @@ def generic_report(spec):
 
     report.bound_value = competition_index_bound(spec)
     if not spec.conditions_hold:
-        checks.update((name, NOT_APPLICABLE) for name in _CONDITIONAL)
+        checks.update((name, NOT_APPLICABLE) for name in CONDITIONAL)
         report.checks = {name: checks[name] for name in PREDICATES}
         return report
 
@@ -351,33 +365,86 @@ def test_reports_match_generic_path_on_small_sweep():
 # -- per-size and per-step-set masks ---------------------------------------------
 
 
+def matrix_of(n, entry):
+    """The packed n x n matrix whose 0-based entry (r, c) is entry(r, c)."""
+    return sum(1 << r * n + c for r in range(n) for c in range(n) if entry(r, c))
+
+
+def geometry_from_scratch(n):
+    """Every table of the Geometry of size n, bit by bit from its
+    definition; the per-modulus tables for d = 1..2n-1."""
+    above = sum(1 << n * n + c for c in range(n))
+    moduli = range(1, 2 * n)
+    return {
+        "full": matrix_of(n, lambda r, c: True),
+        "identity": matrix_of(n, lambda r, c: r == c),
+        "inner": matrix_of(n, lambda r, c: r < n - 1 and c < n - 1),
+        "pad_lower": matrix_of(n, lambda r, c: c < r) | above,
+        "pad_upper": matrix_of(n, lambda r, c: c >= r) | above,
+        "residue_matrix": [matrix_of(n, lambda r, c: (r - c) % d == 0) for d in moduli],
+        "congruent_masks": [
+            tuple(sum(1 << ell + n - 1 for ell in range(1 - n, n) if ell % d == r) for r in range(d))
+            for d in moduli
+        ],
+        "class_masks": [
+            tuple(
+                sum(1 << v - 1 for v in range(1, n + 1) if (v - r) % d == 0)
+                for r in range(1, min(d, n) + 1)
+            )
+            for d in moduli
+        ],
+    }
+
+
+def geometry_tables(g):
+    """The tables of Geometry g that geometry_from_scratch builds."""
+    moduli = range(1, 2 * g.n)
+    return {
+        "full": g.full,
+        "identity": g.identity,
+        "inner": g.inner,
+        "pad_lower": g.pad_lower,
+        "pad_upper": g.pad_upper,
+        "residue_matrix": [g.residue_matrix(d) for d in moduli],
+        "congruent_masks": [g.congruent_masks(d) for d in moduli],
+        "class_masks": [g.class_masks(d) for d in moduli],
+    }
+
+
+def partners_from_scratch(n, steps, forward):
+    """The pairs (u, u + k2 - k) and their mirrors for steps k < k2 with
+    k <= n - (u + k2 - k) (forward) or k <= u - 1 (backward); 0-based here."""
+
+    def admitted(r, c):
+        u, v = min(r, c) + 1, max(r, c) + 1
+        return any(
+            k2 - k == v - u and k <= (n - v if forward else u - 1)
+            for k in steps
+            for k2 in steps
+            if k2 > k
+        )
+
+    return matrix_of(n, admitted)
+
+
 def kernel_from_scratch(spec):
-    """Every mask of a ToeplitzKernel, bit by bit from its definition."""
+    """Every mask a ToeplitzKernel picks for its steps, bit by bit from its
+    definition."""
     n = spec.n
 
-    def matrix(entry):
-        return sum(1 << r * n + c for r in range(n) for c in range(n) if entry(r, c))
-
     def low(k):  # columns 1..n-k
-        return matrix(lambda r, c: c < n - k)
+        return matrix_of(n, lambda r, c: c < n - k)
 
     def high(k):  # columns k+1..n
-        return matrix(lambda r, c: c >= k)
+        return matrix_of(n, lambda r, c: c >= k)
 
-    above = sum(1 << n * n + c for c in range(n))
     fwd, bwd = spec.forward_steps, spec.backward_steps
     return {
-        "full": matrix(lambda r, c: True),
-        "identity": matrix(lambda r, c: r == c),
-        "adjacency": matrix(lambda r, c: c - r in fwd or r - c in bwd),
-        "_inner": matrix(lambda r, c: r < n - 1 and c < n - 1),
-        "_pad_lower": matrix(lambda r, c: c < r) | above,
-        "_pad_upper": matrix(lambda r, c: c >= r) | above,
+        "adjacency": matrix_of(n, lambda r, c: c - r in fwd or r - c in bwd),
         "_times_a": (tuple((low(s), s) for s in fwd), tuple((high(t), t) for t in bwd)),
         "_rows_down": tuple(s * n for s in fwd),
         "_rows_up": tuple(t * n for t in bwd),
         "_times_at": (tuple((high(s), s) for s in fwd), tuple((low(t), t) for t in bwd)),
-        "residues": [matrix(lambda r, c: (r - c) % d == 0) for d in range(1, 2 * n)],
     }
 
 
@@ -385,16 +452,28 @@ class TestGeometry:
     def test_kernels_match_kernels_built_from_scratch(self):
         rng = random.Random(20261018)
         for n in range(2, MAX_N + 1):
+            expected_geometry = geometry_from_scratch(n)
             for _ in range(3):
                 # Twice per size and step set: the second kernel reads a warm geometry.
                 fwd = rng.sample(range(1, n), rng.randint(1, min(4, n - 1)))
                 bwd = rng.sample(range(1, n), rng.randint(1, min(4, n - 1)))
                 spec = validate_spec(n, fwd, bwd)
                 expected = kernel_from_scratch(spec)
+                partners = [
+                    partners_from_scratch(n, steps, forward)
+                    for steps in (spec.forward_steps, spec.backward_steps)
+                    for forward in (True, False)
+                ]
                 for kernel in (ToeplitzKernel(spec), ToeplitzKernel(spec)):
-                    got = {name: getattr(kernel, name) for name in expected if name != "residues"}
-                    got["residues"] = [kernel.residue_matrix(d) for d in range(1, 2 * n)]
+                    got = {name: getattr(kernel, name) for name in expected}
                     assert got == expected, spec.literal
+                    assert geometry_tables(kernel.geometry) == expected_geometry, spec.literal
+                    got = [
+                        kernel.geometry.partners(steps, forward)
+                        for steps in (spec.forward_steps, spec.backward_steps)
+                        for forward in (True, False)
+                    ]
+                    assert got == partners, spec.literal
 
     def test_one_geometry_per_size(self):
         a = ToeplitzKernel(validate_spec(9, (1, 4), (2,)))
@@ -413,14 +492,35 @@ class TestCachedCompetitionFormula:
         # Each step set meets every partner, so its cached segments are reused.
         for spec in enumerate_specs(7, False):
             kernel = ToeplitzKernel(spec)
-            got = as_lists(kernel.unpack(competition_formula(kernel)))
+            got = as_lists(kernel.geometry.unpack(competition_formula(kernel)))
             assert got == naive_one_step_graph(spec), spec.literal
 
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, spec):
         kernel = ToeplitzKernel(spec)
-        assert as_lists(kernel.unpack(competition_formula(kernel))) == naive_one_step_graph(spec)
+        got = as_lists(kernel.geometry.unpack(competition_formula(kernel)))
+        assert got == naive_one_step_graph(spec)
+
+    def test_warm_geometry_rebuilds_no_partner_rule(self, monkeypatch):
+        # Both rules of all 2,047 step sets of n = 12 fit in one Geometry:
+        # after a pass that asks for every one of them, a row of the n = 12
+        # sweep (one forward set, every backward set) builds no rule again.
+        for steps in _subsets(12):
+            competition_formula(ToeplitzKernel(validate_spec(12, steps, steps)))
+        kernels = [ToeplitzKernel(spec) for spec in _row_specs(12, (2, 3, 7), False)]
+        assert len(kernels) == 2047
+        builds = []
+        build = Geometry._partner_rule
+
+        def counted(self, steps, forward):
+            builds.append((steps, forward))
+            return build(self, steps, forward)
+
+        monkeypatch.setattr(Geometry, "_partner_rule", counted)
+        for kernel in kernels:
+            competition_formula(kernel)
+        assert builds == []
 
 
 def boolmatrix_bound_hypothesis(spec):
@@ -446,7 +546,7 @@ class TestPackedBoundHypothesis:
     @settings(max_examples=60, deadline=None)
     def test_matches_boolmatrix_path(self, spec):
         kernel = ToeplitzKernel(spec)
-        b1 = kernel.compete(kernel.identity)
+        b1 = kernel.compete(kernel.geometry.identity)
         expected = boolmatrix_bound_hypothesis(spec)
         assert bound_hypothesis_holds(spec, b1, pair_sum_gcd(spec)) == expected
         assert bound_hypothesis_holds(spec) == expected

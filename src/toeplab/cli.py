@@ -273,10 +273,10 @@ def _walk_length_cap(spec: ToeplitzSpec, s_counts, t_counts, exact, s1_count, t1
     """Longest walk the command can build, with or without the step-fit
     conditions: each requested arc follows at most ceil((n-1)/step)
     shortest-step positioning moves, and --exact appends at most s1 + t1
-    more arcs.  Negative counts are rejected later and count as 0 here."""
-    requests = sum(max(0, c) for c in s_counts + t_counts)
+    more arcs."""
+    requests = sum(s_counts + t_counts)
     per_arc = 1 - (1 - spec.n) // min(spec.min_forward, spec.min_backward)
-    extra = max(0, s1_count) + max(0, t1_count) if exact else 0
+    extra = s1_count + t1_count if exact else 0
     return requests * per_arc + extra
 
 
@@ -284,6 +284,10 @@ def _cmd_walk(args) -> int:
     spec = _parse_spec(args.spec)
     try:
         s_counts, t_counts = _parse_counts(args.counts, spec)
+        if not 1 <= args.start <= spec.n:
+            raise ValueError(f"--start must be in [1, {spec.n}], got {args.start}")
+        if min(s_counts + t_counts + (args.s1, args.t1)) < 0:
+            raise ValueError("arc counts must be non-negative")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

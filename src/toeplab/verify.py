@@ -265,7 +265,11 @@ class SweepReport:
     require_conditions: bool
     instances: int = 0
     condition_instances: int = 0
-    outcome_counts: dict = field(default_factory=dict)
+    outcome_counts: dict = field(
+        default_factory=lambda: {
+            name: {HOLDS: 0, FAILS: 0, NOT_APPLICABLE: 0} for name in PREDICATES
+        }
+    )
     violations: list = field(default_factory=list)
     incomplete: list = field(default_factory=list)
 
@@ -277,10 +281,7 @@ class SweepReport:
             self.incomplete.append(report.spec.literal)
         outcome_counts = self.outcome_counts
         for name, outcome in report.checks.items():
-            counts = outcome_counts.get(name)
-            if counts is None:
-                counts = outcome_counts[name] = {HOLDS: 0, FAILS: 0, NOT_APPLICABLE: 0}
-            counts[outcome] += 1
+            outcome_counts[name][outcome] += 1
             if outcome == FAILS:
                 self.violations.append((report.spec.literal, name))
 
@@ -293,22 +294,18 @@ class SweepReport:
         self.violations += part.violations
         outcome_counts = self.outcome_counts
         for name, counts in part.outcome_counts.items():
-            mine = outcome_counts.get(name)
-            if mine is None:
-                outcome_counts[name] = dict(counts)
-            else:
-                for outcome, count in counts.items():
-                    mine[outcome] += count
+            for outcome, count in counts.items():
+                outcome_counts[name][outcome] += count
 
     @property
     def violation_count(self) -> int:
         return len(self.violations)
 
     def fails(self, predicate: str) -> int:
-        return self.outcome_counts.get(predicate, {}).get(FAILS, 0)
+        return self.outcome_counts[predicate][FAILS]
 
     def holds(self, predicate: str) -> int:
-        return self.outcome_counts.get(predicate, {}).get(HOLDS, 0)
+        return self.outcome_counts[predicate][HOLDS]
 
     def summary_table(self) -> str:
         lines = [
@@ -317,10 +314,10 @@ class SweepReport:
             f"{'predicate':<24} {'holds':>8} {'fails':>8} {'n/a':>8}",
         ]
         for name in PREDICATES:
-            counts = self.outcome_counts.get(name, {})
+            counts = self.outcome_counts[name]
             lines.append(
-                f"{name:<24} {counts.get(HOLDS, 0):>8} "
-                f"{counts.get(FAILS, 0):>8} {counts.get(NOT_APPLICABLE, 0):>8}"
+                f"{name:<24} {counts[HOLDS]:>8} "
+                f"{counts[FAILS]:>8} {counts[NOT_APPLICABLE]:>8}"
             )
         if self.incomplete:
             lines.append(f"incomplete instances: {len(self.incomplete)}")

@@ -37,7 +37,6 @@ __all__ = [
     "WalkConstructionError",
     "InsufficientArcCount",
     "EndpointOutOfRange",
-    "congruent_mask",
     "congruent_offsets",
     "step_set_run",
     "step_set_stabilization",
@@ -123,24 +122,13 @@ def _mask_to_offsets(mask: int, n: int) -> frozenset:
     return frozenset(out)
 
 
-def congruent_mask(n: int, d: int, residue: int) -> int:
-    """Offsets in [-(n-1), n-1] congruent to residue mod d, as a mask."""
-    return geometry(n).congruent_masks(d)[residue % d]
-
-
 def congruent_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
     """Offsets in [-n+1, n-1] congruent to i * (min forward step) mod the
     pair-sum gcd."""
     if i < 1:
         raise ValueError("step count must be at least 1")
     d = pair_sum_gcd(spec)
-    return _mask_to_offsets(congruent_mask(spec.n, d, (i * spec.min_forward) % d), spec.n)
-
-
-def _combination_shifts(spec: ToeplitzSpec) -> list[int]:
-    # Sums after j terms are stored at bit (value + j * max_backward) >= 0.
-    tmax = spec.max_backward
-    return [s + tmax for s in spec.forward_steps] + [tmax - t for t in spec.backward_steps]
+    return _mask_to_offsets(geometry(spec.n).congruent_masks(d)[i * spec.min_forward % d], spec.n)
 
 
 def step_set_run(
@@ -169,20 +157,25 @@ def step_set_run(
     # (Toeplitz, realized mask) of each cycle position, filled on first visit.
     diagonals_by_cycle: list[tuple[bool, int] | None] = [None] * tail.period
 
-    shifts = _combination_shifts(spec)
-    tmax = spec.max_backward
+    forward, backward = spec.forward_steps, spec.backward_steps
     width = (1 << (2 * n - 1)) - 1
-    mask = 1
+    combination = 1 << (n - 1)  # Q_0 = {0}
 
+    # Q_i is stepped inside the window, dropping every partial sum outside
+    # it.  That loses no sum that ends inside: no step is longer than n - 1,
+    # so the steps can be ordered to stay inside.  Take a backward step while
+    # the partial sum is positive and a forward step otherwise: a positive
+    # sum minus at most n - 1 stays >= -(n - 2), a non-positive one plus at
+    # most n - 1 stays <= n - 1, and once one kind runs out the rest move
+    # monotonically to the end sum.
     out = []
     for i in range(1, horizon + 1):
         nxt = 0
-        for sh in shifts:
-            nxt |= mask << sh
-        mask = nxt
-        # Re-base from bit ell + i * tmax onto [-(n-1), n-1].
-        shift = i * tmax - n + 1
-        combination = (mask >> shift if shift >= 0 else mask << -shift) & width
+        for s in forward:
+            nxt |= combination << s
+        for t in backward:
+            nxt |= combination >> t
+        combination = nxt & width
 
         if i >= tail.index:
             j = (i - tail.index) % tail.period

@@ -6,6 +6,7 @@ KeyError, although no test of the library itself would notice.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import toeplab
@@ -14,6 +15,8 @@ import toeplab.compgraph
 import toeplab.toeplitz
 import toeplab.verify
 import toeplab.walks
+from toeplab.packed import ToeplitzKernel
+from toeplab.spectra import power_table
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -43,3 +46,18 @@ def test_pair_sum_gcd_held_where_the_selftest_looks():
     holders = (toeplab, toeplab.verify, toeplab.walks, toeplab.compgraph, toeplab.cli)
     for module in holders:
         assert vars(module).get("pair_sum_gcd") is original, module.__name__
+
+
+def test_step_set_counter_reads_the_power_table():
+    # spans._step_set_steps takes the power table from step_set_run's third
+    # positional argument or its table= keyword; if that parameter moved,
+    # walks.step_set_run.realized_reuse_ratio would read 0 without an error.
+    params = list(inspect.signature(toeplab.walks.step_set_run).parameters)
+    assert params[2] == "table"
+
+    spec = toeplab.toeplitz.parse_literal("T8<1,4;2,5>")
+    table = power_table(ToeplitzKernel(spec))
+    horizon = table[0].index + 2 * table[0].period
+    run = toeplab.walks.step_set_run(spec, horizon, table=table)
+    counts = dict(load_spans()._step_set_steps((spec, horizon), {"table": table}, run))
+    assert counts["steps"] == horizon and counts["reused"] > 0

@@ -340,6 +340,13 @@ class TestExitCodes:
         assert run(capsys, "graph", "T2<1;1>", "--m", "0")[0] == 2
         assert run(capsys, "psets", "T2<1;1>", "--i", "0")[0] == 2
         assert run(capsys, "psets", "T2<1;1>", "--stabilize", "--horizon", "0")[0] == 2
+        for argv in (
+            ("--start", "9", "--counts", "s2=1"),
+            ("--start", "1", "--counts", "t2=-2"),
+            ("--start", "1", "--exact", "--s1", "-1", "--t1", "0"),
+        ):
+            code, _, err = run(capsys, "walk", "T8<1,4;2,5>", *argv)
+            assert code == 2 and err.startswith("error:"), argv
 
 
 def test_packed_commands_match_generic_path(capsys):

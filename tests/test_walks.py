@@ -2,7 +2,10 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toeplab.packed import geometry
 from toeplab.toeplitz import build_matrix, parse_literal, validate_spec
 from toeplab.verify import enumerate_specs
 from toeplab.walks import (
@@ -16,7 +19,6 @@ from toeplab.walks import (
     build_walk_with_counts,
     competition_index_bound,
     congruence_step,
-    congruent_mask,
     congruent_offsets,
     extend_walk_exact,
     schedule_steps,
@@ -95,6 +97,38 @@ class TestCombinationOffsets:
                 assert oracles.combination_offsets(
                     spec.n, spec.forward_steps, spec.backward_steps, i
                 ) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_unbounded_oracle_at_long_horizons(self, data):
+        # Q_i is stepped inside [-(n-1), n-1]; the oracle keeps every
+        # partial sum and clips only at the end.
+        n = data.draw(st.integers(2, 40))
+        steps = st.lists(st.integers(1, n - 1), min_size=1, max_size=4, unique=True)
+        spec = validate_spec(n, data.draw(steps), data.draw(steps))
+        run = step_set_run(spec, data.draw(st.integers(1, 120)))
+        for ss in run:
+            expected = oracles.combination_offsets(n, spec.forward_steps, spec.backward_steps, ss.i)
+            assert ss.combination == expected, (spec.literal, ss.i)
+
+    def test_window_ordering_of_any_step_multiset(self):
+        # Why the window loses no sum: steps of length at most n - 1 whose
+        # total lies in [-(n-1), n-1] can be ordered so that every partial
+        # sum does too, by stepping back while the partial sum is positive
+        # and forward otherwise.
+        rng = random.Random(2208)
+        produced = 0
+        while produced < 2000:
+            n = rng.randint(2, 40)
+            forward = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
+            backward = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
+            if abs(sum(forward) - sum(backward)) > n - 1:
+                continue
+            partial = 0
+            while forward or backward:
+                partial += -backward.pop() if backward and (partial > 0 or not forward) else forward.pop()
+                assert -(n - 1) <= partial <= n - 1
+            produced += 1
 
     def test_contained_in_congruent_with_matching_residue(self):
         from toeplab.toeplitz import pair_sum_gcd
@@ -230,7 +264,8 @@ def recurrence_holds(spec, i):
 class TestRecurrence:
     def test_running_example_step_two(self):
         assert recurrence_holds(T8, 2)
-        assert congruence_step(T8, congruent_mask(8, 3, 1)) == congruent_mask(8, 3, 2)
+        masks = geometry(8).congruent_masks(3)
+        assert congruence_step(T8, masks[1]) == masks[2]
 
     def test_exhaustive_conditioned(self):
         from toeplab.toeplitz import predicted_period

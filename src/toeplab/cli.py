@@ -5,7 +5,8 @@ example "T8<1,4;2,5>") and exposes one operation for scripting.  Exit
 codes: 0 ok, 1 computation failed (e.g. impossible walk, golden
 mismatch), 2 usage error, 3 malformed instance literal, 4 format not
 applicable to the subcommand, 5 verification violations, 6 a sequence scan,
-step count or walk length exceeded the step budget.
+step count or walk length exceeded the step budget, or n exceeded
+MAX_MATRIX_N in a command that builds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ EXIT_BUDGET = 6
 
 _ALL_FORMATS = ("text", "json", "dot", "jsonl")
 
+# Largest n for the commands that build an n x n matrix: DEFAULT_STEP_BUDGET
+# stored powers of n^2 bits each stay under 655 MB.
+MAX_MATRIX_N = 512
+
 
 def _spec_arg(parser):
     parser.add_argument("spec", help='instance literal, e.g. "T8<1,4;2,5>"')
@@ -72,12 +77,17 @@ def _format_arg(parser, allowed):
     parser.set_defaults(allowed_formats=allowed)
 
 
-def _parse_spec(text: str) -> ToeplitzSpec:
+def _parse_spec(text: str, matrix: bool = True) -> ToeplitzSpec:
     try:
-        return parse_literal(text)
+        spec = parse_literal(text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_SPEC)
+    if matrix and spec.n > MAX_MATRIX_N:
+        raise BudgetExceeded(
+            f"n = {spec.n} exceeds {MAX_MATRIX_N}, the largest n this command builds a matrix for"
+        )
+    return spec
 
 
 def _emit(payload: dict, fmt: str, text_lines):
@@ -281,7 +291,7 @@ def _walk_length_cap(spec: ToeplitzSpec, s_counts, t_counts, exact, s1_count, t1
 
 
 def _cmd_walk(args) -> int:
-    spec = _parse_spec(args.spec)
+    spec = _parse_spec(args.spec, matrix=False)
     try:
         s_counts, t_counts = _parse_counts(args.counts, spec)
         if not 1 <= args.start <= spec.n:
@@ -346,7 +356,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
-    spec = _parse_spec(args.spec)
+    spec = _parse_spec(args.spec, matrix=False)
     cert = bezout_certificate(spec)
     _emit(
         {

@@ -115,57 +115,32 @@ def competition_formula(kernel: ToeplitzKernel) -> int:
 
 def strong_components(A: BoolMatrix) -> tuple[tuple[int, ...], ...]:
     """Strongly connected components of the digraph of A, each sorted,
-    ordered by smallest vertex (Kosaraju, iterative)."""
-    n = A.n
-    adj = [[] for _ in range(n)]
-    radj = [[] for _ in range(n)]
-    for i in range(n):
-        r = A.rows[i]
-        j = 0
-        while r:
-            if r & 1:
-                adj[i].append(j)
-                radj[j].append(i)
-            r >>= 1
-            j += 1
-
-    order = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [(start, 0)]
-        seen[start] = True
-        while stack:
-            node, ptr = stack[-1]
-            if ptr < len(adj[node]):
-                stack[-1] = (node, ptr + 1)
-                nxt = adj[node][ptr]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-                stack.pop()
-
-    seen = [False] * n
+    ordered by smallest vertex.  The component of v is everything v reaches
+    that also reaches v: its closure along the rows of A meets its closure
+    along the rows of A^T."""
+    backward = A.transpose().rows
     components = []
-    for start in reversed(order):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            node = stack.pop()
-            comp.append(node + 1)
-            for nxt in radj[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append(nxt)
-        components.append(tuple(sorted(comp)))
-    components.sort(key=lambda c: c[0])
+    placed = 0
+    for v in range(A.n):
+        if not placed >> v & 1:
+            comp = _closure(A.rows, v) & _closure(backward, v)
+            placed |= comp
+            components.append(tuple(u + 1 for u in range(v, A.n) if comp >> u & 1))
     return tuple(components)
+
+
+def _closure(rows, v: int) -> int:
+    """Bitmask of the vertices reachable from vertex v (0-based, v included)."""
+    reach = frontier = 1 << v
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~reach
+        reach |= frontier
+    return reach
 
 
 def residue_clique_graph(n: int, d: int) -> SimpleGraph:

@@ -192,70 +192,26 @@ def bezout_certificate(spec: ToeplitzSpec) -> BezoutCertificate:
     """Deterministic zero-sum certificate for the pair-sum gcd.
 
     Runs the extended Euclidean algorithm across the offset generators in a
-    fixed order (forward differences, backward differences, then sums), and
-    telescopes each generator into consecutive-difference coefficients so
-    the combined step counts cancel.
+    fixed order (forward differences, backward differences, then sums).  With
+    w the forward steps followed by the negated backward steps, every
+    generator is w[p] - w[m] for one pair (p, m), so its coefficient c adds
+    +c to the step at p and -c to the step at m and the step counts cancel.
     """
-    fwd, bwd = spec.forward_steps, spec.backward_steps
-    k1, k2 = len(fwd), len(bwd)
+    k1 = len(spec.forward_steps)
+    w = spec.forward_steps + tuple(-t for t in spec.backward_steps)
+    pairs = [(j, i) for i, j in itertools.combinations(range(k1), 2)]
+    pairs += itertools.combinations(range(k1, len(w)), 2)
+    pairs += [(i, j) for i in range(k1) for j in range(k1, len(w))]
 
-    # Each generator with its provenance, in the deterministic order.
-    gens: list[tuple[int, str, int, int]] = []
-    for i, j in itertools.combinations(range(k1), 2):
-        gens.append((fwd[j] - fwd[i], "fdiff", i, j))
-    for i, j in itertools.combinations(range(k2), 2):
-        gens.append((bwd[j] - bwd[i], "bdiff", i, j))
-    for i in range(k1):
-        for j in range(k2):
-            gens.append((fwd[i] + bwd[j], "sum", i, j))
-
-    g = gens[0][0]
-    coeffs = [1]
-    for val, _, _, _ in gens[1:]:
-        g2, x, y = _ext_gcd(g, val)
-        coeffs = [x * c for c in coeffs]
-        coeffs.append(y)
-        g = g2
+    g, coeffs = 0, []
+    for p, m in pairs:
+        g, x, y = _ext_gcd(g, w[p] - w[m])
+        coeffs = [x * c for c in coeffs] + [y]
     if g != pair_sum_gcd(spec):
         raise ValueError(f"extended Euclid reached {g}, not the pair-sum gcd")
 
-    # Telescope every generator into coefficients on consecutive
-    # differences (alpha for forward, beta for backward) plus gamma copies
-    # of the base sum s_1 + t_1.
-    alpha = [0] * (k1 + 1)  # alpha[i] multiplies fwd[i-1] - fwd[i-2], i >= 2
-    beta = [0] * (k2 + 1)
-    gamma = 0
-    for c, (val, kind, i, j) in zip(coeffs, gens):
-        if c == 0:
-            continue
-        if kind == "fdiff":
-            for k in range(i + 2, j + 2):
-                alpha[k - 1] += c
-        elif kind == "bdiff":
-            for k in range(i + 2, j + 2):
-                beta[k - 1] += c
-        else:  # sum fwd[i] + bwd[j]
-            gamma += c
-            for k in range(2, i + 2):
-                alpha[k - 1] += c
-            for k in range(2, j + 2):
-                beta[k - 1] += c
-
-    a = [0] * k1
-    if k1 == 1:
-        a[0] = gamma
-    else:
-        a[0] = gamma - alpha[1]
-        for i in range(1, k1 - 1):
-            a[i] = alpha[i] - alpha[i + 1]
-        a[k1 - 1] = alpha[k1 - 1]
-    b = [0] * k2
-    if k2 == 1:
-        b[0] = -gamma
-    else:
-        b[0] = beta[1] - gamma
-        for i in range(1, k2 - 1):
-            b[i] = beta[i + 1] - beta[i]
-        b[k2 - 1] = -beta[k2 - 1]
-
-    return BezoutCertificate(spec, tuple(a), tuple(b))
+    v = [0] * len(w)
+    for c, (p, m) in zip(coeffs, pairs):
+        v[p] += c
+        v[m] -= c
+    return BezoutCertificate(spec, tuple(v[:k1]), tuple(v[k1:]))

@@ -395,7 +395,8 @@ def schedule_steps(start: int, terms, n: int) -> tuple[int, ...]:
             frames.pop()
             if order:
                 order.pop()
-    raise SchedulingFailure(f"no ordering of {terms} from {start} stays inside [1, {n}]")
+    counts = ", ".join(f"{c} x {k:+d}" for k, c in zip(keys, remaining))
+    raise SchedulingFailure(f"no ordering of {counts} from {start} stays inside [1, {n}]")
 
 
 def build_walk_with_counts(spec: ToeplitzSpec, start: int, s_counts=(), t_counts=()) -> Walk:

@@ -123,6 +123,26 @@ def full_diagonal_offsets(n, rows):
     return frozenset(out)
 
 
+def naive_strong_components(a):
+    """Strong components of the digraph of a 0/1 list matrix: u ~ v iff
+    each reaches the other in the reflexive-transitive closure.  Each is
+    sorted, 1-based, ordered by smallest vertex."""
+    n = len(a)
+    reach = [[1 if i == j else a[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):  # Warshall
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    if reach[k][j]:
+                        reach[i][j] = 1
+    out = []
+    for u in range(n):
+        comp = tuple(v + 1 for v in range(n) if reach[u][v] and reach[v][u])
+        if comp[0] == u + 1:
+            out.append(comp)
+    return tuple(out)
+
+
 def connected_components(n, edges):
     """Components of the undirected graph on 1..n with the given (u, v)
     edges, singletons included, each sorted, ordered by smallest vertex."""

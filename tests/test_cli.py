@@ -157,6 +157,13 @@ class TestWalk:
         code, _, err = run(capsys, "walk", "T8<1,4;2,5>", "--start", "1", "--counts", "x9")
         assert code == 2
 
+    def test_scheduling_failure_names_counts_not_steps(self, capsys):
+        code, out, err = run(
+            capsys, "walk", "T10<6;5>", "--start", "1", "--exact", "--s1", "5000", "--t1", "6000"
+        )
+        assert code == EXIT_FAILURE and out == ""
+        assert err == "error: no ordering of 5000 x +6, 6000 x -5 from 1 stays inside [1, 10]\n"
+
 
 class TestBoundAndCertificate:
     def test_bound(self, capsys):
@@ -229,6 +236,20 @@ class TestExamplesCommand:
         assert "MISMATCH" not in out
         assert out.strip().endswith("goldens match")
 
+    def test_all_goldens_match_under_optimize(self):
+        # python -O strips assert statements; every golden must still match.
+        src = str(Path(toeplab.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "toeplab.cli", "examples"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stdout + result.stderr
+        assert "MISMATCH" not in result.stdout
+        assert result.stdout.strip().endswith("17/17 goldens match")
+
 
 class TestExitCodes:
     def test_bad_literal(self, capsys):
@@ -297,6 +318,40 @@ class TestExitCodes:
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("error: ") and "bound 11" in err
         assert run(capsys, *walk, "--s1", "2")[0] == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("build",),
+            ("power", "--m", "2"),
+            ("period",),
+            ("competition",),
+            ("graph", "--m", "1"),
+            ("psets", "--i", "1"),
+            ("bound",),
+        ],
+    )
+    def test_matrix_commands_cap_n_before_building(self, capsys, monkeypatch, argv):
+        class Refused(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Refused
+
+        for name in ("ToeplitzKernel", "build_matrix", "competition_index_bound"):
+            monkeypatch.setattr(cli, name, refuse)
+        cap = cli.MAX_MATRIX_N
+        command, options = argv[0], argv[1:]
+        with pytest.raises(Refused):  # at the cap the command goes on to build
+            run(capsys, command, f"T{cap}<1;1>", *options)
+        code, out, err = run(capsys, command, f"T{cap + 1}<1;1>", *options)
+        assert code == EXIT_BUDGET and out == ""
+        assert err.startswith("error: ") and str(cap + 1) in err and str(cap) in err
+
+    def test_walk_and_certificate_take_any_n(self, capsys):
+        big = f"T{cli.MAX_MATRIX_N + 1}<1;1>"
+        assert run(capsys, "certificate", big)[0] == EXIT_OK
+        assert run(capsys, "walk", big, "--start", "1", "--counts", "")[0] == EXIT_OK
 
     def test_verify_nmax_below_2_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--nmax", "1")

@@ -186,6 +186,22 @@ class TestStrongComponents:
             flat = sorted(v for comp in comps for v in comp)
             assert flat == list(range(1, n + 1))
 
+    def test_matches_oracle_on_seeded_matrices(self):
+        rng = random.Random(37)
+        cases = [BoolMatrix(n, [0] * n) for n in (1, 5, 12)]
+        cases += [BoolMatrix(n, [(1 << n) - 1] * n) for n in (1, 5, 12)]
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            density = rng.choice((0.05, 0.1, 0.2, 0.4, 0.7))
+            rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+            cases.append(BoolMatrix(n, rows))
+        merged = 0
+        for a in cases:
+            expected = oracles.naive_strong_components(as_lists(a))
+            assert strong_components(a) == expected, a.rows
+            merged += any(len(c) > 1 for c in expected) and len(expected) > 1
+        assert merged > 50  # many cases mix a nontrivial component with others
+
 
 class TestDot:
     def test_digraph_arcs_match_figure(self):

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -187,6 +188,18 @@ class TestBezout:
         # Construction asserts both identities; surviving is the test.
         for spec in enumerate_specs(7, False):
             bezout_certificate(spec)
+
+    def test_certificates_pinned_over_small_specs(self):
+        # Validity alone admits many coefficient vectors; this pins the ones
+        # the fixed generator order and extended Euclid chain produce.
+        digest = hashlib.sha256()
+        for spec in enumerate_specs(7, False):
+            cert = bezout_certificate(spec)
+            a, b = list(cert.forward_coeffs), list(cert.backward_coeffs)
+            digest.update(f"{spec.literal} {a} {b}\n".encode())
+        assert digest.hexdigest() == (
+            "4be35729a0bcf2634b0e0146640daea436f658dd90f4fc84a2d4f9d0cec1cef0"
+        )
 
     def test_corrupted_certificate_raises(self):
         spec = parse_literal("T8<1,4;2,5>")

@@ -14,12 +14,11 @@ from .packed import ToeplitzKernel
 from .spectra import (
     BudgetExceeded,
     PeriodicTail,
-    competition_limit,
     competition_matrix,
-    competition_tail,
+    competition_table,
+    power_from_table,
     power_is_eventually_toeplitz,
-    power_tail,
-    residue_block_matrix,
+    power_table,
     residue_classes,
 )
 from .toeplitz import (

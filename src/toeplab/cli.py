@@ -115,7 +115,12 @@ def _cmd_power(args) -> int:
     if args.m < 0:
         print("error: --m must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    mat = build_matrix(spec).power(args.m)
+    kernel = ToeplitzKernel(spec)
+    if args.m == 0:
+        x = kernel.geometry.identity
+    else:
+        x = power_from_table(*power_table(kernel, max_steps=DEFAULT_STEP_BUDGET), args.m)
+    mat = kernel.geometry.unpack(x)
     _emit(
         {"spec": spec.literal, "m": args.m, "matrix": mat.to_json_dict()},
         args.format,
@@ -161,8 +166,7 @@ def _cmd_competition(args) -> int:
     if tail.period == 1:
         limit = kernel.geometry.unpack(tail.cycle[0])
         block_match = tail.cycle[0] == kernel.geometry.residue_matrix(d)
-        # For d >= n every class mod d is a singleton, as it is mod n.
-        classes = residue_classes(spec.n, min(d, spec.n))
+        classes = residue_classes(spec.n, d)
         payload.update(
             {
                 "limit": limit.to_json_dict(),

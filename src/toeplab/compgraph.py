@@ -11,9 +11,10 @@ route on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .boolmat import BoolMatrix
-from .packed import ToeplitzKernel
+from .packed import ToeplitzKernel, closure, members
 from .spectra import competition_matrix, residue_classes
 # pair_sum_gcd is unused here: perfbench/selftest.py checks tracing rebinds it in this module.
 from .toeplitz import ToeplitzSpec, pair_sum_gcd  # noqa: F401
@@ -46,18 +47,10 @@ class SimpleGraph:
     @classmethod
     def from_symmetric_matrix(cls, mat: BoolMatrix) -> "SimpleGraph":
         """Off-diagonal support of a symmetric matrix; loops discarded."""
-        n = mat.n
         rows = mat.rows
-        edges = set()
-        for u in range(1, n):
-            r = rows[u - 1] >> u  # bits for columns u+1..n
-            v = u + 1
-            while r:
-                if r & 1:
-                    edges.add((u, v))
-                r >>= 1
-                v += 1
-        return cls(n, frozenset(edges))
+        # Bit p of row u shifted right by u stands for column u + 1 + p.
+        edges = [(u, v) for u in range(1, mat.n) for v in members(rows[u - 1] >> u, -u)]
+        return cls(mat.n, frozenset(edges))
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -123,34 +116,17 @@ def strong_components(A: BoolMatrix) -> tuple[tuple[int, ...], ...]:
     placed = 0
     for v in range(A.n):
         if not placed >> v & 1:
-            comp = _closure(A.rows, v) & _closure(backward, v)
+            comp = closure(A.rows, v) & closure(backward, v)
             placed |= comp
-            components.append(tuple(u + 1 for u in range(v, A.n) if comp >> u & 1))
+            components.append(tuple(members(comp)))
     return tuple(components)
-
-
-def _closure(rows, v: int) -> int:
-    """Bitmask of the vertices reachable from vertex v (0-based, v included)."""
-    reach = frontier = 1 << v
-    while frontier:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~reach
-        reach |= frontier
-    return reach
 
 
 def residue_clique_graph(n: int, d: int) -> SimpleGraph:
     """Disjoint cliques on the residue classes mod d."""
-    edges = set()
-    for cls in residue_classes(n, d):
-        for i, u in enumerate(cls):
-            for v in cls[i + 1 :]:
-                edges.add((u, v))
-    return SimpleGraph(n, frozenset(edges))
+    # Each class is sorted, so its pairs come out as (u, v) with u < v.
+    edges = frozenset(e for cls in residue_classes(n, d) for e in combinations(cls, 2))
+    return SimpleGraph(n, edges)
 
 
 # -- DOT rendering ------------------------------------------------------------

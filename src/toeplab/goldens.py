@@ -2,20 +2,17 @@
 
 Each golden re-derives a documented fact about one of the three running
 instances (T5<2;4>, T8<1,4;2,5>, T6<2,4;4,5>) and diffs the result against
-the frozen expectation.  The CLI `examples` command runs them all and
-exits nonzero on any mismatch.
+the frozen expectation.  Powers, tails and the competition limit come from
+the packed kernel the sweep runs.  The CLI `examples` command runs them all
+and exits nonzero on any mismatch.
 """
 
 from __future__ import annotations
 
 from .boolmat import BoolMatrix
 from .compgraph import strong_components
-from .spectra import (
-    competition_limit,
-    competition_tail,
-    power_tail,
-    residue_block_matrix,
-)
+from .packed import ToeplitzKernel
+from .spectra import competition_table, power_from_table, power_table
 from .toeplitz import build_matrix, pair_sum_gcd, parse_literal
 from .walks import (
     Arc,
@@ -82,6 +79,19 @@ _T8_MATRIX = """
 00100100
 """
 
+# The competition limit of T8<1,4;2,5>: entry (u, v) is 1 iff u = v (mod 3).
+_T8_LIMIT = """
+8
+10010010
+01001001
+00100100
+10010010
+01001001
+00100100
+10010010
+01001001
+"""
+
 _T6_MATRIX = """
 6
 001010
@@ -107,23 +117,28 @@ def golden_t5_matrix():
     return _check(build_matrix(parse_literal(T5)), _mat(_T5_MATRIX))
 
 
+def _kernel(literal: str) -> ToeplitzKernel:
+    return ToeplitzKernel(parse_literal(literal))
+
+
 def golden_t5_power_cycle():
-    a = build_matrix(parse_literal(T5))
+    kernel = _kernel(T5)
+    table = power_table(kernel)
     for m in range(2, 8):
-        want = _mat(_T5_CYCLE[m % 3])
-        if a.power(m) != want:
+        if kernel.geometry.unpack(power_from_table(*table, m)) != _mat(_T5_CYCLE[m % 3]):
             return False, f"power {m} does not match the frozen cycle matrix"
     return True, ""
 
 
 def golden_t5_tail():
-    tail = power_tail(build_matrix(parse_literal(T5)))
+    tail, _ = power_table(_kernel(T5))
     return _check((tail.index, tail.period), (2, 3))
 
 
 def golden_t5_powers_not_toeplitz():
-    a = build_matrix(parse_literal(T5))
-    bad = [m for m in range(2, 8) if a.power(m).is_toeplitz()]
+    kernel = _kernel(T5)
+    table = power_table(kernel)
+    bad = [m for m in range(2, 8) if kernel.geometry.is_toeplitz(power_from_table(*table, m))]
     return _check(bad, [])
 
 
@@ -149,19 +164,14 @@ def golden_t8_step_sets():
 
 
 def golden_t8_period():
-    spec = parse_literal(T8)
-    tail = power_tail(build_matrix(spec))
+    tail, _ = power_table(_kernel(T8))
     return _check(tail.period, 3)
 
 
 def golden_t8_limit():
-    spec = parse_literal(T8)
-    limit = competition_limit(build_matrix(spec))
-    _, expected = residue_block_matrix(8, 3)
-    ok, msg = _check(limit, expected)
-    if not ok:
-        return ok, msg
-    return _check(competition_tail(build_matrix(spec)).period, 1)
+    kernel = _kernel(T8)
+    tail, _ = competition_table(kernel)
+    return _check((tail.period, kernel.geometry.unpack(tail.cycle[0])), (1, _mat(_T8_LIMIT)))
 
 
 def golden_t8_walk_witness():

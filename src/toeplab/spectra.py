@@ -2,8 +2,8 @@
 
 Both {A^m} and {A^m (A^T)^m} range over a finite set, so each is
 eventually periodic; this module finds the exact entry point and cycle
-length of each, extracts limits when the cycle is a fixed point, and
-builds the expected residue-class block structure of the limit.
+length of each and groups the vertices into the residue classes whose
+all-ones blocks the competition limit is expected to be.
 """
 
 from __future__ import annotations
@@ -11,19 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boolmat import BoolMatrix
-from .packed import ToeplitzKernel
+from .packed import ToeplitzKernel, geometry, members
 
 __all__ = [
     "PeriodicTail",
     "BudgetExceeded",
-    "power_tail",
     "power_table",
     "power_from_table",
     "competition_matrix",
-    "competition_tail",
     "competition_table",
-    "competition_limit",
-    "residue_block_matrix",
     "residue_classes",
     "power_is_eventually_toeplitz",
 ]
@@ -77,10 +73,6 @@ def _scan(first, step, max_steps: int | None, what: str):
     return PeriodicTail(first_m, m - first_m, tuple(seq[first_m - 1 :])), seq
 
 
-def power_tail(A: BoolMatrix) -> PeriodicTail:
-    return power_table(A)[0]
-
-
 def power_from_table(tail: PeriodicTail, seq, m: int):
     """X_m read off a power_table or competition_table result (uses the
     cycle beyond the scan)."""
@@ -113,45 +105,13 @@ def competition_table(A, max_steps: int | None = None):
     return _scan(A.multiply(at), lambda b: A.multiply(b).multiply(at), max_steps, "competition")
 
 
-def competition_tail(A: BoolMatrix) -> PeriodicTail:
-    return competition_table(A)[0]
-
-
-def competition_limit(A: BoolMatrix) -> BoolMatrix:
-    """The constant tail of the competition sequence; requires period 1."""
-    tail = competition_tail(A)
-    if tail.period != 1:
-        raise ValueError(f"no limit exists: competition period is {tail.period}")
-    return tail.cycle[0]
-
-
 def residue_classes(n: int, d: int) -> list[tuple[int, ...]]:
-    """Vertices 1..n grouped by residue mod d; class i holds v = i (mod d)
-    for i = 1..d, with residue 0 filed under class d."""
-    if not 1 <= d <= n:
-        raise ValueError(f"modulus {d} outside [1, {n}]")
-    classes = [[] for _ in range(d)]
-    for v in range(1, n + 1):
-        r = v % d
-        classes[(r if r else d) - 1].append(v)
-    return [tuple(c) for c in classes]
-
-
-def residue_block_matrix(n: int, d: int):
-    """Permutation sorting 1..n by residue class, plus the unpermuted
-    expected limit: entry (u, v) = 1 iff u = v (mod d).
-
-    Conjugating the expected matrix by the permutation yields a direct sum
-    of all-ones blocks, one block per residue class.
-    """
-    classes = residue_classes(n, d)
-    perm = tuple(v for cls in classes for v in cls)
-    rows = [0] * n
-    for cls in classes:
-        mask = sum(1 << (v - 1) for v in cls)
-        for v in cls:
-            rows[v - 1] = mask
-    return perm, BoolMatrix._raw(n, tuple(rows))
+    """Vertices 1..n grouped by residue mod d; class r holds v = r (mod d)
+    for r = 1..min(d, n), with residue 0 filed under class d.  For d > n
+    every vertex is a class of its own."""
+    if d < 1:
+        raise ValueError(f"modulus {d} is below 1")
+    return [tuple(members(mask)) for mask in geometry(n).class_masks(d)]
 
 
 def power_is_eventually_toeplitz(A: BoolMatrix, tail: PeriodicTail, seq=None):

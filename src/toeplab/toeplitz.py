@@ -203,15 +203,20 @@ def bezout_certificate(spec: ToeplitzSpec) -> BezoutCertificate:
     pairs += itertools.combinations(range(k1, len(w)), 2)
     pairs += [(i, j) for i in range(k1) for j in range(k1, len(w))]
 
-    g, coeffs = 0, []
+    # Step k folds generator k into the running gcd as g_k = x_k g_(k-1) + y_k
+    # gen_k, so generator k's coefficient is y_k times every later x.
+    g, steps = 0, []
     for p, m in pairs:
         g, x, y = _ext_gcd(g, w[p] - w[m])
-        coeffs = [x * c for c in coeffs] + [y]
+        steps.append((x, y))
     if g != pair_sum_gcd(spec):
         raise ValueError(f"extended Euclid reached {g}, not the pair-sum gcd")
 
     v = [0] * len(w)
-    for c, (p, m) in zip(coeffs, pairs):
+    scale = 1
+    for (x, y), (p, m) in zip(reversed(steps), reversed(pairs)):
+        c = y * scale
         v[p] += c
         v[m] -= c
+        scale *= x
     return BezoutCertificate(spec, tuple(v[:k1]), tuple(v[k1:]))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
 
-from .packed import ToeplitzKernel, geometry
+from .packed import ToeplitzKernel, closure, geometry, members
 from .spectra import BudgetExceeded, power_table
 from .toeplitz import ToeplitzSpec, pair_sum_gcd, predicted_period
 
@@ -85,15 +85,15 @@ class StepSets(NamedTuple):
 
     @property
     def congruent(self) -> frozenset:
-        return _mask_to_offsets(self.congruent_mask, self.n)
+        return frozenset(members(self.congruent_mask, self.n))
 
     @property
     def combination(self) -> frozenset:
-        return _mask_to_offsets(self.combination_mask, self.n)
+        return frozenset(members(self.combination_mask, self.n))
 
     @property
     def realized(self) -> frozenset:
-        return _mask_to_offsets(self.realized_mask, self.n)
+        return frozenset(members(self.realized_mask, self.n))
 
     @property
     def chain_holds(self) -> bool:
@@ -113,22 +113,13 @@ class StepSets(NamedTuple):
         }
 
 
-def _mask_to_offsets(mask: int, n: int) -> frozenset:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - n)
-        mask ^= low
-    return frozenset(out)
-
-
 def congruent_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
     """Offsets in [-n+1, n-1] congruent to i * (min forward step) mod the
     pair-sum gcd."""
     if i < 1:
         raise ValueError("step count must be at least 1")
     d = pair_sum_gcd(spec)
-    return _mask_to_offsets(geometry(spec.n).congruent_masks(d)[i * spec.min_forward % d], spec.n)
+    return frozenset(members(geometry(spec.n).congruent_masks(d)[i * spec.min_forward % d], spec.n))
 
 
 def step_set_run(
@@ -538,45 +529,21 @@ def competition_index_bound(spec: ToeplitzSpec, d: int | None = None) -> int:
     return 2 * walk_length_bound(spec, requests) + 2 * (spec.min_forward + spec.min_backward)
 
 
-# Row size from which bound_hypothesis_holds slices the rows of B_1 out of
-# its bytes instead of shifting them out: slicing copies only the row, but
-# costs more per row.  Timed on T_n<3,7;5>, 2 cores, Python 3.11: slicing
-# was 1.1x slower at n = 130, 1.2x faster at n = 150 and 3x at n = 400.
-ROW_BYTES_FROM = 140
-
-
 def bound_hypothesis_holds(
     spec: ToeplitzSpec, b1: int | None = None, d: int | None = None
 ) -> bool:
     """Whether each residue class induces an irreducible principal
     submatrix of B_1 = A A^T, i.e. a connected subgraph (loops ignored;
-    single vertices count as irreducible).  `b1` accepts a precomputed B_1
+    single vertices count as irreducible): the closure of its smallest
+    vertex inside the class is the class.  `b1` accepts a precomputed B_1
     packed by the instance's ToeplitzKernel, and `d` the pair-sum gcd."""
-    n = spec.n
     if b1 is None:
         kernel = ToeplitzKernel(spec)
         b1 = kernel.compete(kernel.geometry.identity)
     if d is None:
         d = pair_sum_gcd(spec)
-    row = (1 << n) - 1
-    rows = None
-    if n >= ROW_BYTES_FROM:
-        data = b1.to_bytes((n * n + 7) >> 3, "little")
-        rows = [
-            (int.from_bytes(data[k >> 3 : (k + n + 7) >> 3], "little") >> (k & 7)) & row
-            for k in range(0, n * n, n)
-        ]
-    for first, members in enumerate(geometry(n).class_masks(d)):
-        seen = frontier = 1 << first  # vertex first + 1, the class's smallest
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                k = low.bit_length() - 1  # vertex k + 1
-                reach |= rows[k] if rows else (b1 >> k * n) & row
-                frontier ^= low
-            frontier = reach & members & ~seen
-            seen |= frontier
-        if seen != members:
-            return False
-    return True
+    g = geometry(spec.n)
+    rows = g.rows(b1)
+    # Class r holds vertex r, its smallest, which is 0-based r - 1.
+    classes = enumerate(g.class_masks(d))
+    return all(closure(rows, first, mask) == mask for first, mask in classes)

@@ -48,6 +48,11 @@ def naive_is_toeplitz(a):
     return all(a[i][j] == a[i + 1][j + 1] for i in range(n - 1) for j in range(n - 1))
 
 
+def naive_residue_matrix(n, d):
+    """Entry (u, v) is 1 iff u = v (mod d): the expected competition limit."""
+    return [[int((u - v) % d == 0) for v in range(n)] for u in range(n)]
+
+
 def naive_tail(seq):
     """(index, period) of an eventually periodic sequence, by definition:
     the smallest period p admitting a threshold, then the smallest

@@ -13,12 +13,7 @@ import pytest
 
 from toeplab.boolmat import BoolMatrix
 from toeplab.compgraph import SimpleGraph, strong_components
-from toeplab.spectra import (
-    competition_limit,
-    competition_tail,
-    power_tail,
-    residue_block_matrix,
-)
+from toeplab.spectra import competition_table, power_table
 from toeplab.toeplitz import build_matrix, pair_sum_gcd, parse_literal, validate_spec
 from toeplab.verify import FAILS, HOLDS, NOT_APPLICABLE, sweep
 from toeplab.walks import (
@@ -64,7 +59,7 @@ def test_criterion_1_power_display_regression():
             failures.append(f"power {m} mismatch")
         if a.power(m).is_toeplitz():
             failures.append(f"power {m} unexpectedly Toeplitz")
-    if power_tail(a).period != 3:
+    if power_table(a)[0].period != 3:
         failures.append("measured period != 3")
     _verdict(1, "T5<2;4> display regression", failures)
 
@@ -88,15 +83,16 @@ def test_criterion_2_running_example_regression():
         failures.append("containment at 1 not strict")
 
     a = build_matrix(T8)
-    if power_tail(a).period != 3:
+    if power_table(a)[0].period != 3:
         failures.append("matrix period != 3")
-    ct = competition_tail(a)
+    ct = competition_table(a)[0]
     if ct.period != 1:
         failures.append("competition period != 1")
-    _, expected = residue_block_matrix(8, 3)
-    if competition_limit(a) != expected:
+    limit = ct.cycle[0]
+    entries = [[limit.get(u, v) for v in range(1, 9)] for u in range(1, 9)]
+    if entries != oracles.naive_residue_matrix(8, 3):
         failures.append("competition limit != residue block matrix")
-    g = SimpleGraph.from_symmetric_matrix(competition_limit(a))
+    g = SimpleGraph.from_symmetric_matrix(limit)
     if oracles.connected_components(8, g.edges) != ((1, 4, 7), (2, 5, 8), (3, 6)):
         failures.append("limit cliques wrong")
     if competition_index_bound(T8) != 30:

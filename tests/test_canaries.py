@@ -1,10 +1,11 @@
 """Mutation canaries: each test plants one plausible bug in the packed path
 or the predicate glue and checks that the sweep at n <= 6 reports its own
-predicate failing.  A predicate never seen to fail is no evidence."""
+predicate failing, or that the embedded goldens report a mismatch.  A check
+never seen to fail is no evidence."""
 
 import itertools
 
-from toeplab import verify
+from toeplab import goldens, verify
 from toeplab.packed import Geometry, ToeplitzKernel
 from toeplab.verify import sweep
 from toeplab.walks import StepSets, walk_length_bound
@@ -12,6 +13,10 @@ from toeplab.walks import StepSets, walk_length_bound
 
 def sweep_fails(predicate):
     return sweep(6, require_conditions=False).fails(predicate)
+
+
+def mismatched_goldens():
+    return {name for name, ok, _ in goldens.run_all() if not ok}
 
 
 def residue_diagonals(self, d, first):
@@ -175,3 +180,33 @@ def test_warm_caches_carry_no_result_across_mutations(monkeypatch):
         with monkeypatch.context() as patch:
             canary(patch)
     assert sweep(6, require_conditions=False).to_json_dict() == clean.to_json_dict()
+
+
+def test_goldens_catch_compete_without_backward_rows(monkeypatch):
+    def compete_forward_rows(self, b):
+        y = 0
+        for shift in self._rows_down:
+            y |= b >> shift  # the backward row shifts left out
+        out = 0
+        left, right = self._times_at
+        for mask, s in left:
+            out |= (y & mask) >> s
+        for mask, t in right:
+            out |= (y & mask) << t
+        return out
+
+    monkeypatch.setattr(ToeplitzKernel, "compete", compete_forward_rows)
+    assert "t8_limit" in mismatched_goldens()
+
+
+def test_goldens_catch_times_a_without_backward_steps(monkeypatch):
+    def times_a_forward(self, x):
+        out = 0
+        right, _ = self._times_a
+        for mask, s in right:
+            out |= (x & mask) << s
+        return out  # the backward steps left out
+
+    monkeypatch.setattr(ToeplitzKernel, "times_a", times_a_forward)
+    expected = {"t5_power_cycle", "t5_tail", "t5_powers_not_toeplitz", "t8_period", "t8_step_sets"}
+    assert expected <= mismatched_goldens()

@@ -20,8 +20,8 @@ from toeplab.cli import (
     main,
 )
 from toeplab.compgraph import m_step_graph
-from toeplab.spectra import competition_tail, power_tail, residue_block_matrix
-from toeplab.toeplitz import build_matrix, pair_sum_gcd, validate_spec
+from toeplab.spectra import competition_table, power_table
+from toeplab.toeplitz import build_matrix, pair_sum_gcd, parse_literal, validate_spec
 from toeplab import verify
 from toeplab.verify import MAX_SWEEP_N
 
@@ -55,6 +55,26 @@ class TestBuild:
                 left, rest = line.strip().split("->")
                 arcs.add((int(left), int(rest.split("[")[0])))
         assert arcs == {(1, 3), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6), (5, 1), (6, 2), (6, 1)}
+
+
+class TestPower:
+    def test_matches_boolmatrix_power(self, capsys):
+        for literal in ("T2<1;1>", "T5<2;4>", "T6<2,3,4;5>", "T8<1,4;2,5>", "T13<2,5;3>"):
+            a = build_matrix(parse_literal(literal))
+            for m in range(6):
+                code, out, _ = run(capsys, "power", literal, "--m", str(m))
+                assert code == EXIT_OK
+                assert out == a.power(m).to_text() + "\n", (literal, m)
+                code, out, _ = run(capsys, "power", literal, "--m", str(m), "--format", "json")
+                assert json.loads(out)["matrix"] == a.power(m).to_json_dict(), (literal, m)
+
+    def test_huge_exponent_read_off_the_cycle(self, capsys):
+        # The powers of T5<2;4> cycle with index 2 and period 3, and
+        # 10**200 = 4 (mod 3).
+        code, out, _ = run(capsys, "power", "T5<2;4>", "--m", str(10**200))
+        assert code == EXIT_OK
+        assert out.split() == ["5", "00100", "00000", "00001", "00000", "10000"]
+        assert out == build_matrix(parse_literal("T5<2;4>")).power(4).to_text() + "\n"
 
 
 class TestPeriod:
@@ -276,6 +296,7 @@ class TestExitCodes:
         # The power index of T150<1;2> is 147.
         monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
         for argv in (
+            ("power", "T150<1;2>", "--m", "1"),
             ("period", "T150<1;2>"),
             ("competition", "T150<1;2>"),
             ("graph", "T150<1;2>", "--m", "1"),
@@ -420,17 +441,19 @@ def test_packed_commands_match_generic_path(capsys):
         d = pair_sum_gcd(spec)
 
         payload = json.loads(run(capsys, "period", spec.literal, "--format", "json")[1])
-        tail = power_tail(A)
+        tail = power_table(A)[0]
         assert (payload["index"], payload["period"]) == (tail.index, tail.period), spec.literal
 
         payload = json.loads(run(capsys, "competition", spec.literal, "--format", "json")[1])
-        ctail = competition_tail(A)
+        ctail = competition_table(A)[0]
         assert (payload["index"], payload["period"]) == (ctail.index, ctail.period), spec.literal
         if ctail.period == 1:
             limit = ctail.cycle[0]
             assert payload["limit"] == limit.to_json_dict(), spec.literal
-            _, expected = residue_block_matrix(n, min(d, n))
-            assert payload["block_match"] == (limit == expected), spec.literal
+            expected = [sum(1 << c for c in range(n) if (r - c) % d == 0) for r in range(n)]
+            assert payload["block_match"] == (limit.rows == tuple(expected)), spec.literal
+            classes = [list(range(r, n + 1, d)) for r in range(1, min(d, n) + 1)]
+            assert payload["classes"] == classes, spec.literal
         else:
             assert payload["limit"] is None, spec.literal
 

@@ -12,7 +12,7 @@ from toeplab.compgraph import (
     residue_clique_graph,
     strong_components,
 )
-from toeplab.spectra import competition_limit, competition_matrix, competition_tail
+from toeplab.spectra import competition_matrix, competition_table
 from toeplab.toeplitz import build_matrix, parse_literal, validate_spec
 from toeplab.verify import HOLDS, enumerate_specs, verify_instance
 
@@ -91,6 +91,13 @@ class TestFormulaGraph:
         assert competition_graph_formula(spec).edges == frozenset()
 
 
+def competition_limit(a):
+    """The constant tail of the competition sequence of a."""
+    tail = competition_table(a)[0]
+    assert tail.period == 1, f"no limit: competition period is {tail.period}"
+    return tail.cycle[0]
+
+
 def limit_graph(a):
     """The eventual competition graph: the off-diagonal part of the
     competition limit."""
@@ -116,15 +123,16 @@ class TestLimitGraph:
         # The competition index is the first m whose B_m is the limit.
         for literal in ("T8<1,4;2,5>", "T5<2;4>", "T6<1,2;3>"):
             a = build_matrix(parse_literal(literal))
-            tail = competition_tail(a)
+            tail = competition_table(a)[0]
             limit = competition_limit(a)
             assert competition_matrix(a, tail.index) == limit
             if tail.index > 1:
                 assert competition_matrix(a, tail.index - 1) != limit
 
     def test_cycling_sequence_has_no_limit(self):
-        with pytest.raises(ValueError, match="no limit"):
-            limit_graph(build_matrix(parse_literal("T6<2,3,4;5>")))
+        # Conditions fail here and the competition sequence genuinely cycles.
+        tail = competition_table(build_matrix(parse_literal("T6<2,3,4;5>")))[0]
+        assert tail.period == 3
 
     def test_conditioned_sweep_limits_are_residue_cliques(self):
         from toeplab.toeplitz import pair_sum_gcd

@@ -13,12 +13,11 @@ from toeplab.compgraph import (
     competition_graph_formula,
     residue_clique_graph,
 )
-from toeplab.packed import Geometry, ToeplitzKernel, geometry
+from toeplab.packed import ROW_BYTES_FROM, Geometry, ToeplitzKernel, geometry
 from toeplab.spectra import (
     competition_table,
     power_is_eventually_toeplitz,
     power_table,
-    residue_block_matrix,
 )
 from toeplab.toeplitz import build_matrix, offset_generators, pair_sum_gcd, validate_spec
 from toeplab.verify import (
@@ -33,7 +32,6 @@ from toeplab.verify import (
     verify_instance,
 )
 from toeplab.walks import (
-    ROW_BYTES_FROM,
     _certify_stabilization,
     bound_hypothesis_holds,
     competition_index_bound,
@@ -106,8 +104,22 @@ class TestPacking:
     @settings(max_examples=60, deadline=None)
     def test_residue_matrix_is_residue_block_matrix(self, spec, d):
         g = geometry(spec.n)
-        _, expected = residue_block_matrix(spec.n, min(d, spec.n))
-        assert g.unpack(g.residue_matrix(d)) == expected
+        expected = oracles.naive_residue_matrix(spec.n, d)
+        assert as_lists(g.unpack(g.residue_matrix(d))) == expected
+
+    def test_rows_round_trip_on_both_row_sources(self):
+        # Rows are shifted out below ROW_BYTES_FROM and sliced out of the
+        # matrix's bytes from there on.
+        rng = random.Random(139)
+        for n in (ROW_BYTES_FROM - 1, ROW_BYTES_FROM, 200):
+            g = geometry(n)
+            for density in (0.0, 0.05, 0.5, 1.0):
+                rows = [sum(1 << c for c in range(n) if rng.random() < density) for _ in range(n)]
+                x = BoolMatrix(n, rows)
+                packed = g.pack(x)
+                assert g.rows(packed) == rows
+                assert g.unpack(packed) == x
+                assert g.pack(g.unpack(packed)) == packed
 
 
 class TestPowerStep:
@@ -304,7 +316,7 @@ def generic_report(spec):
     block_ok = clique_ok = False
     if ctail.period == 1:
         limit = ctail.cycle[0]
-        block_ok = limit == residue_block_matrix(n, d)[1]
+        block_ok = as_lists(limit) == oracles.naive_residue_matrix(n, d)
         clique_ok = (
             SimpleGraph.from_symmetric_matrix(limit).edges == residue_clique_graph(n, d).edges
         )

@@ -3,15 +3,13 @@ import random
 import pytest
 
 from toeplab.boolmat import BoolMatrix
+from toeplab.packed import geometry
 from toeplab.spectra import (
     BudgetExceeded,
-    competition_limit,
     competition_matrix,
-    competition_tail,
+    competition_table,
     power_is_eventually_toeplitz,
     power_table,
-    power_tail,
-    residue_block_matrix,
     residue_classes,
 )
 from toeplab.toeplitz import build_matrix, parse_literal, predicted_period
@@ -35,7 +33,7 @@ def three_cycle():
 class TestPowerTail:
     def test_t5_display_cycle(self):
         a = build_matrix(parse_literal("T5<2;4>"))
-        tail = power_tail(a)
+        tail = power_table(a)[0]
         assert (tail.index, tail.period) == (2, 3)
         # The cycle is exactly the three displayed matrices, in order.
         assert tail.cycle[0] == a.power(2)
@@ -45,18 +43,18 @@ class TestPowerTail:
         assert a != a.power(4)
 
     def test_three_cycle_permutation(self):
-        tail = power_tail(three_cycle())
+        tail = power_table(three_cycle())[0]
         assert (tail.index, tail.period) == (1, 3)
 
     def test_identity_fixed_point(self):
-        tail = power_tail(BoolMatrix.identity(4))
+        tail = power_table(BoolMatrix.identity(4))[0]
         assert (tail.index, tail.period) == (1, 1)
 
     def test_matches_definitional_oracle(self):
         rng = random.Random(13)
         for _ in range(40):
             a = random_matrix(rng, 5)
-            tail = power_tail(a)
+            tail = power_table(a)[0]
             seq = oracles.naive_powers(as_lists(a), tail.index + 2 * tail.period + 4)
             assert oracles.naive_tail(seq) == (tail.index, tail.period)
 
@@ -64,7 +62,7 @@ class TestPowerTail:
         rng = random.Random(29)
         for _ in range(30):
             a = random_matrix(rng, 6)
-            tail = power_tail(a)
+            tail = power_table(a)[0]
             p = tail.period
             for m in range(tail.index, tail.index + 4):
                 assert a.power(m) == a.power(m + p)
@@ -88,14 +86,14 @@ class TestPowerTail:
 class TestMatrixPeriod:
     def test_running_example_matches_prediction(self):
         spec = parse_literal("T8<1,4;2,5>")
-        assert power_tail(build_matrix(spec)).period == 3 == predicted_period(spec)
+        assert power_table(build_matrix(spec))[0].period == 3 == predicted_period(spec)
 
     def test_two_cycle(self):
-        assert power_tail(build_matrix(parse_literal("T2<1;1>"))).period == 2
+        assert power_table(build_matrix(parse_literal("T2<1;1>")))[0].period == 2
 
     def test_prediction_on_conditioned_sweep(self):
         for spec in enumerate_specs(6, True):
-            assert power_tail(build_matrix(spec)).period == predicted_period(spec), spec.literal
+            assert power_table(build_matrix(spec))[0].period == predicted_period(spec), spec.literal
 
 
 class TestCompetitionMatrix:
@@ -123,12 +121,12 @@ class TestCompetitionMatrix:
 
 class TestCompetitionTail:
     def test_two_cycle_immediate(self):
-        tail = competition_tail(build_matrix(parse_literal("T2<1;1>")))
+        tail = competition_table(build_matrix(parse_literal("T2<1;1>")))[0]
         assert (tail.index, tail.period) == (1, 1)
 
     def test_t5_period_one_despite_failed_conditions(self):
         a = build_matrix(parse_literal("T5<2;4>"))
-        tail = competition_tail(a)
+        tail = competition_table(a)[0]
         assert tail.period == 1
         bs = [oracles.naive_competition(as_lists(a), m) for m in range(1, 11)]
         index, period = oracles.naive_tail(bs)
@@ -147,7 +145,7 @@ class TestCompetitionTail:
             density = rng.choice((0.1, 0.2, 0.3, 0.5))
             rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
             a = BoolMatrix(n, rows)
-            tail = competition_tail(a)
+            tail = competition_table(a)[0]
             if checked >= 60 and tail.period == 1:
                 continue
             horizon = tail.index + 2 * tail.period + 6
@@ -159,14 +157,14 @@ class TestCompetitionTail:
 
     def test_period_one_on_conditioned_sweep(self):
         for spec in enumerate_specs(6, True):
-            assert competition_tail(build_matrix(spec)).period == 1, spec.literal
+            assert competition_table(build_matrix(spec))[0].period == 1, spec.literal
 
     def test_structural_relations_to_power_tail(self):
         rng = random.Random(41)
         for _ in range(25):
             a = random_matrix(rng, 6)
-            p = power_tail(a)
-            c = competition_tail(a)
+            p = power_table(a)[0]
+            c = competition_table(a)[0]
             assert p.period % c.period == 0
             assert c.index <= p.index + p.period
 
@@ -175,76 +173,71 @@ class TestCompetitionTail:
         # nonzero and each vertex competes with itself at every step.
         for spec in enumerate_specs(6, True):
             a = build_matrix(spec)
-            tail = power_tail(a)
+            tail = power_table(a)[0]
             for m in range(1, tail.index + tail.period + 1):
                 b = competition_matrix(a, m)
                 assert all(b.get(v, v) == 1 for v in range(1, spec.n + 1)), spec.literal
 
 
+def competition_limit(a):
+    tail = competition_table(a)[0]
+    assert tail.period == 1
+    return tail.cycle[0]
+
+
 class TestCompetitionLimit:
     def test_running_example_limit_is_residue_blocks(self):
         limit = competition_limit(build_matrix(parse_literal("T8<1,4;2,5>")))
-        _, expected = residue_block_matrix(8, 3)
-        assert limit == expected
+        assert as_lists(limit) == oracles.naive_residue_matrix(8, 3)
 
     def test_permutation_limit_is_identity(self):
         assert competition_limit(three_cycle()) == BoolMatrix.identity(3)
 
-    def test_no_limit_when_period_above_one(self):
-        # Conditions fail here and the competition sequence genuinely cycles.
-        a = build_matrix(parse_literal("T6<2,3,4;5>"))
-        assert competition_tail(a).period == 3
-        with pytest.raises(ValueError, match="no limit"):
-            competition_limit(a)
+
+def block_matrix(n, d):
+    """Geometry's residue matrix: the expected competition limit."""
+    g = geometry(n)
+    return g.unpack(g.residue_matrix(d))
 
 
 class TestResidueBlocks:
     def test_sizes_running_example(self):
         classes = residue_classes(8, 3)
         assert classes == [(1, 4, 7), (2, 5, 8), (3, 6)]
-        perm, expected = residue_block_matrix(8, 3)
-        assert perm == (1, 4, 7, 2, 5, 8, 3, 6)
+        expected = block_matrix(8, 3)
         assert expected.get(1, 4) == 1 and expected.get(1, 2) == 0
+        assert as_lists(expected) == oracles.naive_residue_matrix(8, 3)
 
     def test_single_class_is_all_ones(self):
-        _, expected = residue_block_matrix(5, 1)
-        assert expected == BoolMatrix(5, [(1 << 5) - 1] * 5)
+        assert residue_classes(5, 1) == [(1, 2, 3, 4, 5)]
+        assert block_matrix(5, 1) == BoolMatrix(5, [(1 << 5) - 1] * 5)
 
     def test_singleton_classes_give_identity(self):
-        _, expected = residue_block_matrix(4, 4)
-        assert expected == BoolMatrix.identity(4)
-
-    def test_permuted_form_is_block_diagonal(self):
-        perm, expected = residue_block_matrix(8, 3)
-        sizes = [len(c) for c in residue_classes(8, 3)]
-        permuted = [
-            [expected.get(perm[i], perm[j]) for j in range(8)] for i in range(8)
-        ]
-        offset = 0
-        for size in sizes:
-            for i in range(8):
-                for j in range(8):
-                    inside = offset <= i < offset + size and offset <= j < offset + size
-                    if inside:
-                        assert permuted[i][j] == 1
-            offset += size
-        total_ones = sum(sum(row) for row in permuted)
-        assert total_ones == sum(s * s for s in sizes)
+        for d in (4, 5, 9):
+            assert residue_classes(4, d) == [(1,), (2,), (3,), (4,)]
+            assert block_matrix(4, d) == BoolMatrix.identity(4)
 
     def test_modulus_validated(self):
-        with pytest.raises(ValueError):
-            residue_block_matrix(4, 5)
+        for d in (0, -3):
+            with pytest.raises(ValueError):
+                residue_classes(4, d)
+
+    def test_classes_match_definition(self):
+        for n in range(1, 30):
+            for d in range(1, n + 3):
+                classes = [tuple(range(r, n + 1, d)) for r in range(1, min(d, n) + 1)]
+                assert residue_classes(n, d) == classes, (n, d)
 
 
 class TestEventuallyToeplitz:
     def test_t5_never_again(self):
         a = build_matrix(parse_literal("T5<2;4>"))
-        holds, first_m = power_is_eventually_toeplitz(a, power_tail(a))
+        holds, first_m = power_is_eventually_toeplitz(a, power_table(a)[0])
         assert holds is False and first_m is None
 
     def test_running_example_holds(self):
         a = build_matrix(parse_literal("T8<1,4;2,5>"))
-        tail = power_tail(a)
+        tail = power_table(a)[0]
         holds, first_m = power_is_eventually_toeplitz(a, tail)
         assert holds is True
         # Independent threshold: scan a long prefix directly.
@@ -257,5 +250,5 @@ class TestEventuallyToeplitz:
     def test_conditioned_sweep_holds(self):
         for spec in enumerate_specs(6, True):
             a = build_matrix(spec)
-            holds, _ = power_is_eventually_toeplitz(a, power_tail(a))
+            holds, _ = power_is_eventually_toeplitz(a, power_table(a)[0])
             assert holds, spec.literal

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import toeplab
 from toeplab.boolmat import BoolMatrix
 from toeplab.toeplitz import (
     BezoutCertificate,
+    _ext_gcd,
     bezout_certificate,
     build_matrix,
     offset_generators,
@@ -200,6 +202,42 @@ class TestBezout:
         assert digest.hexdigest() == (
             "4be35729a0bcf2634b0e0146640daea436f658dd90f4fc84a2d4f9d0cec1cef0"
         )
+
+    def test_matches_rescaling_every_step(self):
+        # The extended-Euclid chain written out directly: every step rescales
+        # the coefficients of all earlier generators by its x.
+        rng = random.Random(2026)
+        specs = [validate_spec(n, range(1, n), range(1, n)) for n in (2, 9, 20)]
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            fwd = rng.sample(range(1, n), rng.randint(1, min(5, n - 1)))
+            bwd = rng.sample(range(1, n), rng.randint(1, min(5, n - 1)))
+            specs.append(validate_spec(n, fwd, bwd))
+        for spec in specs:
+            fwd, bwd = spec.forward_steps, spec.backward_steps
+            gens = [(j, i) for i, j in itertools.combinations(fwd, 2)]
+            gens += [(-i, -j) for i, j in itertools.combinations(bwd, 2)]
+            gens += [(s, -t) for s in fwd for t in bwd]
+            g, coeffs = 0, []
+            for up, down in gens:
+                g, x, y = _ext_gcd(g, up - down)
+                coeffs = [x * c for c in coeffs] + [y]
+            a = {s: 0 for s in fwd}
+            b = {t: 0 for t in bwd}
+            for c, (up, down) in zip(coeffs, gens):
+                for w, sign in ((up, 1), (down, -1)):
+                    if w > 0:
+                        a[w] += sign * c
+                    else:
+                        b[-w] += sign * c
+            cert = bezout_certificate(spec)
+            assert cert.forward_coeffs == tuple(a.values()), spec.literal
+            assert cert.backward_coeffs == tuple(b.values()), spec.literal
+
+    def test_full_step_sets_at_large_n(self):
+        # About 2n^2 generators; construction checks both identities.
+        for n in (60, 90):
+            bezout_certificate(validate_spec(n, range(1, n), range(1, n)))
 
     def test_corrupted_certificate_raises(self):
         spec = parse_literal("T8<1,4;2,5>")

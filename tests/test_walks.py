@@ -234,11 +234,11 @@ class TestStabilization:
         assert not result.certified
 
     def test_default_horizon_is_two_combined_cycles_past_the_index(self):
-        from toeplab.spectra import power_tail
+        from toeplab.spectra import power_table
         from toeplab.toeplitz import predicted_period
 
         for spec in enumerate_specs(5, False):
-            tail = power_tail(build_matrix(spec))
+            tail = power_table(build_matrix(spec))[0]
             expected = tail.index + 2 * tail.period * predicted_period(spec)
             result = step_set_stabilization(spec)
             assert result.horizon == expected, spec.literal
@@ -470,11 +470,11 @@ class TestIndexBound:
         assert competition_index_bound(parse_literal("T2<1;1>")) == 4
 
     def test_bound_dominates_measured_index_small(self):
-        from toeplab.spectra import competition_tail
+        from toeplab.spectra import competition_table
 
         for spec in enumerate_specs(6, True):
             if bound_hypothesis_holds(spec):
-                measured = competition_tail(build_matrix(spec)).index
+                measured = competition_table(build_matrix(spec))[0].index
                 assert measured <= competition_index_bound(spec), spec.literal
 
 

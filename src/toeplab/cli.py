@@ -119,7 +119,8 @@ def _cmd_power(args) -> int:
     if args.m == 0:
         x = kernel.geometry.identity
     else:
-        x = power_from_table(*power_table(kernel, max_steps=DEFAULT_STEP_BUDGET), args.m)
+        table = power_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.m)
+        x = power_from_table(*table, args.m)
     mat = kernel.geometry.unpack(x)
     _emit(
         {"spec": spec.literal, "m": args.m, "matrix": mat.to_json_dict()},
@@ -192,7 +193,7 @@ def _cmd_graph(args) -> int:
         print("error: --m must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     kernel = ToeplitzKernel(spec)
-    table = competition_table(kernel, max_steps=DEFAULT_STEP_BUDGET)
+    table = competition_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.m)
     g = SimpleGraph.from_symmetric_matrix(kernel.geometry.unpack(power_from_table(*table, args.m)))
     if args.format == "dot":
         print(graph_dot(g, name=f"{spec.literal} m={args.m}"))
@@ -240,7 +241,7 @@ def _cmd_psets(args) -> int:
     if args.i > DEFAULT_STEP_BUDGET:
         raise BudgetExceeded(f"--i {args.i} exceeds {DEFAULT_STEP_BUDGET} steps")
     kernel = ToeplitzKernel(spec)
-    table = power_table(kernel, max_steps=DEFAULT_STEP_BUDGET)
+    table = power_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.i)
     ss = step_set_run(spec, args.i, table=table, kernel=kernel)[-1]
     payload = {"spec": spec.literal, **ss.to_json_dict()}
     _emit(

@@ -94,7 +94,7 @@ def competition_formula(kernel: ToeplitzKernel) -> int:
     of the diagonals delta and -delta.  The first rule depends on (n, S)
     only and the second on (n, T) only, so the size's Geometry keeps each
     per step set (Geometry.partners); the third admits every u, the whole
-    diagonal pair.
+    diagonal pair (Geometry.diagonal_pair).
     """
     spec = kernel.spec
     n = spec.n
@@ -102,7 +102,7 @@ def competition_formula(kernel: ToeplitzKernel) -> int:
     out = g.partners(spec.forward_steps, True) | g.partners(spec.backward_steps, False)
     for delta in {s + t for s in spec.forward_steps for t in spec.backward_steps}:
         if delta < n:
-            out |= g.segment(delta, 1, n - delta)
+            out |= g.diagonal_pair(delta)
     return out
 
 

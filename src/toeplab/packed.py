@@ -19,12 +19,13 @@ not Toeplitz pays for the AND-fold along stride n+1.
 Everything that depends on n and at most one step set or modulus lives in
 one Geometry per size, shared by every kernel of that size: the fixed
 masks, the Toeplitz test, the diagonal read-off and fold, row reading and
-packing, and the tables filled on first use (column masks; residue
-matrices, congruent offset masks and residue classes per modulus; shift
-lists and one-step partner rules per step set).  A ToeplitzKernel keeps
-only what its own steps pick: the shift lists, the adjacency matrix and
-the two steps.  closure is reachability over row masks, for any digraph
-given by its rows, and members decodes a vertex or offset mask.
+packing, and the tables filled on first use (column masks and whole
+diagonal pairs per step; residue matrices, congruent offset masks and
+residue classes per modulus; shift lists and one-step partner rules per
+step set).  A ToeplitzKernel keeps only what its own steps pick: the
+shift lists, the adjacency matrix and the two steps.  closure is
+reachability over row masks, for any digraph given by its rows, and
+members decodes a vertex or offset mask.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ class Geometry:
     """Everything of one size n that no single instance owns.
 
     The all-ones and identity matrices, the Toeplitz-test and diagonal-fold
-    masks are built with the geometry; the column masks L_k and H_k and the
-    tables per modulus and per step set on first use.  Every entry depends
-    on n and at most one step, step set or modulus, never on a whole
-    instance.
+    masks are built with the geometry; the column masks L_k and H_k, the
+    diagonal pairs and the tables per modulus and per step set on first
+    use.  Every entry depends on n and at most one step, step set or
+    modulus, never on a whole instance.
     """
 
     __slots__ = (
@@ -68,6 +69,7 @@ class Geometry:
         "_ones",
         "_low",
         "_high",
+        "_pairs",
         "_residues",
         "_congruents",
         "_classes",
@@ -103,6 +105,7 @@ class Geometry:
         # Indexed by step 1..n-1; None until first asked for.
         self._low = [None] * n
         self._high = [None] * n
+        self._pairs = [None] * n
         # Keyed by modulus d.
         self._residues: dict[int, int] = {}
         self._congruents: dict[int, tuple[int, ...]] = {}
@@ -111,7 +114,7 @@ class Geometry:
         self._step_sets: dict[tuple[int, ...], tuple] = {}
         self._partners: dict[tuple[int, ...], list] = {}
 
-    # -- per step and per step set ------------------------------------------------
+    # -- per step, diagonal and step set ------------------------------------------
 
     def low(self, k: int) -> int:
         """L_k: columns 1..n-k of every row."""
@@ -176,6 +179,13 @@ class Geometry:
                 out |= self.segment(delta, lo, hi)
         return out
 
+    def diagonal_pair(self, delta: int) -> int:
+        """The whole diagonals delta and -delta, for delta = 1..n-1."""
+        mask = self._pairs[delta]
+        if mask is None:
+            mask = self._pairs[delta] = self.segment(delta, 1, self.n - delta)
+        return mask
+
     def segment(self, delta: int, lo: int, hi: int) -> int:
         """Entries (u, u+delta) and (u+delta, u) for u = lo..hi."""
         n = self.n
@@ -225,16 +235,6 @@ class Geometry:
         """Every entry equals its lower-right neighbour."""
         return ((x >> (self.n + 1)) ^ x) & self.inner == 0
 
-    def diagonals(self, x: int) -> tuple[bool, int]:
-        """(is_toeplitz(x), full diagonals of x), testing x for Toeplitz
-        once.  The full diagonals are the offsets ell whose whole diagonal
-        (u, u+ell) is ones, as a mask over [-(n-1), n-1] where bit
-        ell + n - 1 stands for ell: read off rows 1 and n when x is
-        Toeplitz, and folded otherwise."""
-        if self.is_toeplitz(x):
-            return True, self.read_diagonals(x)
-        return False, self.fold_diagonals(x)
-
     def read_diagonals(self, x: int) -> int:
         """The full diagonals of a Toeplitz x: each diagonal is constant,
         so row 1 holds diagonals 0..n-1 and row n diagonals -(n-1)..-1,
@@ -246,21 +246,21 @@ class Geometry:
     def fold_diagonals(self, x: int) -> int:
         """The full diagonals of any x, in two log-depth AND-folds.
 
-        Bits of stride n+1 run down a diagonal and wrap into the next one,
-        so one AND-fold along the stride, with the other triangle padded to
-        ones, reads diagonal ell >= 0 at bit ell and diagonal -j at bit
-        n+1-j.
+        The full diagonals are the offsets ell whose whole diagonal
+        (u, u+ell) is ones, as a mask over [-(n-1), n-1] where bit
+        ell + n - 1 stands for ell.  Bits of stride n+1 run down a diagonal
+        and wrap into the next one, so one AND-fold along the stride, with
+        the other triangle padded to ones, reads diagonal ell >= 0 at bit
+        ell and diagonal -j at bit n+1-j.  After the folds bit p ANDs bits
+        p, p+(n+1), ..., p+(n-1)(n+1) of the padded x.
         """
         n = self.n
-        upper = self._fold(x | self.pad_lower)
-        lower = self._fold(x | self.pad_upper)
-        return ((upper & ((1 << n) - 1)) << (n - 1)) | ((lower >> 2) & ((1 << (n - 1)) - 1))
-
-    def _fold(self, y: int) -> int:
-        # Bit p of the result ANDs bits p, p+(n+1), ..., p+(n-1)(n+1) of y.
+        upper = x | self.pad_lower
+        lower = x | self.pad_upper
         for shift in self.fold_shifts:
-            y &= y >> shift
-        return y
+            upper &= upper >> shift
+            lower &= lower >> shift
+        return ((upper & ((1 << n) - 1)) << (n - 1)) | ((lower >> 2) & ((1 << (n - 1)) - 1))
 
     def rows(self, x: int) -> list[int]:
         """The rows of x, row 1 first, each a mask where bit c - 1 stands

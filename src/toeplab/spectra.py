@@ -8,7 +8,8 @@ all-ones blocks the competition limit is expected to be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from typing import NamedTuple
 
 from .boolmat import BoolMatrix
 from .packed import ToeplitzKernel, geometry, members
@@ -29,14 +30,14 @@ class BudgetExceeded(Exception):
     """Raised when a sequence scan exceeds its step budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class PeriodicTail:
+class PeriodicTail(NamedTuple):
     """Entry index and cycle of an eventually periodic matrix sequence.
 
     index is the smallest m >= 1 with X_m = X_{m+period} for all later m;
     period is the smallest cycle length; cycle holds the period distinct
     matrices X_index, ..., X_{index+period-1} in order, as BoolMatrix or,
-    from a ToeplitzKernel, as packed ints.
+    from a ToeplitzKernel, as packed ints.  A named tuple: immutable, and
+    cheap to build once per scan.
     """
 
     index: int
@@ -44,32 +45,37 @@ class PeriodicTail:
     cycle: tuple
 
 
-def power_table(A, max_steps: int | None = None):
+def power_table(A, max_steps: int | None = None, last: int | None = None):
     """Scan A^1, A^2, ... to the first repeat.
 
     Returns (tail, seq) where seq lists A^1 .. A^{index+period-1}.  A is a
     BoolMatrix, or a ToeplitzKernel whose packed ints then fill the table.
+    With `last`, the scan also stops at A^last when that comes first, and
+    then returns tail None; power_from_table reads A^last either way.
     """
     if isinstance(A, ToeplitzKernel):
-        return _scan(A.adjacency, A.times_a, max_steps, "power")
-    return _scan(A, lambda x: x.multiply(A), max_steps, "power")
+        return _scan(A.adjacency, A.times_a, max_steps, "power", last)
+    return _scan(A, lambda x: x.multiply(A), max_steps, "power", last)
 
 
-def _scan(first, step, max_steps: int | None, what: str):
+def _scan(first, step, max_steps: int | None, what: str, last: int | None = None):
     # Each term is a function of the one before, so the first repeat pins
-    # the minimal index and period; the dict compares keys exactly.
+    # the minimal index and period; the dict compares keys exactly, hashes
+    # each term once, and its insertion order is the sequence.  With `last`
+    # the scan also stops after term `last` and returns no tail.
     seen: dict = {}
-    seq: list = []
+    setdefault = seen.setdefault
+    stop = min(sys.maxsize if max_steps is None else max_steps, last or sys.maxsize)
     x = first
     m = 1
-    while x not in seen:
-        seen[x] = m
-        seq.append(x)
-        if max_steps is not None and m >= max_steps:
+    while (first_m := setdefault(x, m)) == m:
+        if m >= stop:
+            if m == last:
+                return None, list(seen)
             raise BudgetExceeded(f"{what} sequence exceeded {max_steps} steps")
         x = step(x)
         m += 1
-    first_m = seen[x]
+    seq = list(seen)
     return PeriodicTail(first_m, m - first_m, tuple(seq[first_m - 1 :])), seq
 
 
@@ -92,17 +98,21 @@ def competition_matrix(A: BoolMatrix, m: int) -> BoolMatrix:
     return x.multiply(x.transpose())
 
 
-def competition_table(A, max_steps: int | None = None):
+def competition_table(A, max_steps: int | None = None, last: int | None = None):
     """Tail of the competition sequence B_m = A^m (A^T)^m plus its prefix.
 
     Scans B_1 = A A^T, B_{m+1} = A B_m A^T up to the first repeat, so the
     prefix B_1 .. B_{index+period-1} holds every distinct B_m.  A is a
     BoolMatrix, or a ToeplitzKernel whose packed ints then fill the table.
+    `last` stops the scan at B_last as in power_table.
     """
     if isinstance(A, ToeplitzKernel):
-        return _scan(A.compete(A.geometry.identity), A.compete, max_steps, "competition")
+        first = A.compete(A.geometry.identity)
+        return _scan(first, A.compete, max_steps, "competition", last)
     at = A.transpose()
-    return _scan(A.multiply(at), lambda b: A.multiply(b).multiply(at), max_steps, "competition")
+    return _scan(
+        A.multiply(at), lambda b: A.multiply(b).multiply(at), max_steps, "competition", last
+    )
 
 
 def residue_classes(n: int, d: int) -> list[tuple[int, ...]]:
@@ -119,7 +129,7 @@ def power_is_eventually_toeplitz(A: BoolMatrix, tail: PeriodicTail, seq=None):
 
     Checks one full cycle (enough, by periodicity) and then extends the
     threshold backwards through the pre-cycle powers.  The packed sweep
-    reads the same test off its step-set run instead (StepSets.toeplitz).
+    reads the same test off walks.step_set_masks instead.
     """
     if not all(mat.is_toeplitz() for mat in tail.cycle):
         return False, None

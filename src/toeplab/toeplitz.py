@@ -58,12 +58,12 @@ class ToeplitzSpec:
     @property
     def cond1(self) -> bool:
         """Longest forward step plus shortest backward step fits in n."""
-        return self.max_forward + self.min_backward <= self.n
+        return self.forward_steps[-1] + self.backward_steps[0] <= self.n
 
     @property
     def cond2(self) -> bool:
         """Shortest forward step plus longest backward step fits in n."""
-        return self.min_forward + self.max_backward <= self.n
+        return self.forward_steps[0] + self.backward_steps[-1] <= self.n
 
     @property
     def conditions_hold(self) -> bool:
@@ -141,9 +141,8 @@ def offset_generators(spec: ToeplitzSpec) -> tuple[int, ...]:
     walks, hence the congruence class that competition edges live in.
     """
     fwd, bwd = spec.forward_steps, spec.backward_steps
-    gens = {s + t for s in fwd for t in bwd}
-    gens.update([b - a for a, b in itertools.combinations(fwd, 2)])
-    gens.update([b - a for a, b in itertools.combinations(bwd, 2)])
+    gens = {b - a for steps in (fwd, bwd) for a, b in itertools.combinations(steps, 2)}
+    gens.update([s + t for s in fwd for t in bwd])
     return tuple(sorted(gens))
 
 

@@ -14,8 +14,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from contextlib import ExitStack
-from functools import cache, partial
+from functools import cache, partial, reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Iterator
 
 from .compgraph import competition_formula
@@ -31,7 +32,8 @@ from .walks import (
     bound_hypothesis_holds,
     competition_index_bound,
     congruence_step,
-    step_set_run,
+    containment_chain,
+    step_set_masks,
 )
 
 __all__ = [
@@ -75,6 +77,10 @@ PREDICATES = (
     "containment_chain",
     "formula_match",
 )
+
+# Every outcome of a report before its checks run (copying it is faster
+# than dict.fromkeys).
+_UNCHECKED = dict.fromkeys(PREDICATES, NOT_APPLICABLE)
 
 
 @dataclass(slots=True)
@@ -158,19 +164,11 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     incomplete) or when its theorem's hypothesis fails: the step-fit
     conditions, or the bound's irreducibility hypothesis."""
     d = pair_sum_gcd(spec)
-    s1 = spec.min_forward
+    s1 = spec.forward_steps[0]
     d_prime = gcd(d, s1)
     pi = d // d_prime
     cond1, cond2 = spec.cond1, spec.cond2
-    report = InstanceReport(
-        spec=spec,
-        d=d,
-        d_prime=d_prime,
-        predicted=pi,
-        cond1=cond1,
-        cond2=cond2,
-        checks=dict.fromkeys(PREDICATES, NOT_APPLICABLE),
-    )
+    report = InstanceReport(spec, d, d_prime, pi, cond1, cond2, checks=_UNCHECKED.copy())
     checks = report.checks
 
     checks["gcd_equality"] = HOLDS if gcd(*offset_generators(spec)) == d else FAILS
@@ -195,7 +193,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
         HOLDS if competition_formula(kernel) == bs[0] & off_diagonal else FAILS
     )
     residues = g.residue_matrix(d)
-    checks["adjacency_necessity"] = HOLDS if all(b & ~residues == 0 for b in bs) else FAILS
+    checks["adjacency_necessity"] = HOLDS if reduce(or_, bs) & ~residues == 0 else FAILS
 
     conditions = cond1 and cond2
     chain_horizon = qa + pa
@@ -204,8 +202,10 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     if horizon > step_budget:
         report.incomplete = True
         return report
-    run = step_set_run(spec, horizon, table=table, kernel=kernel, d=d)
-    checks["containment_chain"] = HOLDS if all(ss.chain_holds for ss in run) else FAILS
+    congruent, combination, realized, toeplitz = step_set_masks(spec, horizon, table, g, d)
+    checks["containment_chain"] = (
+        HOLDS if containment_chain(congruent, combination, realized) else FAILS
+    )
 
     if not conditions:
         report.bound_value = competition_index_bound(spec, d)
@@ -226,25 +226,23 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
         checks["limit_clique_match"] = FAILS
 
     # The run covers the cycle, A^qa .. A^(qa+pa-1), as pqr_horizon >= qa + pa.
-    cycle = run[qa - 1 : qa - 1 + pa]
-    checks["eventually_toeplitz"] = HOLDS if all(ss.toeplitz for ss in cycle) else FAILS
+    cycle_toeplitz = False not in toeplitz[qa - 1 : qa - 1 + pa]
+    checks["eventually_toeplitz"] = HOLDS if cycle_toeplitz else FAILS
 
-    stab = _certify_stabilization(
-        [ss.all_equal for ss in run], qa, pa, lcm(pi, pa), horizon
-    )
+    equal = [p == q == r for p, q, r in zip(congruent, combination, realized)]
+    stab = _certify_stabilization(equal, qa, pa, lcm(pi, pa), horizon)
     report.m_emp = stab.m_emp
     checks["pqr_stabilized"] = HOLDS if (stab.m_emp is not None and stab.certified) else FAILS
 
-    # Congruent sets P_1 .. P_{2 pi + 2}.
+    # Congruent sets P_1 .. P_{2 pi + 2}: each one congruence step from the
+    # one before, periodic with period pi, and the first pi disjoint (their
+    # bit counts add up to that of their union).
     congruents = g.congruent_masks(d)
-    congruent = [congruents[i * s1 % d] for i in range(1, 2 * pi + 3)]
-    recurrence_ok = all(
-        congruence_step(spec, prev) == cur for prev, cur in zip(congruent, congruent[1:])
-    )
-    periodicity_ok = all(congruent[i] == congruent[i + pi] for i in range(pi + 1))
-    disjoint_ok = all(
-        congruent[i] & congruent[j] == 0 for i in range(pi) for j in range(i + 1, pi)
-    )
+    p_sets = [congruents[i * s1 % d] for i in range(1, 2 * pi + 3)]
+    recurrence_ok = [congruence_step(spec, p) for p in p_sets[:-1]] == p_sets[1:]
+    periodicity_ok = p_sets[: pi + 1] == p_sets[pi : 2 * pi + 1]
+    first = p_sets[:pi]
+    disjoint_ok = reduce(or_, first).bit_count() == sum(map(int.bit_count, first))
     checks["p_recurrence"] = HOLDS if (recurrence_ok and periodicity_ok and disjoint_ok) else FAILS
 
     report.bound_value = competition_index_bound(spec, d)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
 
-from .packed import ToeplitzKernel, closure, geometry, members
+from .packed import Geometry, ToeplitzKernel, closure, geometry, members
 from .spectra import BudgetExceeded, power_table
 from .toeplitz import ToeplitzSpec, pair_sum_gcd, predicted_period
 
@@ -38,6 +38,8 @@ __all__ = [
     "InsufficientArcCount",
     "EndpointOutOfRange",
     "congruent_offsets",
+    "step_set_masks",
+    "containment_chain",
     "step_set_run",
     "step_set_stabilization",
     "congruence_step",
@@ -74,7 +76,8 @@ class StepSets(NamedTuple):
     """The three offset sets at one step count, each an int bitmask over
     [-(n-1), n-1] where bit ell + n - 1 stands for offset ell, and whether
     the power A^i they were read from is Toeplitz.  A named tuple:
-    immutable, and cheap to build in bulk in step_set_run."""
+    immutable, and cheap to build in bulk in step_set_run.  The sweep reads
+    the same masks off step_set_masks without building any."""
 
     n: int
     i: int
@@ -97,8 +100,9 @@ class StepSets(NamedTuple):
 
     @property
     def chain_holds(self) -> bool:
-        p, q, r = self.congruent_mask, self.combination_mask, self.realized_mask
-        return r & ~q == 0 and q & ~p == 0
+        return containment_chain(
+            [self.congruent_mask], [self.combination_mask], [self.realized_mask]
+        )
 
     @property
     def all_equal(self) -> bool:
@@ -122,36 +126,41 @@ def congruent_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
     return frozenset(members(geometry(spec.n).congruent_masks(d)[i * spec.min_forward % d], spec.n))
 
 
-def step_set_run(
-    spec: ToeplitzSpec,
-    horizon: int,
-    table=None,
-    kernel: ToeplitzKernel | None = None,
-    d: int | None = None,
-) -> list[StepSets]:
-    """StepSets for i = 1..horizon, sharing one power scan and one
-    combination mask stream across all step counts; each distinct power is
-    tested for Toeplitz and read for its full diagonals once.  `table` is a
-    power_table result of `kernel`, the instance's ToeplitzKernel, and `d`
-    its pair-sum gcd; each is computed here when not given."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+def step_set_masks(
+    spec: ToeplitzSpec, horizon: int, table, geometry: Geometry, d: int
+) -> tuple[list[int], list[int], list[int], list[bool]]:
+    """P_i, Q_i and R_i for i = 1..horizon as three lists of offset masks,
+    and whether each A^i is Toeplitz, all indexed i - 1.  `table` is a
+    power_table result of the instance's ToeplitzKernel, `geometry` its
+    size's Geometry and `d` its pair-sum gcd; a table stopped early by
+    `last` does for a horizon up to `last`.  Each distinct power the
+    horizon reaches is tested for Toeplitz and read for its full diagonals
+    once; past the scanned powers the reads run round the cycle."""
+    tail, seq = table
     n = spec.n
-    if d is None:
-        d = pair_sum_gcd(spec)
-    s1 = spec.min_forward
-    if kernel is None:
-        kernel = ToeplitzKernel(spec)
-    tail, seq = table if table is not None else power_table(kernel)
-    congruents = kernel.geometry.congruent_masks(d)
-    diagonals_of = kernel.geometry.diagonals
-    # (Toeplitz, realized mask) of each cycle position, filled on first visit.
-    diagonals_by_cycle: list[tuple[bool, int] | None] = [None] * tail.period
+    is_toeplitz = geometry.is_toeplitz
+    read_diagonals, fold_diagonals = geometry.read_diagonals, geometry.fold_diagonals
+    toeplitz, realized = [], []
+    for x in seq[:horizon]:
+        if is_toeplitz(x):
+            toeplitz.append(True)
+            realized.append(read_diagonals(x))
+        else:
+            toeplitz.append(False)
+            realized.append(fold_diagonals(x))
+    if horizon > len(seq):
+        # seq ends with the cycle, and A^(len(seq) + 1) is its first entry.
+        laps = (horizon - len(seq)) // tail.period + 1
+        toeplitz += toeplitz[tail.index - 1 :] * laps
+        realized += realized[tail.index - 1 :] * laps
+        del toeplitz[horizon:], realized[horizon:]
 
     forward, backward = spec.forward_steps, spec.backward_steps
+    s1 = forward[0]
+    congruents = geometry.congruent_masks(d)
     width = (1 << (2 * n - 1)) - 1
     combination = 1 << (n - 1)  # Q_0 = {0}
-
+    congruent, combinations = [], []
     # Q_i is stepped inside the window, dropping every partial sum outside
     # it.  That loses no sum that ends inside: no step is longer than n - 1,
     # so the steps can be ordered to stay inside.  Take a backward step while
@@ -159,7 +168,6 @@ def step_set_run(
     # sum minus at most n - 1 stays >= -(n - 2), a non-positive one plus at
     # most n - 1 stays <= n - 1, and once one kind runs out the rest move
     # monotonically to the end sum.
-    out = []
     for i in range(1, horizon + 1):
         nxt = 0
         for s in forward:
@@ -167,22 +175,44 @@ def step_set_run(
         for t in backward:
             nxt |= combination >> t
         combination = nxt & width
-
-        if i >= tail.index:
-            j = (i - tail.index) % tail.period
-            diagonals = diagonals_by_cycle[j]
-            if diagonals is None:
-                diagonals = diagonals_by_cycle[j] = diagonals_of(tail.cycle[j])
-        else:
-            diagonals = diagonals_of(seq[i - 1])
-        toeplitz, realized = diagonals
-
-        out.append(StepSets(n, i, congruents[i * s1 % d], combination, realized, toeplitz))
-    return out
+        combinations.append(combination)
+        congruent.append(congruents[i * s1 % d])
+    return congruent, combinations, realized, toeplitz
 
 
-@dataclass(frozen=True, slots=True)
-class StabilizationResult:
+def containment_chain(congruent, combination, realized) -> bool:
+    """Whether R_i <= Q_i <= P_i at every step, over lists of offset masks
+    as step_set_masks returns them."""
+    for p, q, r in zip(congruent, combination, realized):
+        if r & ~q or q & ~p:
+            return False
+    return True
+
+
+def step_set_run(
+    spec: ToeplitzSpec,
+    horizon: int,
+    table=None,
+    kernel: ToeplitzKernel | None = None,
+    d: int | None = None,
+) -> list[StepSets]:
+    """StepSets for i = 1..horizon, from one step_set_masks run.  `table` is
+    a power_table result of `kernel`, the instance's ToeplitzKernel, and `d`
+    its pair-sum gcd; each is computed here when not given."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if d is None:
+        d = pair_sum_gcd(spec)
+    if kernel is None:
+        kernel = ToeplitzKernel(spec)
+    if table is None:
+        table = power_table(kernel)
+    masks = step_set_masks(spec, horizon, table, kernel.geometry, d)
+    n = spec.n
+    return [StepSets(n, i, *step) for i, step in enumerate(zip(*masks), start=1)]
+
+
+class StabilizationResult(NamedTuple):
     """Outcome of scanning for the point where the three step sets agree.
 
     m_emp is the smallest index whose whole suffix up to the horizon has
@@ -191,7 +221,7 @@ class StabilizationResult:
     congruent sets repeat with the predicted period and the realized sets
     repeat with the power cycle, so one clean combined period certifies
     "for every larger i" and one failure inside the periodic regime
-    certifies "never".
+    certifies "never".  A named tuple, as StepSets.
     """
 
     m_emp: int | None
@@ -232,15 +262,15 @@ def step_set_stabilization(
         horizon = tail.index + 2 * tail.period * pi
     if max_steps is not None and horizon > max_steps:
         raise BudgetExceeded(f"stabilization horizon {horizon} exceeds {max_steps} steps")
-    run = step_set_run(spec, horizon, table=table, kernel=kernel)
-    flags = [ss.all_equal for ss in run]
+    masks = step_set_masks(spec, horizon, table, kernel.geometry, pair_sum_gcd(spec))
+    flags = [p == q == r for p, q, r in zip(*masks[:3])]
     return _certify_stabilization(flags, tail.index, tail.period, lcm(pi, tail.period), horizon)
 
 
 def congruence_step(spec: ToeplitzSpec, mask: int) -> int:
     """Offsets one shortest forward step above or one shortest backward
     step below an offset in `mask`, kept inside [-(n-1), n-1]."""
-    shifted = (mask << spec.min_forward) | (mask >> spec.min_backward)
+    shifted = (mask << spec.forward_steps[0]) | (mask >> spec.backward_steps[0])
     return shifted & ((1 << (2 * spec.n - 1)) - 1)
 
 
@@ -513,10 +543,8 @@ def extend_walk_exact(
 
 def walk_length_bound(spec: ToeplitzSpec, total_requests: int) -> int:
     """Length cap for build_walk_with_counts with the given request total."""
-    per_arc = max(
-        _ceil_div(spec.max_backward, spec.min_forward),
-        _ceil_div(spec.max_forward, spec.min_backward),
-    )
+    fwd, bwd = spec.forward_steps, spec.backward_steps
+    per_arc = max(-(-bwd[-1] // fwd[0]), -(-fwd[-1] // bwd[0]))  # ceilings
     return total_requests * (per_arc + 1)
 
 
@@ -525,8 +553,10 @@ def competition_index_bound(spec: ToeplitzSpec, d: int | None = None) -> int:
     `d` accepts the pair-sum gcd when the caller already has it."""
     if d is None:
         d = pair_sum_gcd(spec)
-    requests = _ceil_div(spec.n, d) - 1
-    return 2 * walk_length_bound(spec, requests) + 2 * (spec.min_forward + spec.min_backward)
+    requests = -(-spec.n // d) - 1
+    return 2 * walk_length_bound(spec, requests) + 2 * (
+        spec.forward_steps[0] + spec.backward_steps[0]
+    )
 
 
 def bound_hypothesis_holds(
@@ -545,5 +575,7 @@ def bound_hypothesis_holds(
     g = geometry(spec.n)
     rows = g.rows(b1)
     # Class r holds vertex r, its smallest, which is 0-based r - 1.
-    classes = enumerate(g.class_masks(d))
-    return all(closure(rows, first, mask) == mask for first, mask in classes)
+    for first, mask in enumerate(g.class_masks(d)):
+        if closure(rows, first, mask) != mask:
+            return False
+    return True

@@ -8,7 +8,7 @@ import itertools
 from toeplab import goldens, verify
 from toeplab.packed import Geometry, ToeplitzKernel
 from toeplab.verify import sweep
-from toeplab.walks import StepSets, walk_length_bound
+from toeplab.walks import walk_length_bound
 
 
 def sweep_fails(predicate):
@@ -48,12 +48,16 @@ def test_adjacency_necessity_catches_shifted_residue_class(monkeypatch):
     assert sweep_fails("adjacency_necessity") > 0
 
 
-def test_containment_chain_catches_reversed_comparison(monkeypatch):
-    def reversed_chain(ss):
-        p, q, r = ss.congruent_mask, ss.combination_mask, ss.realized_mask
-        return p & ~q == 0 and q & ~r == 0
+def reversed_chain(congruent, combination, realized):
+    # walks.containment_chain with each containment turned around.
+    for p, q, r in zip(congruent, combination, realized):
+        if p & ~q or q & ~r:
+            return False
+    return True
 
-    monkeypatch.setattr(StepSets, "chain_holds", property(reversed_chain))
+
+def test_containment_chain_catches_reversed_comparison(monkeypatch):
+    monkeypatch.setattr(verify, "containment_chain", reversed_chain)
     assert sweep_fails("containment_chain") > 0
 
 

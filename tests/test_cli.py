@@ -25,6 +25,8 @@ from toeplab.toeplitz import build_matrix, pair_sum_gcd, parse_literal, validate
 from toeplab import verify
 from toeplab.verify import MAX_SWEEP_N
 
+import oracles
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -75,6 +77,18 @@ class TestPower:
         assert code == EXIT_OK
         assert out.split() == ["5", "00100", "00000", "00001", "00000", "10000"]
         assert out == build_matrix(parse_literal("T5<2;4>")).power(4).to_text() + "\n"
+
+    def test_small_m_on_a_tail_past_the_budget(self, capsys):
+        # A Wielandt-type digraph: its power index, 199^2 + 1, is past
+        # DEFAULT_STEP_BUDGET, so the scan has to stop at A^m.
+        literal = "T200<1;198,199>"
+        a = build_matrix(parse_literal(literal))
+        code, out, _ = run(capsys, "power", literal, "--m", "2")
+        assert code == EXIT_OK
+        assert out == a.power(2).to_text() + "\n"
+        code, out, _ = run(capsys, "graph", literal, "--m", "2", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["graph"] == m_step_graph(a, 2).to_json_dict()
 
 
 class TestPeriod:
@@ -129,6 +143,19 @@ class TestGraph:
 
 
 class TestPsets:
+    def test_i_on_a_tail_past_the_budget(self, capsys):
+        # The power index of T200<1;198,199> is past DEFAULT_STEP_BUDGET;
+        # --i 2 needs A^1 and A^2 only.
+        spec = parse_literal("T200<1;198,199>")
+        n, fwd, bwd = spec.n, spec.forward_steps, spec.backward_steps
+        code, out, _ = run(capsys, "psets", spec.literal, "--i", "2", "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["P"] == sorted(oracles.naive_congruent_offsets(n, fwd, bwd, 2))
+        assert payload["Q"] == sorted(oracles.combination_offsets(n, fwd, bwd, 2))
+        a2 = build_matrix(spec).power(2)
+        assert payload["R"] == sorted(oracles.full_diagonal_offsets(n, a2.rows))
+
     def test_step_three_sets(self, capsys):
         code, out, _ = run(capsys, "psets", "T8<1,4;2,5>", "--i", "3")
         assert code == EXIT_OK
@@ -293,13 +320,15 @@ class TestExitCodes:
         assert "does not apply" in err
 
     def test_scan_over_budget(self, capsys, monkeypatch):
-        # The power index of T150<1;2> is 147.
+        # The power index of T150<1;2> is 147.  power and graph stop at term
+        # m when it comes before the first repeat, so their m is past the
+        # budget.
         monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
         for argv in (
-            ("power", "T150<1;2>", "--m", "1"),
+            ("power", "T150<1;2>", "--m", "11"),
             ("period", "T150<1;2>"),
             ("competition", "T150<1;2>"),
-            ("graph", "T150<1;2>", "--m", "1"),
+            ("graph", "T150<1;2>", "--m", "11"),
             ("psets", "T150<1;2>", "--stabilize"),
         ):
             code, out, err = run(capsys, *argv)

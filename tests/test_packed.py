@@ -177,8 +177,11 @@ class TestFullDiagonals:
             for r in range(max(0, -ell), min(x.n, x.n - ell)):
                 rows[r] |= 1 << (r + ell)
         for mat in (x, BoolMatrix(x.n, rows)):
-            got = offsets_of(g.diagonals(g.pack(mat))[1], mat.n)
-            assert got == full_diagonal_offsets(mat)
+            packed = g.pack(mat)
+            expected = full_diagonal_offsets(mat)
+            assert offsets_of(g.fold_diagonals(packed), mat.n) == expected
+            if g.is_toeplitz(packed):
+                assert offsets_of(g.read_diagonals(packed), mat.n) == expected
 
     @given(specs(max_n=12), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -190,7 +193,10 @@ class TestFullDiagonals:
         expected = oracles.naive_realized_offsets(
             spec.n, spec.forward_steps, spec.backward_steps, i
         )
-        assert offsets_of(kernel.geometry.diagonals(x)[1], spec.n) == expected
+        g = kernel.geometry
+        assert offsets_of(g.fold_diagonals(x), spec.n) == expected
+        if g.is_toeplitz(x):
+            assert offsets_of(g.read_diagonals(x), spec.n) == expected
 
     @given(specs(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -210,12 +216,11 @@ class TestFullDiagonals:
         for mat in (BoolMatrix(n, rows), BoolMatrix(n, flipped)):
             x = g.pack(mat)
             expected = full_diagonal_offsets(mat)
-            toeplitz, mask = g.diagonals(x)
+            toeplitz = g.is_toeplitz(x)
             assert toeplitz == mat.is_toeplitz()
-            assert offsets_of(mask, n) == expected
             assert offsets_of(g.fold_diagonals(x), n) == expected
             if toeplitz:
-                assert g.read_diagonals(x) == mask
+                assert offsets_of(g.read_diagonals(x), n) == expected
 
     @given(specs(max_n=12), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)

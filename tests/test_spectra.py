@@ -3,11 +3,12 @@ import random
 import pytest
 
 from toeplab.boolmat import BoolMatrix
-from toeplab.packed import geometry
+from toeplab.packed import ToeplitzKernel, geometry
 from toeplab.spectra import (
     BudgetExceeded,
     competition_matrix,
     competition_table,
+    power_from_table,
     power_is_eventually_toeplitz,
     power_table,
     residue_classes,
@@ -74,9 +75,35 @@ class TestPowerTail:
         with pytest.raises(BudgetExceeded):
             power_table(a, max_steps=2)
 
-    def test_table_lookup_agrees_with_direct_powers(self):
-        from toeplab.spectra import power_from_table
+    def test_budget_boundary_on_both_paths(self):
+        # A scan stores index + period - 1 terms and steps once more to the
+        # repeat: a budget of index + period is enough, one less is not.
+        for spec in enumerate_specs(5, False):
+            kernel = ToeplitzKernel(spec)
+            for a in (kernel, build_matrix(spec)):
+                for table in (power_table, competition_table):
+                    tail = table(a)[0]
+                    steps = tail.index + tail.period
+                    assert table(a, max_steps=steps)[0] == tail, spec.literal
+                    with pytest.raises(BudgetExceeded):
+                        table(a, max_steps=steps - 1)
 
+    def test_scan_stopped_at_term_m(self):
+        # With last=m a scan that reaches A^m (B_m) before the first repeat
+        # stops there and returns no tail; either way it yields the same X_m.
+        for spec in enumerate_specs(5, False):
+            kernel = ToeplitzKernel(spec)
+            for table in (power_table, competition_table):
+                full = table(kernel)
+                for m in range(1, len(full[1]) + 3):
+                    tail, seq = table(kernel, max_steps=m, last=m)
+                    if m < len(full[1]) + 1:
+                        assert tail is None and seq == full[1][:m]
+                    else:
+                        assert tail == full[0]
+                    assert power_from_table(tail, seq, m) == power_from_table(*full, m)
+
+    def test_table_lookup_agrees_with_direct_powers(self):
         a = build_matrix(parse_literal("T5<2;4>"))
         tail, seq = power_table(a)
         for m in range(1, 20):

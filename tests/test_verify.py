@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -18,7 +19,6 @@ from toeplab.verify import (
     sweep,
     verify_instance,
 )
-from toeplab.walks import StepSets
 
 
 class TestEnumerate:
@@ -120,6 +120,28 @@ class TestVerifyInstance:
         assert FAILS not in report.checks.values()
         assert report.checks["period_match"] == NOT_APPLICABLE
 
+    def test_python_calls_per_instance(self):
+        # The per-instance path runs without per-step objects: count the
+        # Python-level calls (profiler "call" events; builtins and methods
+        # written in C make none) over every instance with n <= 6, once the
+        # size's tables are filled.
+        specs = list(enumerate_specs(6, False))
+        for spec in specs:
+            verify_instance(spec)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            for spec in specs:
+                verify_instance(spec)
+        finally:
+            sys.setprofile(None)
+        assert calls <= 60 * len(specs)
+
     def test_json_round_trip_keys(self):
         report = verify_instance(parse_literal("T3<1;2>"))
         data = json.loads(json.dumps(report.to_json_dict()))
@@ -202,11 +224,13 @@ class TestSweep:
     def test_pooled_matches_serial_under_a_canary(self, monkeypatch, pool_sizes):
         # With a planted bug the aggregate carries violations, so their
         # order across rows is compared too.
-        def reversed_chain(ss):
-            p, q, r = ss.congruent_mask, ss.combination_mask, ss.realized_mask
-            return p & ~q == 0 and q & ~r == 0
+        def reversed_chain(congruent, combination, realized):
+            for p, q, r in zip(congruent, combination, realized):
+                if p & ~q or q & ~r:
+                    return False
+            return True
 
-        monkeypatch.setattr(StepSets, "chain_holds", property(reversed_chain))
+        monkeypatch.setattr(verify, "containment_chain", reversed_chain)
         serial = sweep(6, require_conditions=False).to_json_dict()
         assert len(serial["violations"]) > 1
         pooled = sweep(6, require_conditions=False, jobs=2).to_json_dict()

@@ -49,11 +49,11 @@ from .walks import (
     InsufficientArcCount,
     SchedulingFailure,
     StabilizationResult,
-    StepSets,
     Walk,
     WalkConstructionError,
     bound_hypothesis_holds,
     build_walk_with_counts,
+    certify_stabilization,
     competition_index_bound,
     congruent_offsets,
     extend_walk_exact,

@@ -20,7 +20,7 @@ from math import gcd
 
 from . import goldens
 from .compgraph import SimpleGraph, digraph_dot, graph_dot
-from .packed import ToeplitzKernel
+from .packed import ToeplitzKernel, members
 from .spectra import (
     BudgetExceeded,
     competition_table,
@@ -206,10 +206,6 @@ def _cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _fmt_offsets(values) -> str:
-    return "{" + ",".join(str(v) for v in sorted(values)) + "}"
-
-
 def _cmd_psets(args) -> int:
     spec = _parse_spec(args.spec)
     if args.horizon is not None and args.horizon < 1:
@@ -242,17 +238,11 @@ def _cmd_psets(args) -> int:
         raise BudgetExceeded(f"--i {args.i} exceeds {DEFAULT_STEP_BUDGET} steps")
     kernel = ToeplitzKernel(spec)
     table = power_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.i)
-    ss = step_set_run(spec, args.i, table=table, kernel=kernel)[-1]
-    payload = {"spec": spec.literal, **ss.to_json_dict()}
-    _emit(
-        payload,
-        args.format,
-        [
-            f"P={_fmt_offsets(ss.congruent)}",
-            f"Q={_fmt_offsets(ss.combination)}",
-            f"R={_fmt_offsets(ss.realized)}",
-        ],
-    )
+    step = step_set_run(spec, args.i, table=table, kernel=kernel)[-1]
+    offsets = {name: members(mask, spec.n) for name, mask in zip("PQR", step)}
+    payload = {"spec": spec.literal, "i": args.i, **offsets}
+    lines = [name + "={" + ",".join(map(str, values)) + "}" for name, values in offsets.items()]
+    _emit(payload, args.format, lines)
     return EXIT_OK
 
 
@@ -389,14 +379,18 @@ def _cmd_verify(args) -> int:
     if args.progress is not None and args.progress < 1:
         print("error: --progress must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    jobs = args.jobs
+    jobs, source = args.jobs, "--jobs"
     if jobs is None:
-        env = os.environ.get("TOEPLAB_JOBS", "1")
+        source = "TOEPLAB_JOBS"
+        env = os.environ.get(source, "1")
         try:
             jobs = int(env)
         except ValueError:
             print(f"error: TOEPLAB_JOBS must be an integer, got {env!r}", file=sys.stderr)
             return EXIT_USAGE
+    if jobs < 1:
+        print(f"error: {source} must be at least 1, got {jobs}", file=sys.stderr)
+        return EXIT_USAGE
     stream = sys.stdout if args.format == "jsonl" else None
     agg = sweep(
         args.nmax,

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from contextlib import ExitStack
 from functools import cache, partial, reduce
-from math import gcd, lcm
+from math import gcd
 from operator import or_
 from typing import Iterator
 
@@ -28,8 +28,8 @@ from .toeplitz import (
     pair_sum_gcd,
 )
 from .walks import (
-    _certify_stabilization,
     bound_hypothesis_holds,
+    certify_stabilization,
     competition_index_bound,
     congruence_step,
     containment_chain,
@@ -229,8 +229,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     cycle_toeplitz = False not in toeplitz[qa - 1 : qa - 1 + pa]
     checks["eventually_toeplitz"] = HOLDS if cycle_toeplitz else FAILS
 
-    equal = [p == q == r for p, q, r in zip(congruent, combination, realized)]
-    stab = _certify_stabilization(equal, qa, pa, lcm(pi, pa), horizon)
+    stab = certify_stabilization(congruent, combination, realized, tail, pi)
     report.m_emp = stab.m_emp
     checks["pqr_stabilized"] = HOLDS if (stab.m_emp is not None and stab.certified) else FAILS
 

@@ -25,11 +25,10 @@ from math import lcm
 from typing import NamedTuple
 
 from .packed import Geometry, ToeplitzKernel, closure, geometry, members
-from .spectra import BudgetExceeded, power_table
+from .spectra import BudgetExceeded, PeriodicTail, power_table
 from .toeplitz import ToeplitzSpec, pair_sum_gcd, predicted_period
 
 __all__ = [
-    "StepSets",
     "StabilizationResult",
     "Arc",
     "Walk",
@@ -42,6 +41,7 @@ __all__ = [
     "containment_chain",
     "step_set_run",
     "step_set_stabilization",
+    "certify_stabilization",
     "congruence_step",
     "schedule_steps",
     "build_walk_with_counts",
@@ -70,51 +70,6 @@ class EndpointOutOfRange(ValueError):
 
 
 # -- step sets ---------------------------------------------------------------
-
-
-class StepSets(NamedTuple):
-    """The three offset sets at one step count, each an int bitmask over
-    [-(n-1), n-1] where bit ell + n - 1 stands for offset ell, and whether
-    the power A^i they were read from is Toeplitz.  A named tuple:
-    immutable, and cheap to build in bulk in step_set_run.  The sweep reads
-    the same masks off step_set_masks without building any."""
-
-    n: int
-    i: int
-    congruent_mask: int
-    combination_mask: int
-    realized_mask: int
-    toeplitz: bool
-
-    @property
-    def congruent(self) -> frozenset:
-        return frozenset(members(self.congruent_mask, self.n))
-
-    @property
-    def combination(self) -> frozenset:
-        return frozenset(members(self.combination_mask, self.n))
-
-    @property
-    def realized(self) -> frozenset:
-        return frozenset(members(self.realized_mask, self.n))
-
-    @property
-    def chain_holds(self) -> bool:
-        return containment_chain(
-            [self.congruent_mask], [self.combination_mask], [self.realized_mask]
-        )
-
-    @property
-    def all_equal(self) -> bool:
-        return self.congruent_mask == self.combination_mask == self.realized_mask
-
-    def to_json_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "P": sorted(self.congruent),
-            "Q": sorted(self.combination),
-            "R": sorted(self.realized),
-        }
 
 
 def congruent_offsets(spec: ToeplitzSpec, i: int) -> frozenset:
@@ -195,10 +150,11 @@ def step_set_run(
     table=None,
     kernel: ToeplitzKernel | None = None,
     d: int | None = None,
-) -> list[StepSets]:
-    """StepSets for i = 1..horizon, from one step_set_masks run.  `table` is
-    a power_table result of `kernel`, the instance's ToeplitzKernel, and `d`
-    its pair-sum gcd; each is computed here when not given."""
+) -> list[tuple[int, int, int, bool]]:
+    """(P_i, Q_i, R_i, A^i is Toeplitz) for i = 1..horizon, from one
+    step_set_masks run.  `table` is a power_table result of `kernel`, the
+    instance's ToeplitzKernel, and `d` its pair-sum gcd; each is computed
+    here when not given."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if d is None:
@@ -207,9 +163,7 @@ def step_set_run(
         kernel = ToeplitzKernel(spec)
     if table is None:
         table = power_table(kernel)
-    masks = step_set_masks(spec, horizon, table, kernel.geometry, d)
-    n = spec.n
-    return [StepSets(n, i, *step) for i, step in enumerate(zip(*masks), start=1)]
+    return list(zip(*step_set_masks(spec, horizon, table, kernel.geometry, d)))
 
 
 class StabilizationResult(NamedTuple):
@@ -221,7 +175,7 @@ class StabilizationResult(NamedTuple):
     congruent sets repeat with the predicted period and the realized sets
     repeat with the power cycle, so one clean combined period certifies
     "for every larger i" and one failure inside the periodic regime
-    certifies "never".  A named tuple, as StepSets.
+    certifies "never".
     """
 
     m_emp: int | None
@@ -231,19 +185,23 @@ class StabilizationResult(NamedTuple):
     power_period: int
 
 
-def _certify_stabilization(
-    equal_flags: list[bool], power_index: int, power_period: int, combined_period: int, horizon: int
+def certify_stabilization(
+    congruent, combination, realized, tail: PeriodicTail, predicted: int
 ) -> StabilizationResult:
-    m_emp = None
-    if equal_flags and equal_flags[-1]:
-        m_emp = horizon
-        while m_emp > 1 and equal_flags[m_emp - 2]:
-            m_emp -= 1
-    if m_emp is None:
-        certified = horizon >= power_index
+    """The stabilization verdict over P_i, Q_i and R_i for i = 1..horizon,
+    three lists as step_set_masks returns them, given the power tail of A
+    and the predicted period of the congruent sets."""
+    horizon = len(congruent)
+    m = horizon
+    while m and congruent[m - 1] == combination[m - 1] == realized[m - 1]:
+        m -= 1
+    # The three sets agree at every step count in (m, horizon].
+    if m == horizon:
+        m_emp, certified = None, horizon >= tail.index
     else:
-        certified = horizon >= max(m_emp, power_index) + combined_period - 1
-    return StabilizationResult(m_emp, certified, horizon, power_index, power_period)
+        m_emp = m + 1
+        certified = horizon >= max(m_emp, tail.index) + lcm(predicted, tail.period) - 1
+    return StabilizationResult(m_emp, certified, horizon, tail.index, tail.period)
 
 
 def step_set_stabilization(
@@ -263,8 +221,7 @@ def step_set_stabilization(
     if max_steps is not None and horizon > max_steps:
         raise BudgetExceeded(f"stabilization horizon {horizon} exceeds {max_steps} steps")
     masks = step_set_masks(spec, horizon, table, kernel.geometry, pair_sum_gcd(spec))
-    flags = [p == q == r for p, q, r in zip(*masks[:3])]
-    return _certify_stabilization(flags, tail.index, tail.period, lcm(pi, tail.period), horizon)
+    return certify_stabilization(*masks[:3], tail, pi)
 
 
 def congruence_step(spec: ToeplitzSpec, mask: int) -> int:

@@ -13,6 +13,7 @@ import pytest
 
 from toeplab.boolmat import BoolMatrix
 from toeplab.compgraph import SimpleGraph, strong_components
+from toeplab.packed import members
 from toeplab.spectra import competition_table, power_table
 from toeplab.toeplitz import build_matrix, pair_sum_gcd, parse_literal, validate_spec
 from toeplab.verify import FAILS, HOLDS, NOT_APPLICABLE, sweep
@@ -69,17 +70,19 @@ def test_criterion_2_running_example_regression():
     if pair_sum_gcd(T8) != 3:
         failures.append("pair-sum gcd != 3")
     target = frozenset({-6, -3, 0, 3, 6})
-    first, _, third = step_set_run(T8, 3)
-    for name in ("congruent", "combination", "realized"):
-        if getattr(third, name) != target:
+    first, _, third = (
+        [frozenset(members(mask, T8.n)) for mask in step[:3]] for step in step_set_run(T8, 3)
+    )
+    for name, offsets in zip(("congruent", "combination", "realized"), third):
+        if offsets != target:
             failures.append(f"{name} offsets at 3 wrong")
     if congruent_offsets(T8, 3) != target:
         failures.append("pointwise congruent offsets at 3 wrong")
-    if first.congruent != frozenset({-5, -2, 1, 4, 7}):
+    if first[0] != frozenset({-5, -2, 1, 4, 7}):
         failures.append("congruent offsets at 1 wrong")
-    if first.realized != frozenset({-5, -2, 1, 4}):
+    if first[2] != frozenset({-5, -2, 1, 4}):
         failures.append("realized offsets at 1 wrong")
-    if not first.realized < first.congruent:
+    if not first[2] < first[0]:
         failures.append("containment at 1 not strict")
 
     a = build_matrix(T8)

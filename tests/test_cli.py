@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -26,6 +27,8 @@ from toeplab import verify
 from toeplab.verify import MAX_SWEEP_N
 
 import oracles
+
+PSETS_PIN = "7375ccd26c478dde6d021b78faa3d8394334790693e981f293aa4c19f74599a2"
 
 
 def run(capsys, *argv):
@@ -164,6 +167,40 @@ class TestPsets:
             "Q={-6,-3,0,3,6}",
             "R={-6,-3,0,3,6}",
         ]
+
+    def test_step_three_json(self, capsys):
+        code, out, _ = run(capsys, "psets", "T8<1,4;2,5>", "--i", "3", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "spec": "T8<1,4;2,5>",
+            "i": 3,
+            "P": [-6, -3, 0, 3, 6],
+            "Q": [-6, -3, 0, 3, 6],
+            "R": [-6, -3, 0, 3, 6],
+        }
+
+    def test_output_bytes_pinned(self, capsys):
+        # Text and JSON output of `psets --i` for every instance with n <= 5
+        # at a few step counts, and for three literals at every step count
+        # up to 40, hashed together.  No other test covers psets output
+        # across instances, so any byte change to it has to update the pin.
+        queries = [
+            (spec.literal, i)
+            for spec in verify.enumerate_specs(5, False)
+            for i in (1, 2, 3, 7, 40)
+        ]
+        queries += [
+            (literal, i)
+            for literal in ("T8<1,4;2,5>", "T6<2,4;4,5>", "T5<2;4>")
+            for i in range(1, 41)
+        ]
+        digest = hashlib.sha256()
+        for literal, i in queries:
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, "psets", literal, "--i", str(i), "--format", fmt)
+                assert code == EXIT_OK and err == "", (literal, i, fmt)
+                digest.update(f"{literal} {i} {fmt}\n{out}".encode())
+        assert digest.hexdigest() == PSETS_PIN
 
     def test_stabilize(self, capsys):
         code, out, _ = run(capsys, "psets", "T8<1,4;2,5>", "--stabilize", "--format", "json")
@@ -422,6 +459,16 @@ class TestExitCodes:
             code, out, err = run(capsys, "verify", "--nmax", "3", "--progress", value)
             assert code == EXIT_USAGE and out == "", value
             assert err.startswith("error: ") and "--progress" in err, value
+
+    def test_verify_jobs_below_1_is_usage_error(self, capsys, monkeypatch):
+        for value in ("0", "-5"):
+            code, out, err = run(capsys, "verify", "--nmax", "3", "--jobs", value)
+            assert code == EXIT_USAGE and out == "", value
+            assert err.startswith("error: ") and "--jobs" in err, value
+            monkeypatch.setenv("TOEPLAB_JOBS", value)
+            code, out, err = run(capsys, "verify", "--nmax", "3")
+            assert code == EXIT_USAGE and out == "", value
+            assert err.startswith("error: ") and "TOEPLAB_JOBS" in err, value
 
     def test_verify_non_integer_jobs_env_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("TOEPLAB_JOBS", "abc")

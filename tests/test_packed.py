@@ -2,7 +2,7 @@
 BoolMatrix path and against the brute-force oracles."""
 
 import random
-from math import gcd, lcm
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -32,8 +32,8 @@ from toeplab.verify import (
     verify_instance,
 )
 from toeplab.walks import (
-    _certify_stabilization,
     bound_hypothesis_holds,
+    certify_stabilization,
     competition_index_bound,
 )
 
@@ -298,16 +298,13 @@ def generic_report(spec):
     checks["adjacency_necessity"] = HOLDS if adjacency_ok else FAILS
 
     horizon = qa + 2 * pa * pi if spec.conditions_hold else qa + pa
-    chain_ok, flags = True, []
+    p_sets, q_sets, r_sets = [], [], []
     for i in range(1, horizon + 1):
         x = seq[i - 1] if i < qa else tail.cycle[(i - qa) % pa]
-        p, q, r = (
-            oracles.naive_congruent_offsets(n, fwd, bwd, i),
-            oracles.combination_offsets(n, fwd, bwd, i),
-            full_diagonal_offsets(x),
-        )
-        chain_ok = chain_ok and r <= q <= p
-        flags.append(p == q == r)
+        p_sets.append(oracles.naive_congruent_offsets(n, fwd, bwd, i))
+        q_sets.append(oracles.combination_offsets(n, fwd, bwd, i))
+        r_sets.append(full_diagonal_offsets(x))
+    chain_ok = all(r <= q <= p for p, q, r in zip(p_sets, q_sets, r_sets))
     checks["containment_chain"] = HOLDS if chain_ok else FAILS
 
     report.bound_value = competition_index_bound(spec)
@@ -330,7 +327,8 @@ def generic_report(spec):
     toeplitz_ok, _ = power_is_eventually_toeplitz(A, tail, seq)
     checks["eventually_toeplitz"] = HOLDS if toeplitz_ok else FAILS
 
-    stab = _certify_stabilization(flags, qa, pa, lcm(pi, pa), horizon)
+    # The verdict compares the three sets with == only, so frozensets do.
+    stab = certify_stabilization(p_sets, q_sets, r_sets, tail, pi)
     report.m_emp = stab.m_emp
     checks["pqr_stabilized"] = HOLDS if stab.m_emp is not None and stab.certified else FAILS
 

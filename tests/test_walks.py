@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplab.packed import geometry
+from toeplab.packed import geometry, members
 from toeplab.toeplitz import build_matrix, parse_literal, validate_spec
 from toeplab.verify import enumerate_specs
 from toeplab.walks import (
@@ -20,6 +20,7 @@ from toeplab.walks import (
     competition_index_bound,
     congruence_step,
     congruent_offsets,
+    containment_chain,
     extend_walk_exact,
     schedule_steps,
     step_set_run,
@@ -34,17 +35,21 @@ T8 = parse_literal("T8<1,4;2,5>")
 T6 = parse_literal("T6<2,4;4,5>")
 
 
-def step_sets(spec, i):
-    """The step sets at step count i, as the sweep's step-set run has them."""
-    return step_set_run(spec, i)[-1]
+def decoded_run(spec, horizon):
+    """(P_i, Q_i, R_i) for i = 1..horizon, as the sweep's step-set run has
+    them, each decoded into a frozenset of offsets."""
+    return [
+        tuple(frozenset(members(mask, spec.n)) for mask in step[:3])
+        for step in step_set_run(spec, horizon)
+    ]
 
 
 def combination_offsets(spec, i):
-    return step_sets(spec, i).combination
+    return decoded_run(spec, i)[-1][1]
 
 
 def realized_offsets(spec, i):
-    return step_sets(spec, i).realized
+    return decoded_run(spec, i)[-1][2]
 
 
 def random_conditioned_spec(rng, max_n=16):
@@ -88,12 +93,12 @@ class TestCombinationOffsets:
 
     def test_matches_enumeration_oracle(self):
         for spec in enumerate_specs(4, False):
-            run = step_set_run(spec, 5)
+            run = decoded_run(spec, 5)
             for i in (1, 2, 3, 4, 5):
                 expected = oracles.naive_combination_offsets(
                     spec.n, spec.forward_steps, spec.backward_steps, i
                 )
-                assert run[i - 1].combination == expected, (spec.literal, i)
+                assert run[i - 1][1] == expected, (spec.literal, i)
                 assert oracles.combination_offsets(
                     spec.n, spec.forward_steps, spec.backward_steps, i
                 ) == expected
@@ -106,10 +111,10 @@ class TestCombinationOffsets:
         n = data.draw(st.integers(2, 40))
         steps = st.lists(st.integers(1, n - 1), min_size=1, max_size=4, unique=True)
         spec = validate_spec(n, data.draw(steps), data.draw(steps))
-        run = step_set_run(spec, data.draw(st.integers(1, 120)))
-        for ss in run:
-            expected = oracles.combination_offsets(n, spec.forward_steps, spec.backward_steps, ss.i)
-            assert ss.combination == expected, (spec.literal, ss.i)
+        run = decoded_run(spec, data.draw(st.integers(1, 120)))
+        for i, (_, q, _) in enumerate(run, start=1):
+            expected = oracles.combination_offsets(n, spec.forward_steps, spec.backward_steps, i)
+            assert q == expected, (spec.literal, i)
 
     def test_window_ordering_of_any_step_multiset(self):
         # Why the window loses no sum: steps of length at most n - 1 whose
@@ -135,8 +140,7 @@ class TestCombinationOffsets:
 
         for spec in enumerate_specs(5, False):
             d = pair_sum_gcd(spec)
-            for ss in step_set_run(spec, 12):
-                i, q = ss.i, ss.combination
+            for i, (_, q, _) in enumerate(decoded_run(spec, 12), start=1):
                 assert q <= congruent_offsets(spec, i)
                 assert all(v % d == (i * spec.min_forward) % d for v in q)
 
@@ -158,12 +162,12 @@ class TestRealizedOffsets:
 
     def test_matches_oracle(self):
         for spec in enumerate_specs(4, False):
-            run = step_set_run(spec, 6)
+            run = decoded_run(spec, 6)
             for i in (1, 2, 3, 6):
                 expected = oracles.naive_realized_offsets(
                     spec.n, spec.forward_steps, spec.backward_steps, i
                 )
-                assert run[i - 1].realized == expected
+                assert run[i - 1][2] == expected
 
 
 class TestStepSetRun:
@@ -172,35 +176,18 @@ class TestStepSetRun:
             spec = parse_literal(literal)
             n, fwd, bwd = spec.n, spec.forward_steps, spec.backward_steps
             a = build_matrix(spec)
-            run = step_set_run(spec, 14)
-            for ss in run:
-                assert ss.congruent == congruent_offsets(spec, ss.i)
-                assert ss.combination == oracles.combination_offsets(n, fwd, bwd, ss.i)
-                assert ss.realized == oracles.full_diagonal_offsets(n, a.power(ss.i).rows)
+            run = decoded_run(spec, 14)
+            for i, (p, q, r) in enumerate(run, start=1):
+                assert p == congruent_offsets(spec, i)
+                assert q == oracles.combination_offsets(n, fwd, bwd, i)
+                assert r == oracles.full_diagonal_offsets(n, a.power(i).rows)
 
     def test_containment_chain_everywhere(self):
         for spec in enumerate_specs(5, False):
-            for ss in step_set_run(spec, 12):
-                assert ss.chain_holds, (spec.literal, ss.i)
-
-    def test_json_shape(self):
-        ss = step_sets(T8, 3)
-        assert ss.to_json_dict() == {
-            "i": 3,
-            "P": [-6, -3, 0, 3, 6],
-            "Q": [-6, -3, 0, 3, 6],
-            "R": [-6, -3, 0, 3, 6],
-        }
-
-
-    def test_immutable(self):
-        ss = step_sets(T8, 3)
-        for field in ("n", "i", "congruent_mask", "combination_mask", "realized_mask"):
-            with pytest.raises(AttributeError):
-                setattr(ss, field, 0)
-        with pytest.raises(AttributeError):
-            ss.extra = 0
-        assert ss == step_sets(T8, 3)
+            congruent, combination, realized, _ = zip(*step_set_run(spec, 12))
+            assert containment_chain(congruent, combination, realized), spec.literal
+            for i, (p, q, r) in enumerate(decoded_run(spec, 12), start=1):
+                assert r <= q <= p, (spec.literal, i)
 
 
 class TestStabilization:

@@ -11,11 +11,11 @@ route on every instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import compress, count, repeat
 
 from .boolmat import BoolMatrix
 from .packed import ToeplitzKernel, closure, members
-from .spectra import competition_matrix, residue_classes
+from .spectra import competition_matrix
 # pair_sum_gcd is unused here: perfbench/selftest.py checks tracing rebinds it in this module.
 from .toeplitz import ToeplitzSpec, pair_sum_gcd  # noqa: F401
 
@@ -30,38 +30,46 @@ __all__ = [
     "graph_dot",
 ]
 
+# bytes.translate table from binary digits to 0/1 column selectors.
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
 
 @dataclass(frozen=True, slots=True)
 class SimpleGraph:
-    """Undirected loop-free graph on vertices 1..n; edges stored as (u, v)
-    pairs with u < v."""
+    """Undirected loop-free graph on vertices 1..n.  The edges are one
+    tuple of (u, v) pairs with u < v, strictly increasing, so equal graphs
+    have equal tuples."""
 
     n: int
-    edges: frozenset
+    edges: tuple
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u},{v}) is not ordered inside 1..{self.n}")
+        if not isinstance(self.edges, tuple):
+            raise TypeError("edges must be a tuple of (u, v) pairs")
+        n = self.n
+        prev = (0, n)  # below every pair (u, v) with 1 <= u < v <= n
+        for edge in self.edges:
+            u, v = edge
+            if not (prev < edge and u < v <= n):
+                raise ValueError(f"edge {edge} is not ordered inside 1..{n} or not after {prev}")
+            prev = edge
 
     @classmethod
     def from_symmetric_matrix(cls, mat: BoolMatrix) -> "SimpleGraph":
-        """Off-diagonal support of a symmetric matrix; loops discarded."""
-        rows = mat.rows
-        # Bit p of row u shifted right by u stands for column u + 1 + p.
-        edges = [(u, v) for u in range(1, mat.n) for v in members(rows[u - 1] >> u, -u)]
-        return cls(mat.n, frozenset(edges))
+        """Off-diagonal support of a symmetric matrix, loops discarded: row u
+        gives its columns v > u lowest first, so the edges come out in order."""
+        edges = []
+        for u, row in enumerate(mat.rows, 1):
+            # The binary digits of row >> u, lowest first, select columns u + 1, u + 2, ...
+            digits = bin(row >> u)[:1:-1].encode().translate(_DIGITS)
+            edges += zip(repeat(u), compress(count(u + 1), digits))
+        return cls(mat.n, tuple(edges))
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return (min(u, v), max(u, v)) in self.edges
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return u != v and (min(u, v), max(u, v)) in self.edges
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}
+        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, edges={len(self.edges)})"
@@ -124,9 +132,9 @@ def strong_components(A: BoolMatrix) -> tuple[tuple[int, ...], ...]:
 
 def residue_clique_graph(n: int, d: int) -> SimpleGraph:
     """Disjoint cliques on the residue classes mod d."""
-    # Each class is sorted, so its pairs come out as (u, v) with u < v.
-    edges = frozenset(e for cls in residue_classes(n, d) for e in combinations(cls, 2))
-    return SimpleGraph(n, edges)
+    if d < 1:
+        raise ValueError(f"modulus {d} is below 1")
+    return SimpleGraph(n, tuple((u, v) for u in range(1, n) for v in range(u + d, n + 1, d)))
 
 
 # -- DOT rendering ------------------------------------------------------------
@@ -151,9 +159,7 @@ def digraph_dot(spec: ToeplitzSpec) -> str:
 
 def graph_dot(graph: SimpleGraph, name: str = "competition") -> str:
     lines = [f'graph "{name}" {{']
-    for v in range(1, graph.n + 1):
-        lines.append(f"  {v};")
-    for u, v in graph.sorted_edges():
-        lines.append(f"  {u} -- {v};")
+    lines += [f"  {v};" for v in range(1, graph.n + 1)]
+    lines += [f"  {u} -- {v};" for u, v in graph.edges]
     lines.append("}")
     return "\n".join(lines)

@@ -19,13 +19,13 @@ not Toeplitz pays for the AND-fold along stride n+1.
 Everything that depends on n and at most one step set or modulus lives in
 one Geometry per size, shared by every kernel of that size: the fixed
 masks, the Toeplitz test, the diagonal read-off and fold, row reading and
-packing, and the tables filled on first use (column masks and whole
-diagonal pairs per step; residue matrices, congruent offset masks and
-residue classes per modulus; shift lists and one-step partner rules per
-step set).  A ToeplitzKernel keeps only what its own steps pick: the
-shift lists, the adjacency matrix and the two steps.  closure is
-reachability over row masks, for any digraph given by its rows, and
-members decodes a vertex or offset mask.
+packing, and the tables filled on first use (column masks per step, and
+whole diagonal pairs up to n = PAIRS_UP_TO; residue matrices, congruent
+offset masks and residue classes per modulus; shift lists and one-step
+partner rules per step set).  A ToeplitzKernel keeps only what its own
+steps pick: the shift lists, the adjacency matrix and the two steps.
+closure is reachability over row masks, for any digraph given by its
+rows, and members decodes a vertex or offset mask.
 """
 
 from __future__ import annotations
@@ -47,15 +47,19 @@ ROW_BYTES_FROM = 140
 # 2^(n-1) - 1 of a size up to n = 12, and a bound on memory for larger sizes.
 STEP_SETS = 2048
 
+# Largest size whose Geometry keeps the diagonal pairs it builds: all n - 1
+# of them take about n^3 bits, 32 KB at n = 64 but 8 MB at n = 400.
+PAIRS_UP_TO = 64
+
 
 class Geometry:
     """Everything of one size n that no single instance owns.
 
     The all-ones and identity matrices, the Toeplitz-test and diagonal-fold
     masks are built with the geometry; the column masks L_k and H_k, the
-    diagonal pairs and the tables per modulus and per step set on first
-    use.  Every entry depends on n and at most one step, step set or
-    modulus, never on a whole instance.
+    diagonal pairs (kept up to n = PAIRS_UP_TO) and the tables per modulus
+    and per step set on first use.  Every entry depends on n and at most
+    one step, step set or modulus, never on a whole instance.
     """
 
     __slots__ = (
@@ -183,7 +187,9 @@ class Geometry:
         """The whole diagonals delta and -delta, for delta = 1..n-1."""
         mask = self._pairs[delta]
         if mask is None:
-            mask = self._pairs[delta] = self.segment(delta, 1, self.n - delta)
+            mask = self.segment(delta, 1, self.n - delta)
+            if self.n <= PAIRS_UP_TO:
+                self._pairs[delta] = mask
         return mask
 
     def segment(self, delta: int, lo: int, hi: int) -> int:

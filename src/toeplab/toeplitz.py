@@ -44,16 +44,8 @@ class ToeplitzSpec:
         return self.forward_steps[0]
 
     @property
-    def max_forward(self) -> int:
-        return self.forward_steps[-1]
-
-    @property
     def min_backward(self) -> int:
         return self.backward_steps[0]
-
-    @property
-    def max_backward(self) -> int:
-        return self.backward_steps[-1]
 
     @property
     def cond1(self) -> bool:

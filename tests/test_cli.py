@@ -29,6 +29,21 @@ from toeplab.verify import MAX_SWEEP_N
 import oracles
 
 PSETS_PIN = "7375ccd26c478dde6d021b78faa3d8394334790693e981f293aa4c19f74599a2"
+GRAPH_PIN = "6ba9b8d67ce12fa0a0b027f00e4ffc52b5d142bc36dfe206ae1e1faea34a04eb"
+
+
+class CountingStdout:
+    """A stdout that counts its write calls."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def run(capsys, *argv):
@@ -143,6 +158,35 @@ class TestGraph:
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "graph", "T3<1;2>", "--m", "2", "--format", "dot")
         assert code == EXIT_OK and out.startswith("graph")
+
+    def test_output_bytes_pinned(self, capsys):
+        # Text, dot and JSON output of `graph --m`, with the exit codes, for
+        # every instance with n <= 5 at a few m and for three dense graphs
+        # with n 74-76, hashed together.
+        queries = [
+            (spec.literal, m) for spec in verify.enumerate_specs(5, False) for m in (1, 2, 3, 7)
+        ]
+        queries += [
+            (literal, m)
+            for literal in ("T74<6,21;1,13,21>", "T75<5;11,12,13>", "T76<12,22,24;6,24>")
+            for m in (3, 6)
+        ]
+        digest = hashlib.sha256()
+        for literal, m in queries:
+            for fmt in ("text", "dot", "json"):
+                code, out, err = run(capsys, "graph", literal, "--m", str(m), "--format", fmt)
+                assert err == "", (literal, m, fmt)
+                digest.update(f"{literal} {m} {fmt} {code}\n{out}".encode())
+        assert digest.hexdigest() == GRAPH_PIN
+
+    def test_dense_graph_written_in_at_most_two_writes(self, monkeypatch):
+        # 2,698 edges: one print of the whole text, not one per edge.
+        stdout = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        for fmt in ("text", "dot", "json"):
+            stdout.writes = 0
+            assert main(["graph", "T74<6,21;1,13,21>", "--m", "3", "--format", fmt]) == EXIT_OK
+            assert stdout.writes <= 2, fmt
 
 
 class TestPsets:
@@ -342,9 +386,14 @@ class TestExitCodes:
         assert exc.value.code == EXIT_BAD_SPEC
 
     def test_non_ascii_digit_is_bad_literal(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, "period", "T\u0668<1,4;2,5>")
-        assert exc.value.code == EXIT_BAD_SPEC
+        # An Arabic-Indic and a fullwidth eight are not n = 8.
+        for literal in ("T\u0668<1,4;2,5>", "T\uff18<1,4;2,5>"):
+            with pytest.raises(SystemExit) as exc:
+                run(capsys, "period", literal)
+            assert exc.value.code == EXIT_BAD_SPEC == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: malformed instance literal")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

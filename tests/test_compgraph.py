@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,7 @@ from toeplab.compgraph import (
     residue_clique_graph,
     strong_components,
 )
-from toeplab.spectra import competition_matrix, competition_table
+from toeplab.spectra import competition_matrix, competition_table, residue_classes
 from toeplab.toeplitz import build_matrix, parse_literal, validate_spec
 from toeplab.verify import HOLDS, enumerate_specs, verify_instance
 
@@ -27,21 +28,41 @@ class TestSimpleGraph:
     def test_from_symmetric_matrix_strips_diagonal(self):
         mat = BoolMatrix(3, [0b011, 0b111, 0b110])
         g = SimpleGraph.from_symmetric_matrix(mat)
-        assert g.edges == {(1, 2), (2, 3)}
+        assert g.edges == ((1, 2), (2, 3))
+
+    def test_edges_are_the_upper_entries_in_row_order(self):
+        rng = random.Random(41)
+        for n in (1, 2, 7, 8, 9, 64, 65, 150):
+            for density in (0.0, 0.1, 0.6, 1.0):
+                rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+                mat = BoolMatrix(n, rows)
+                expected = tuple(
+                    (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if mat.get(u, v)
+                )
+                assert SimpleGraph.from_symmetric_matrix(mat).edges == expected, (n, density)
 
     def test_edge_ordering_enforced(self):
         with pytest.raises(ValueError):
-            SimpleGraph(3, frozenset({(2, 1)}))
+            SimpleGraph(3, ((2, 1),))
         with pytest.raises(ValueError):
-            SimpleGraph(3, frozenset({(1, 4)}))
+            SimpleGraph(3, ((1, 4),))
+        with pytest.raises(ValueError):
+            SimpleGraph(3, ((0, 2),))
+        # Out of order or repeated: equal graphs must have equal tuples.
+        with pytest.raises(ValueError):
+            SimpleGraph(3, ((1, 3), (1, 2)))
+        with pytest.raises(ValueError):
+            SimpleGraph(3, ((1, 2), (1, 2)))
+        with pytest.raises(TypeError):
+            SimpleGraph(3, frozenset({(1, 2)}))
 
     def test_has_edge_is_symmetric_and_loop_free(self):
-        g = SimpleGraph(3, frozenset({(1, 3)}))
+        g = SimpleGraph(3, ((1, 3),))
         assert g.has_edge(1, 3) and g.has_edge(3, 1)
         assert not g.has_edge(2, 2)
 
     def test_json_edges_sorted(self):
-        g = SimpleGraph(4, frozenset({(2, 4), (1, 3), (1, 2)}))
+        g = SimpleGraph(4, ((1, 2), (1, 3), (2, 4)))
         assert g.to_json_dict() == {"n": 4, "edges": [[1, 2], [1, 3], [2, 4]]}
 
 
@@ -50,7 +71,7 @@ class TestMStepGraph:
         a = build_matrix(parse_literal("T8<1,4;2,5>"))
         g = m_step_graph(a, 3)
         assert g.has_edge(4, 1)
-        assert g.edges == oracles.naive_competition_edges(as_lists(a), 3)
+        assert g.edges == tuple(sorted(oracles.naive_competition_edges(as_lists(a), 3)))
 
     def test_matches_walk_enumeration_oracle(self):
         rng = random.Random(23)
@@ -58,12 +79,13 @@ class TestMStepGraph:
             n = rng.randint(2, 6)
             a = BoolMatrix(n, (rng.getrandbits(n) for _ in range(n)))
             m = rng.randint(1, 5)
-            assert m_step_graph(a, m).edges == oracles.naive_competition_edges(as_lists(a), m)
+            expected = tuple(sorted(oracles.naive_competition_edges(as_lists(a), m)))
+            assert m_step_graph(a, m).edges == expected
 
     def test_zero_row_vertex_is_isolated(self):
         a = BoolMatrix(2, (0b10, 0b00))
         g = m_step_graph(a, 1)
-        assert g.edges == frozenset()
+        assert g.edges == ()
 
     def test_step_count_validated(self):
         with pytest.raises(ValueError):
@@ -88,7 +110,7 @@ class TestFormulaGraph:
 
     def test_minimal_instance_has_no_edges(self):
         spec = validate_spec(2, {1}, {1})
-        assert competition_graph_formula(spec).edges == frozenset()
+        assert competition_graph_formula(spec).edges == ()
 
 
 def competition_limit(a):
@@ -116,7 +138,7 @@ class TestLimitGraph:
 
     def test_three_cycle_limit_is_empty(self):
         g = limit_graph(build_matrix(parse_literal("T3<1;2>")))
-        assert g.edges == frozenset()
+        assert g.edges == ()
         assert components(g) == ((1,), (2,), (3,))
 
     def test_stabilization_point_is_minimal(self):
@@ -133,6 +155,14 @@ class TestLimitGraph:
         # Conditions fail here and the competition sequence genuinely cycles.
         tail = competition_table(build_matrix(parse_literal("T6<2,3,4;5>")))[0]
         assert tail.period == 3
+
+    def test_residue_cliques_are_the_class_pairs_in_order(self):
+        for n in range(1, 10):
+            for d in range(1, n + 2):
+                pairs = [e for cls in residue_classes(n, d) for e in combinations(cls, 2)]
+                assert residue_clique_graph(n, d).edges == tuple(sorted(pairs)), (n, d)
+        with pytest.raises(ValueError):
+            residue_clique_graph(5, 0)
 
     def test_conditioned_sweep_limits_are_residue_cliques(self):
         from toeplab.toeplitz import pair_sum_gcd
@@ -228,6 +258,6 @@ class TestDot:
         assert 'label="t=5", style=dashed' in dot
 
     def test_graph_dot_lists_edges(self):
-        g = SimpleGraph(3, frozenset({(1, 3)}))
+        g = SimpleGraph(3, ((1, 3),))
         dot = graph_dot(g)
         assert "1 -- 3;" in dot and dot.startswith("graph")

@@ -2,6 +2,7 @@
 BoolMatrix path and against the brute-force oracles."""
 
 import random
+import tracemalloc
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from toeplab.compgraph import (
     competition_graph_formula,
     residue_clique_graph,
 )
-from toeplab.packed import ROW_BYTES_FROM, Geometry, ToeplitzKernel, geometry
+from toeplab.packed import PAIRS_UP_TO, ROW_BYTES_FROM, Geometry, ToeplitzKernel, geometry
 from toeplab.spectra import (
     competition_table,
     power_is_eventually_toeplitz,
@@ -536,6 +537,28 @@ class TestCachedCompetitionFormula:
         for kernel in kernels:
             competition_formula(kernel)
         assert builds == []
+
+    def test_large_size_keeps_no_diagonal_pair(self):
+        # Every delta of n = 400 is a sum s + t here, so the formula reads
+        # all 399 diagonal pairs, about n^3 bits = 8 MB if they were kept.
+        n = 400
+        kernel = ToeplitzKernel(validate_spec(n, range(1, n), range(1, n)))
+        tracemalloc.start()
+        try:
+            out = competition_formula(kernel)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out == kernel.geometry.full ^ kernel.geometry.identity
+        assert kept < 1 << 20
+
+    def test_sweep_sizes_keep_their_diagonal_pairs(self):
+        for n in (2, 16, PAIRS_UP_TO):
+            g = Geometry(n)
+            assert all(g.diagonal_pair(k) is g.diagonal_pair(k) for k in range(1, n))
+        g = Geometry(PAIRS_UP_TO + 1)
+        assert g.diagonal_pair(1) is not g.diagonal_pair(1)
+        assert g.diagonal_pair(1) == g.segment(1, 1, PAIRS_UP_TO)
 
 
 def boolmatrix_bound_hypothesis(spec):

@@ -78,11 +78,23 @@ class TestLiteral:
 
     @pytest.mark.parametrize(
         "bad",
-        # "\u0668" is the Arabic-Indic digit eight.
-        ["T8[1,4;2,5]", "8<1;1>", "T8<1,4>", "T8<;1>", "T8<1;>", "T8<1,a;2>", "T\u0668<1,4;2,5>"],
+        # "\u0668" is the Arabic-Indic digit eight; "\uff18", "\uff11" and
+        # "\uff15" are the fullwidth digits eight, one and five.
+        [
+            "T8[1,4;2,5]",
+            "8<1;1>",
+            "T8<1,4>",
+            "T8<;1>",
+            "T8<1;>",
+            "T8<1,a;2>",
+            "T\u0668<1,4;2,5>",
+            "T\uff18<1,4;2,5>",
+            "T8<\uff11,4;2,5>",
+            "T8<1,4;2,\uff15>",
+        ],
     )
     def test_malformed_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed instance literal"):
             parse_literal(bad)
 
     def test_json_dict(self):

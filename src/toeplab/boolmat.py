@@ -145,42 +145,6 @@ class BoolMatrix:
     def count_ones(self) -> int:
         return sum(r.bit_count() for r in self.rows)
 
-    # -- text and JSON forms ------------------------------------------------
-    # Text: first line "n", then n lines of n characters in {0,1}, row-major,
-    # column 1 leftmost.  JSON: {"n": int, "rows": ["0100...", ...]}.
-
-    def row_string(self, i: int) -> str:
-        return format(self.rows[i - 1], f"0{self.n}b")[::-1]
-
-    def to_text(self) -> str:
-        return "\n".join([str(self.n)] + [self.row_string(i) for i in range(1, self.n + 1)])
-
-    @classmethod
-    def from_text(cls, text: str) -> "BoolMatrix":
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty matrix text")
-        n = int(lines[0])
-        if len(lines) != n + 1:
-            raise ValueError(f"expected {n} rows after the header, got {len(lines) - 1}")
-        return cls(n, (_parse_row(line, n) for line in lines[1:]))
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "rows": [self.row_string(i) for i in range(1, self.n + 1)]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BoolMatrix":
-        n = int(data["n"])
-        rows = data["rows"]
-        if len(rows) != n:
-            raise ValueError(f"expected {n} rows, got {len(rows)}")
-        return cls(n, (_parse_row(r, n) for r in rows))
-
     def __repr__(self):
         return f"BoolMatrix({self.n}, ones={self.count_ones()})"
 
-
-def _parse_row(chars: str, n: int) -> int:
-    if len(chars) != n or set(chars) - {"0", "1"}:
-        raise ValueError(f"row {chars!r} is not {n} characters of 0/1")
-    return int(chars[::-1], 2) if "1" in chars else 0

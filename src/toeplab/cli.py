@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from math import gcd
 
@@ -31,7 +32,6 @@ from .spectra import (
 from .toeplitz import (
     ToeplitzSpec,
     bezout_certificate,
-    build_matrix,
     pair_sum_gcd,
     parse_literal,
     predicted_period,
@@ -97,13 +97,14 @@ def _emit(payload: dict, fmt: str, text_lines):
 
 def _cmd_build(args) -> int:
     spec = _parse_spec(args.spec)
-    mat = build_matrix(spec)
+    kernel = ToeplitzKernel(spec)
+    g, a = kernel.geometry, kernel.adjacency
     if args.format == "dot":
         print(digraph_dot(spec))
     elif args.format == "json":
-        print(json.dumps({"spec": spec.to_json_dict(), "matrix": mat.to_json_dict()}))
+        print(json.dumps({"spec": spec.to_json_dict(), "matrix": g.to_json_dict(a)}))
     else:
-        print(mat.to_text())
+        print(g.to_text(a))
     return EXIT_OK
 
 
@@ -118,12 +119,9 @@ def _cmd_power(args) -> int:
     else:
         table = power_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.m)
         x = power_from_table(*table, args.m)
-    mat = kernel.geometry.unpack(x)
-    _emit(
-        {"spec": spec.literal, "m": args.m, "matrix": mat.to_json_dict()},
-        args.format,
-        [mat.to_text()],
-    )
+    g = kernel.geometry
+    payload = {"spec": spec.literal, "m": args.m, "matrix": g.to_json_dict(x)}
+    _emit(payload, args.format, [g.to_text(x)])
     return EXIT_OK
 
 
@@ -162,12 +160,12 @@ def _cmd_competition(args) -> int:
     }
     lines = [f"competition index={tail.index} period={tail.period} (d={d})"]
     if tail.period == 1:
-        limit = kernel.geometry.unpack(tail.cycle[0])
-        block_match = tail.cycle[0] == kernel.geometry.residue_matrix(d)
+        g, limit = kernel.geometry, tail.cycle[0]
+        block_match = limit == g.residue_matrix(d)
         classes = residue_classes(spec.n, d)
         payload.update(
             {
-                "limit": limit.to_json_dict(),
+                "limit": g.to_json_dict(limit),
                 "block_match": block_match,
                 "classes": [list(c) for c in classes],
             }
@@ -176,7 +174,7 @@ def _cmd_competition(args) -> int:
         lines.append("classes: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in classes))
         lines.append("limit matrix (all-ones blocks after sorting by class; off-diagonal")
         lines.append("part is the eventual competition graph, a union of cliques):")
-        lines.append(limit.to_text())
+        lines.append(g.to_text(limit))
     else:
         payload["limit"] = None
         lines.append("no limit: the competition sequence cycles")
@@ -191,7 +189,8 @@ def _cmd_graph(args) -> int:
         return EXIT_USAGE
     kernel = ToeplitzKernel(spec)
     table = competition_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.m)
-    g = SimpleGraph.from_symmetric_matrix(kernel.geometry.unpack(power_from_table(*table, args.m)))
+    b = power_from_table(*table, args.m)
+    g = SimpleGraph.from_symmetric_matrix(spec.n, kernel.geometry.rows(b))
     if args.format == "dot":
         print(graph_dot(g, name=f"{spec.literal} m={args.m}"))
     elif args.format == "json":
@@ -244,31 +243,30 @@ def _cmd_psets(args) -> int:
 
 
 def _parse_counts(text: str, spec: ToeplitzSpec):
-    """Parse "s2=5,t2=6" into per-index count vectors for steps 2 and up."""
-    s_counts = [0] * max(0, len(spec.forward_steps) - 1)
-    t_counts = [0] * max(0, len(spec.backward_steps) - 1)
-    if not text:
-        return tuple(s_counts), tuple(t_counts)
+    """Parse "s2=5,t2=6" into per-index count vectors for steps 2 and up.
+    Each non-blank part is s or t, an index, "=" and a count, in ASCII
+    digits; an index given twice is an error."""
+    counts = {
+        "s": [0] * max(0, len(spec.forward_steps) - 1),
+        "t": [0] * max(0, len(spec.backward_steps) - 1),
+    }
+    named = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        try:
-            key, value = part.split("=")
-            kind, index, count = key[0], int(key[1:]), int(value)
-        except (ValueError, IndexError):
+        match = re.fullmatch(r"([st])([0-9]+)=(-?[0-9]+)", part, re.ASCII)
+        if match is None:
             raise ValueError(f"malformed count {part!r}; expected e.g. s2=5")
-        if kind == "s":
-            if not 2 <= index <= len(spec.forward_steps):
-                raise ValueError(f"no forward step with index {index}")
-            s_counts[index - 2] = count
-        elif kind == "t":
-            if not 2 <= index <= len(spec.backward_steps):
-                raise ValueError(f"no backward step with index {index}")
-            t_counts[index - 2] = count
-        else:
-            raise ValueError(f"count kind must be s or t, got {kind!r}")
-    return tuple(s_counts), tuple(t_counts)
+        kind, index = match[1], int(match[2])
+        if (kind, index) in named:
+            raise ValueError(f"count {kind}{index} is given twice")
+        named.add((kind, index))
+        if not 2 <= index <= len(counts[kind]) + 1:
+            direction = "forward" if kind == "s" else "backward"
+            raise ValueError(f"no {direction} step with index {index}")
+        counts[kind][index - 2] = int(match[3])
+    return tuple(counts["s"]), tuple(counts["t"])
 
 
 def _walk_length_cap(spec: ToeplitzSpec, s_counts, t_counts, exact, s1_count, t1_count) -> int:

@@ -55,21 +55,22 @@ class SimpleGraph:
             prev = edge
 
     @classmethod
-    def from_symmetric_matrix(cls, mat: BoolMatrix) -> "SimpleGraph":
-        """Off-diagonal support of a symmetric matrix, loops discarded: row u
-        gives its columns v > u lowest first, so the edges come out in order."""
+    def from_symmetric_matrix(cls, n: int, rows) -> "SimpleGraph":
+        """Off-diagonal support of a symmetric n x n matrix given by its row
+        masks (bit c - 1 stands for column c), loops discarded: row u gives
+        its columns v > u lowest first, so the edges come out in order."""
         edges = []
-        for u, row in enumerate(mat.rows, 1):
+        for u, row in enumerate(rows, 1):
             # The binary digits of row >> u, lowest first, select columns u + 1, u + 2, ...
             digits = bin(row >> u)[:1:-1].encode().translate(_DIGITS)
             edges += zip(repeat(u), compress(count(u + 1), digits))
-        return cls(mat.n, tuple(edges))
+        return cls(n, tuple(edges))
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (min(u, v), max(u, v)) in self.edges
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
+        return {"n": self.n, "edges": self.edges}
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, edges={len(self.edges)})"
@@ -79,13 +80,14 @@ def m_step_graph(A: BoolMatrix, m: int) -> SimpleGraph:
     """Competition graph after m steps: off-diagonal part of A^m (A^T)^m."""
     if m < 1:
         raise ValueError("step count must be at least 1")
-    return SimpleGraph.from_symmetric_matrix(competition_matrix(A, m))
+    return SimpleGraph.from_symmetric_matrix(A.n, competition_matrix(A, m).rows)
 
 
 def competition_graph_formula(spec: ToeplitzSpec) -> SimpleGraph:
     """One-step competition graph computed from the step sets alone."""
     kernel = ToeplitzKernel(spec)
-    return SimpleGraph.from_symmetric_matrix(kernel.geometry.unpack(competition_formula(kernel)))
+    rows = kernel.geometry.rows(competition_formula(kernel))
+    return SimpleGraph.from_symmetric_matrix(spec.n, rows)
 
 
 def competition_formula(kernel: ToeplitzKernel) -> int:

@@ -2,14 +2,14 @@
 
 Each golden re-derives a documented fact about one of the three running
 instances (T5<2;4>, T8<1,4;2,5>, T6<2,4;4,5>) and diffs the result against
-the frozen expectation.  Powers, tails and the competition limit come from
-the packed kernel the sweep runs.  The CLI `examples` command runs them all
-and exits nonzero on any mismatch.
+the frozen expectation.  Matrices, powers, tails and the competition limit
+come from the packed kernel the sweep runs; a matrix is compared in its
+text form.  The CLI `examples` command runs them all and exits nonzero on
+any mismatch.
 """
 
 from __future__ import annotations
 
-from .boolmat import BoolMatrix
 from .compgraph import strong_components
 from .packed import ToeplitzKernel, members
 from .spectra import competition_table, power_from_table, power_table
@@ -103,29 +103,30 @@ _T6_MATRIX = """
 """
 
 
-def _mat(text: str) -> BoolMatrix:
-    return BoolMatrix.from_text(text)
-
-
 def _check(actual, expected) -> tuple[bool, str]:
     if actual == expected:
         return True, ""
     return False, f"expected {expected!r}, got {actual!r}"
 
 
-def golden_t5_matrix():
-    return _check(build_matrix(parse_literal(T5)), _mat(_T5_MATRIX))
-
-
 def _kernel(literal: str) -> ToeplitzKernel:
     return ToeplitzKernel(parse_literal(literal))
+
+
+def _adjacency_text(literal: str) -> str:
+    kernel = _kernel(literal)
+    return kernel.geometry.to_text(kernel.adjacency)
+
+
+def golden_t5_matrix():
+    return _check(_adjacency_text(T5), _T5_MATRIX.strip())
 
 
 def golden_t5_power_cycle():
     kernel = _kernel(T5)
     table = power_table(kernel)
     for m in range(2, 8):
-        if kernel.geometry.unpack(power_from_table(*table, m)) != _mat(_T5_CYCLE[m % 3]):
+        if kernel.geometry.to_text(power_from_table(*table, m)) != _T5_CYCLE[m % 3].strip():
             return False, f"power {m} does not match the frozen cycle matrix"
     return True, ""
 
@@ -143,7 +144,7 @@ def golden_t5_powers_not_toeplitz():
 
 
 def golden_t8_matrix():
-    return _check(build_matrix(parse_literal(T8)), _mat(_T8_MATRIX))
+    return _check(_adjacency_text(T8), _T8_MATRIX.strip())
 
 
 def golden_t8_gcd():
@@ -166,7 +167,7 @@ def golden_t8_period():
 def golden_t8_limit():
     kernel = _kernel(T8)
     tail, _ = competition_table(kernel)
-    return _check((tail.period, kernel.geometry.unpack(tail.cycle[0])), (1, _mat(_T8_LIMIT)))
+    return _check((tail.period, kernel.geometry.to_text(tail.cycle[0])), (1, _T8_LIMIT.strip()))
 
 
 def golden_t8_walk_witness():
@@ -201,11 +202,11 @@ def golden_t8_bound():
 
 
 def golden_t2_matrix():
-    return _check(build_matrix(parse_literal("T2<1;1>")), BoolMatrix(2, (0b10, 0b01)))
+    return _check(_adjacency_text("T2<1;1>"), "2\n01\n10")
 
 
 def golden_t6_matrix():
-    return _check(build_matrix(parse_literal(T6)), _mat(_T6_MATRIX))
+    return _check(_adjacency_text(T6), _T6_MATRIX.strip())
 
 
 def golden_t6_components():

@@ -19,20 +19,19 @@ not Toeplitz pays for the AND-fold along stride n+1.
 Everything that depends on n and at most one step set or modulus lives in
 one Geometry per size, shared by every kernel of that size: the fixed
 masks, the Toeplitz test, the diagonal read-off and fold, row reading and
-packing, and the tables filled on first use (column masks per step, and
-whole diagonal pairs up to n = PAIRS_UP_TO; residue matrices, congruent
-offset masks and residue classes per modulus; shift lists and one-step
-partner rules per step set).  A ToeplitzKernel keeps only what its own
-steps pick: the shift lists, the adjacency matrix and the two steps.
-closure is reachability over row masks, for any digraph given by its
-rows, and members decodes a vertex or offset mask.
+the text and JSON forms, and the tables filled on first use (column masks
+per step, and whole diagonal pairs up to n = PAIRS_UP_TO; residue
+matrices, congruent offset masks and residue classes per modulus; shift
+lists and one-step partner rules per step set).  A ToeplitzKernel keeps
+only what its own steps pick: the shift lists, the adjacency matrix and
+the two steps.  closure is reachability over row masks, for any digraph
+given by its rows, and members decodes a vertex or offset mask.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .boolmat import BoolMatrix
 from .toeplitz import ToeplitzSpec
 
 __all__ = ["Geometry", "ToeplitzKernel", "geometry", "closure", "members"]
@@ -281,12 +280,19 @@ class Geometry:
             for k in range(0, n * n, n)
         ]
 
-    def pack(self, mat: BoolMatrix) -> int:
-        n = self.n
-        return int("".join(format(r, f"0{n}b") for r in reversed(mat.rows)), 2)
+    # Text form: n on the first line, then one line of n characters 0/1 per
+    # row, column 1 leftmost.  JSON form: {"n": n, "rows": [those lines]}.
 
-    def unpack(self, x: int) -> BoolMatrix:
-        return BoolMatrix._raw(self.n, tuple(self.rows(x)))
+    def row_strings(self, x: int) -> list[str]:
+        """The rows of x as 0/1 strings, column 1 leftmost."""
+        width = f"0{self.n}b"
+        return [format(row, width)[::-1] for row in self.rows(x)]
+
+    def to_text(self, x: int) -> str:
+        return "\n".join([str(self.n), *self.row_strings(x)])
+
+    def to_json_dict(self, x: int) -> dict:
+        return {"n": self.n, "rows": self.row_strings(x)}
 
 
 @lru_cache(maxsize=16)

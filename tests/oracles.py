@@ -128,6 +128,27 @@ def full_diagonal_offsets(n, rows):
     return frozenset(out)
 
 
+def pack(n, rows):
+    """The packed int of a matrix given by its row ints: row r takes bits
+    r*n .. r*n + n - 1, so bit r*n + c is entry (r+1, c+1)."""
+    return sum(row << r * n for r, row in enumerate(rows))
+
+
+def unpack(n, x):
+    """The n row ints of a packed matrix, row 1 first."""
+    return tuple((x >> r * n) & ((1 << n) - 1) for r in range(n))
+
+
+def row_strings(n, rows):
+    """Each row int as n characters 0/1, column 1 leftmost, entry by entry."""
+    return ["".join("1" if (row >> c) & 1 else "0" for c in range(n)) for row in rows]
+
+
+def matrix_text(n, rows):
+    """The text form of a matrix: n, then one row string per line."""
+    return "\n".join([str(n)] + row_strings(n, rows))
+
+
 def naive_strong_components(a):
     """Strong components of the digraph of a 0/1 list matrix: u ~ v iff
     each reaches the other in the reflexive-transitive closure.  Each is

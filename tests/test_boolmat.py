@@ -1,16 +1,21 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from toeplab.boolmat import BoolMatrix
 from toeplab.toeplitz import build_matrix, parse_literal
 
 import oracles
 
-T5_SQUARED = BoolMatrix.from_text("5\n00001\n00000\n10000\n00000\n00100")
-T5_CUBED = BoolMatrix.from_text("5\n10000\n00000\n00100\n00000\n00001")
-T5_FOURTH = BoolMatrix.from_text("5\n00100\n00000\n00001\n00000\n10000")
+
+def from_rows(*rows):
+    """The matrix with these row strings, column 1 leftmost."""
+    return BoolMatrix(len(rows), [int(row[::-1], 2) for row in rows])
+
+
+T5_SQUARED = from_rows("00001", "00000", "10000", "00000", "00100")
+T5_CUBED = from_rows("10000", "00000", "00100", "00000", "00001")
+T5_FOURTH = from_rows("00100", "00000", "00001", "00000", "10000")
 
 
 def random_matrix(rng, n):
@@ -19,19 +24,6 @@ def random_matrix(rng, n):
 
 def as_lists(mat):
     return [[mat.get(i, j) for j in range(1, mat.n + 1)] for i in range(1, mat.n + 1)]
-
-
-def from_lists(rows):
-    n = len(rows)
-    return BoolMatrix(n, (sum(bit << j for j, bit in enumerate(r)) for r in rows))
-
-
-def matrices(max_n=8):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n).map(
-            lambda rows: BoolMatrix(n, rows)
-        )
-    )
 
 
 class TestIdentity:
@@ -218,24 +210,6 @@ class TestPaddingCanonical:
 
 
 class TestSerialization:
-    @settings(max_examples=40, deadline=None)
-    @given(matrices())
-    def test_text_round_trip(self, a):
-        assert BoolMatrix.from_text(a.to_text()) == a
-
-    @settings(max_examples=40, deadline=None)
-    @given(matrices())
-    def test_json_round_trip(self, a):
-        assert BoolMatrix.from_json_dict(a.to_json_dict()) == a
-
-    def test_bad_row_rejected(self):
-        with pytest.raises(ValueError):
-            BoolMatrix.from_text("2\n01\n0x")
-
-    def test_row_count_checked(self):
-        with pytest.raises(ValueError):
-            BoolMatrix.from_text("3\n010\n001")
-
     def test_get_is_one_indexed(self):
         a = build_matrix(parse_literal("T2<1;1>"))
         assert a.get(1, 2) == 1 and a.get(2, 1) == 1

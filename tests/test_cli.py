@@ -10,7 +10,6 @@ import pytest
 
 import toeplab
 from toeplab import cli
-from toeplab.boolmat import BoolMatrix
 from toeplab.cli import (
     EXIT_BAD_FORMAT,
     EXIT_BAD_SPEC,
@@ -30,6 +29,7 @@ import oracles
 
 PSETS_PIN = "7375ccd26c478dde6d021b78faa3d8394334790693e981f293aa4c19f74599a2"
 GRAPH_PIN = "6ba9b8d67ce12fa0a0b027f00e4ffc52b5d142bc36dfe206ae1e1faea34a04eb"
+MATRIX_PIN = "9b2a9ae7ac9ccbaabf1a8933a5bb4a367cfdf5b24d8c2d70f9edefaa64e17e6d"
 
 
 class CountingStdout:
@@ -62,8 +62,9 @@ class TestBuild:
         code, out, _ = run(capsys, "build", "T8<1,4;2,5>", "--format", "json")
         assert code == EXIT_OK
         payload = json.loads(out)
-        mat = BoolMatrix.from_json_dict(payload["matrix"])
-        assert mat.get(1, 2) == 1 and mat.get(1, 5) == 1
+        a = build_matrix(parse_literal("T8<1,4;2,5>"))
+        assert payload["matrix"] == {"n": 8, "rows": oracles.row_strings(8, a.rows)}
+        assert payload["matrix"]["rows"][0] == "01001000"
         assert payload["spec"] == {"n": 8, "S": [1, 4], "T": [2, 5]}
 
     def test_dot_matches_figure_arcs(self, capsys):
@@ -77,6 +78,29 @@ class TestBuild:
         assert arcs == {(1, 3), (1, 5), (2, 4), (2, 6), (3, 5), (4, 6), (5, 1), (6, 2), (6, 1)}
 
 
+def test_matrix_output_bytes_pinned(capsys):
+    # Output of the commands that print a matrix: build in every format,
+    # power --m in text and JSON at a few m, competition in text and JSON,
+    # with the exit codes, for every instance with n <= 5 and three larger
+    # ones, hashed together.
+    literals = [spec.literal for spec in verify.enumerate_specs(5, False)]
+    literals += ["T74<6,21;1,13,21>", "T200<3,7;5>", "T3<2;2>"]
+    digest = hashlib.sha256()
+    for literal in literals:
+        calls = [("build", literal, "--format", fmt) for fmt in ("text", "json", "dot")]
+        calls += [
+            ("power", literal, "--m", str(m), "--format", fmt)
+            for m in (0, 1, 2, 3, 7, 40)
+            for fmt in ("text", "json")
+        ]
+        calls += [("competition", literal, "--format", fmt) for fmt in ("text", "json")]
+        for argv in calls:
+            code, out, err = run(capsys, *argv)
+            assert err == "", argv
+            digest.update(f"{' '.join(argv)} {code}\n{out}".encode())
+    assert digest.hexdigest() == MATRIX_PIN
+
+
 class TestPower:
     def test_matches_boolmatrix_power(self, capsys):
         for literal in ("T2<1;1>", "T5<2;4>", "T6<2,3,4;5>", "T8<1,4;2,5>", "T13<2,5;3>"):
@@ -84,9 +108,11 @@ class TestPower:
             for m in range(6):
                 code, out, _ = run(capsys, "power", literal, "--m", str(m))
                 assert code == EXIT_OK
-                assert out == a.power(m).to_text() + "\n", (literal, m)
+                rows = a.power(m).rows
+                assert out == oracles.matrix_text(a.n, rows) + "\n", (literal, m)
                 code, out, _ = run(capsys, "power", literal, "--m", str(m), "--format", "json")
-                assert json.loads(out)["matrix"] == a.power(m).to_json_dict(), (literal, m)
+                expected = {"n": a.n, "rows": oracles.row_strings(a.n, rows)}
+                assert json.loads(out)["matrix"] == expected, (literal, m)
 
     def test_huge_exponent_read_off_the_cycle(self, capsys):
         # The powers of T5<2;4> cycle with index 2 and period 3, and
@@ -94,7 +120,8 @@ class TestPower:
         code, out, _ = run(capsys, "power", "T5<2;4>", "--m", str(10**200))
         assert code == EXIT_OK
         assert out.split() == ["5", "00100", "00000", "00001", "00000", "10000"]
-        assert out == build_matrix(parse_literal("T5<2;4>")).power(4).to_text() + "\n"
+        a4 = build_matrix(parse_literal("T5<2;4>")).power(4)
+        assert out == oracles.matrix_text(5, a4.rows) + "\n"
 
     def test_small_m_on_a_tail_past_the_budget(self, capsys):
         # A Wielandt-type digraph: its power index, 199^2 + 1, is past
@@ -103,10 +130,10 @@ class TestPower:
         a = build_matrix(parse_literal(literal))
         code, out, _ = run(capsys, "power", literal, "--m", "2")
         assert code == EXIT_OK
-        assert out == a.power(2).to_text() + "\n"
+        assert out == oracles.matrix_text(200, a.power(2).rows) + "\n"
         code, out, _ = run(capsys, "graph", literal, "--m", "2", "--format", "json")
         assert code == EXIT_OK
-        assert json.loads(out)["graph"] == m_step_graph(a, 2).to_json_dict()
+        assert json.loads(out)["graph"] == json.loads(json.dumps(m_step_graph(a, 2).to_json_dict()))
 
 
 class TestPeriod:
@@ -284,6 +311,12 @@ class TestWalk:
     def test_malformed_counts(self, capsys):
         code, _, err = run(capsys, "walk", "T8<1,4;2,5>", "--start", "1", "--counts", "x9")
         assert code == 2
+        # ASCII digits only, no underscores or signs but a minus on the
+        # count, and each index named once.
+        for counts in ("s\u0662=\u0661", "s2=1_0", "s2= +3", "s2=+3", "s2=1,s2=2", "s02=1,s2=1"):
+            code, out, err = run(capsys, "walk", "T8<1,4;2,5>", "--start", "1", "--counts", counts)
+            assert code == EXIT_USAGE and out == "", counts
+            assert err.startswith("error: "), counts
 
     def test_scheduling_failure_names_counts_not_steps(self, capsys):
         code, out, err = run(
@@ -474,7 +507,7 @@ class TestExitCodes:
         def refuse(*args, **kwargs):
             raise Refused
 
-        for name in ("ToeplitzKernel", "build_matrix", "competition_index_bound"):
+        for name in ("ToeplitzKernel", "competition_index_bound"):
             monkeypatch.setattr(cli, name, refuse)
         cap = cli.MAX_MATRIX_N
         command, options = argv[0], argv[1:]
@@ -574,7 +607,8 @@ def test_packed_commands_match_generic_path(capsys):
         assert (payload["index"], payload["period"]) == (ctail.index, ctail.period), spec.literal
         if ctail.period == 1:
             limit = ctail.cycle[0]
-            assert payload["limit"] == limit.to_json_dict(), spec.literal
+            expected = {"n": n, "rows": oracles.row_strings(n, limit.rows)}
+            assert payload["limit"] == expected, spec.literal
             expected = [sum(1 << c for c in range(n) if (r - c) % d == 0) for r in range(n)]
             assert payload["block_match"] == (limit.rows == tuple(expected)), spec.literal
             classes = [list(range(r, n + 1, d)) for r in range(1, min(d, n) + 1)]
@@ -585,7 +619,8 @@ def test_packed_commands_match_generic_path(capsys):
         for m in (1, 2, 3, 4, 1000):  # 1000 is read off the cycle
             code, out, _ = run(capsys, "graph", spec.literal, "--m", str(m), "--format", "json")
             assert code == EXIT_OK
-            assert json.loads(out)["graph"] == m_step_graph(A, m).to_json_dict(), spec.literal
+            expected = json.loads(json.dumps(m_step_graph(A, m).to_json_dict()))
+            assert json.loads(out)["graph"] == expected, spec.literal
 
 
 # Pairs of calls whose second member would go wrong if the first one left

@@ -86,27 +86,35 @@ def full_diagonal_offsets(mat):
     return oracles.full_diagonal_offsets(mat.n, mat.rows)
 
 
+def pack(mat):
+    return oracles.pack(mat.n, mat.rows)
+
+
+def unpack(n, x):
+    return BoolMatrix(n, oracles.unpack(n, x))
+
+
 class TestPacking:
     @given(spec_and_matrix())
     @settings(max_examples=60, deadline=None)
     def test_pack_round_trip(self, case):
         _, x = case
-        g = geometry(x.n)
-        assert g.unpack(g.pack(x)) == x
+        assert geometry(x.n).rows(pack(x)) == list(x.rows)
+        assert unpack(x.n, pack(x)) == x
 
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_adjacency_is_build_matrix(self, spec):
         g = geometry(spec.n)
-        assert g.unpack(ToeplitzKernel(spec).adjacency) == build_matrix(spec)
-        assert g.unpack(g.identity) == BoolMatrix.identity(spec.n)
+        assert unpack(spec.n, ToeplitzKernel(spec).adjacency) == build_matrix(spec)
+        assert unpack(spec.n, g.identity) == BoolMatrix.identity(spec.n)
 
     @given(specs(), st.integers(1, MAX_N))
     @settings(max_examples=60, deadline=None)
     def test_residue_matrix_is_residue_block_matrix(self, spec, d):
         g = geometry(spec.n)
         expected = oracles.naive_residue_matrix(spec.n, d)
-        assert as_lists(g.unpack(g.residue_matrix(d))) == expected
+        assert as_lists(unpack(spec.n, g.residue_matrix(d))) == expected
 
     def test_rows_round_trip_on_both_row_sources(self):
         # Rows are shifted out below ROW_BYTES_FROM and sliced out of the
@@ -116,11 +124,26 @@ class TestPacking:
             g = geometry(n)
             for density in (0.0, 0.05, 0.5, 1.0):
                 rows = [sum(1 << c for c in range(n) if rng.random() < density) for _ in range(n)]
-                x = BoolMatrix(n, rows)
-                packed = g.pack(x)
+                packed = oracles.pack(n, rows)
                 assert g.rows(packed) == rows
-                assert g.unpack(packed) == x
-                assert g.pack(g.unpack(packed)) == packed
+                assert oracles.unpack(n, packed) == tuple(rows)
+
+
+class TestTextForms:
+    def test_match_an_entry_scan_on_both_row_sources(self):
+        # Sizes 1..150 read their rows from both sources, on either side of
+        # ROW_BYTES_FROM.
+        assert 1 < ROW_BYTES_FROM < 150
+        rng = random.Random(16)
+        for n in range(1, 151):
+            g = geometry(n)
+            dense = rng.getrandbits(n * n)
+            sparse = dense & rng.getrandbits(n * n) & rng.getrandbits(n * n)
+            for x in (0, sparse, dense, g.full):
+                rows = oracles.unpack(n, x)
+                assert g.row_strings(x) == oracles.row_strings(n, rows), n
+                assert g.to_text(x) == oracles.matrix_text(n, rows), n
+                assert g.to_json_dict(x) == {"n": n, "rows": oracles.row_strings(n, rows)}, n
 
 
 class TestPowerStep:
@@ -128,8 +151,7 @@ class TestPowerStep:
     @settings(max_examples=40, deadline=None)
     def test_shift_or_step_matches_generic_and_oracle(self, case):
         spec, x = case
-        kernel, g = ToeplitzKernel(spec), geometry(spec.n)
-        step = g.unpack(kernel.times_a(g.pack(x)))
+        step = unpack(spec.n, ToeplitzKernel(spec).times_a(pack(x)))
         assert step == x.multiply(build_matrix(spec))
         assert as_lists(step) == oracles.naive_multiply(as_lists(x), naive_spec_matrix(spec))
 
@@ -140,7 +162,7 @@ class TestPowerStep:
         tail, seq = power_table(kernel)
         gtail, gseq = power_table(build_matrix(spec))
         assert (tail.index, tail.period) == (gtail.index, gtail.period)
-        assert [kernel.geometry.unpack(x) for x in seq] == gseq
+        assert [unpack(spec.n, x) for x in seq] == gseq
 
 
 class TestCompetitionStep:
@@ -152,8 +174,8 @@ class TestCompetitionStep:
         for _ in range(m):
             b = kernel.compete(b)
         x = build_matrix(spec).power(m)
-        assert g.unpack(b) == x.multiply(x.transpose())
-        assert as_lists(g.unpack(b)) == oracles.naive_competition(naive_spec_matrix(spec), m)
+        assert unpack(spec.n, b) == x.multiply(x.transpose())
+        assert as_lists(unpack(spec.n, b)) == oracles.naive_competition(naive_spec_matrix(spec), m)
 
     @given(specs(max_n=20))
     @settings(max_examples=30, deadline=None)
@@ -162,7 +184,7 @@ class TestCompetitionStep:
         tail, bs = competition_table(kernel)
         gtail, gbs = competition_table(build_matrix(spec))
         assert (tail.index, tail.period) == (gtail.index, gtail.period)
-        assert [kernel.geometry.unpack(b) for b in bs] == gbs
+        assert [unpack(spec.n, b) for b in bs] == gbs
 
 
 class TestFullDiagonals:
@@ -178,7 +200,7 @@ class TestFullDiagonals:
             for r in range(max(0, -ell), min(x.n, x.n - ell)):
                 rows[r] |= 1 << (r + ell)
         for mat in (x, BoolMatrix(x.n, rows)):
-            packed = g.pack(mat)
+            packed = pack(mat)
             expected = full_diagonal_offsets(mat)
             assert offsets_of(g.fold_diagonals(packed), mat.n) == expected
             if g.is_toeplitz(packed):
@@ -215,7 +237,7 @@ class TestFullDiagonals:
         flipped = list(rows)
         flipped[r] ^= 1 << c
         for mat in (BoolMatrix(n, rows), BoolMatrix(n, flipped)):
-            x = g.pack(mat)
+            x = pack(mat)
             expected = full_diagonal_offsets(mat)
             toeplitz = g.is_toeplitz(x)
             assert toeplitz == mat.is_toeplitz()
@@ -246,7 +268,7 @@ class TestToeplitzTest:
     def test_matches_generic(self, case):
         _, x = case
         g = geometry(x.n)
-        assert g.is_toeplitz(g.pack(x)) == x.is_toeplitz()
+        assert g.is_toeplitz(pack(x)) == x.is_toeplitz()
 
     @given(specs(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -258,11 +280,11 @@ class TestToeplitzTest:
             sum(1 << c for c in range(n) if (diagonals >> (c - r + n - 1)) & 1) for r in range(n)
         ]
         x = BoolMatrix(n, rows)
-        assert g.is_toeplitz(g.pack(x)) and x.is_toeplitz()
+        assert g.is_toeplitz(pack(x)) and x.is_toeplitz()
         r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         rows[r] ^= 1 << c
         flipped = BoolMatrix(n, rows)
-        assert g.is_toeplitz(g.pack(flipped)) == flipped.is_toeplitz()
+        assert g.is_toeplitz(pack(flipped)) == flipped.is_toeplitz()
 
 
 # -- whole reports ----------------------------------------------------------------
@@ -289,12 +311,12 @@ def generic_report(spec):
     ctail, bs = competition_table(A)
     report.comp_index, report.comp_period = ctail.index, ctail.period
 
-    one_step = SimpleGraph.from_symmetric_matrix(bs[0])
+    one_step = SimpleGraph.from_symmetric_matrix(n, bs[0].rows)
     checks["formula_match"] = (
         HOLDS if competition_graph_formula(spec).edges == one_step.edges else FAILS
     )
     adjacency_ok = all(
-        (v - u) % d == 0 for b in bs for u, v in SimpleGraph.from_symmetric_matrix(b).edges
+        (v - u) % d == 0 for b in bs for u, v in SimpleGraph.from_symmetric_matrix(n, b.rows).edges
     )
     checks["adjacency_necessity"] = HOLDS if adjacency_ok else FAILS
 
@@ -321,7 +343,8 @@ def generic_report(spec):
         limit = ctail.cycle[0]
         block_ok = as_lists(limit) == oracles.naive_residue_matrix(n, d)
         clique_ok = (
-            SimpleGraph.from_symmetric_matrix(limit).edges == residue_clique_graph(n, d).edges
+            SimpleGraph.from_symmetric_matrix(n, limit.rows).edges
+            == residue_clique_graph(n, d).edges
         )
     checks["limit_block_match"] = HOLDS if block_ok else FAILS
     checks["limit_clique_match"] = HOLDS if clique_ok else FAILS
@@ -508,14 +531,14 @@ class TestCachedCompetitionFormula:
         # Each step set meets every partner, so its cached segments are reused.
         for spec in enumerate_specs(7, False):
             kernel = ToeplitzKernel(spec)
-            got = as_lists(kernel.geometry.unpack(competition_formula(kernel)))
+            got = as_lists(unpack(spec.n, competition_formula(kernel)))
             assert got == naive_one_step_graph(spec), spec.literal
 
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle(self, spec):
         kernel = ToeplitzKernel(spec)
-        got = as_lists(kernel.geometry.unpack(competition_formula(kernel)))
+        got = as_lists(unpack(spec.n, competition_formula(kernel)))
         assert got == naive_one_step_graph(spec)
 
     def test_warm_geometry_rebuilds_no_partner_rule(self, monkeypatch):
@@ -564,7 +587,7 @@ class TestCachedCompetitionFormula:
 def boolmatrix_bound_hypothesis(spec):
     """Each residue class connected in the graph of the generic B_1 = A A^T."""
     a = build_matrix(spec)
-    b1 = SimpleGraph.from_symmetric_matrix(a.multiply(a.transpose()))
+    b1 = SimpleGraph.from_symmetric_matrix(spec.n, a.multiply(a.transpose()).rows)
     d = pair_sum_gcd(spec)
     for r in range(d):
         members = [v for v in range(1, spec.n + 1) if v % d == r]

@@ -1,7 +1,9 @@
 """Rules on the library's source text.
 
 `python -O` strips every assert statement, so an invariant written as one
-would silently stop being checked; the library raises instead.
+would silently stop being checked; the library raises instead.  And only
+the reference modules import boolmat, so matrices stay packed ints
+everywhere else.
 """
 
 import ast
@@ -21,3 +23,31 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# The modules that hold BoolMatrix: the package's exports, the generic
+# reference paths and the names perfbench traces.  Every other module works
+# on packed ints and renders matrices through packed.Geometry.
+BOOLMAT_IMPORTERS = {"__init__", "toeplitz", "spectra", "compgraph"}
+
+
+def imports_boolmat(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[-1] == "boolmat" for name in names):
+            return True
+    return False
+
+
+def test_boolmat_imported_only_by_the_reference_modules():
+    found = {
+        path.stem
+        for path in SOURCES
+        if path.stem != "boolmat" and imports_boolmat(ast.parse(path.read_text(), str(path)))
+    }
+    assert found <= BOOLMAT_IMPORTERS

@@ -223,8 +223,7 @@ class TestCompetitionLimit:
 
 def block_matrix(n, d):
     """Geometry's residue matrix: the expected competition limit."""
-    g = geometry(n)
-    return g.unpack(g.residue_matrix(d))
+    return BoolMatrix(n, oracles.unpack(n, geometry(n).residue_matrix(d)))
 
 
 class TestResidueBlocks:

@@ -120,8 +120,11 @@ def _cmd_power(args) -> int:
         table = power_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.m)
         x = power_from_table(*table, args.m)
     g = kernel.geometry
-    payload = {"spec": spec.literal, "m": args.m, "matrix": g.to_json_dict(x)}
-    _emit(payload, args.format, [g.to_text(x)])
+    if args.format == "json":
+        payload = {"spec": spec.literal, "m": args.m, "matrix": g.to_json_dict(x)}
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(g.to_text(x))
     return EXIT_OK
 
 
@@ -163,18 +166,22 @@ def _cmd_competition(args) -> int:
         g, limit = kernel.geometry, tail.cycle[0]
         block_match = limit == g.residue_matrix(d)
         classes = residue_classes(spec.n, d)
-        payload.update(
-            {
-                "limit": g.to_json_dict(limit),
-                "block_match": block_match,
-                "classes": [list(c) for c in classes],
-            }
-        )
-        lines.append(f"block structure by residue mod {d}: {'match' if block_match else 'MISMATCH'}")
-        lines.append("classes: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in classes))
-        lines.append("limit matrix (all-ones blocks after sorting by class; off-diagonal")
-        lines.append("part is the eventual competition graph, a union of cliques):")
-        lines.append(g.to_text(limit))
+        # Only the form --format asks for renders the limit matrix.
+        if args.format == "json":
+            payload.update(
+                {
+                    "limit": g.to_json_dict(limit),
+                    "block_match": block_match,
+                    "classes": [list(c) for c in classes],
+                }
+            )
+        else:
+            verdict = "match" if block_match else "MISMATCH"
+            lines.append(f"block structure by residue mod {d}: {verdict}")
+            lines.append("classes: " + " ".join("{" + ",".join(map(str, c)) + "}" for c in classes))
+            lines.append("limit matrix (all-ones blocks after sorting by class; off-diagonal")
+            lines.append("part is the eventual competition graph, a union of cliques):")
+            lines.append(g.to_text(limit))
     else:
         payload["limit"] = None
         lines.append("no limit: the competition sequence cycles")
@@ -485,6 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="re-run the embedded worked-example goldens")
     p.set_defaults(fn=_cmd_examples)
 
+    parser.commands = sub.choices  # name -> subparser, for main's dispatch
     return parser
 
 
@@ -497,7 +505,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # parse_args hands everything after a command name to that command's
+    # parser, so a command's argv goes to its parser directly; the
+    # top-level parser only reports what that leaves over.
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
+        args.command = argv[0]
     allowed = getattr(args, "allowed_formats", None)
     if allowed is not None and args.format not in allowed:
         print(

@@ -20,9 +20,10 @@ Everything that depends on n and at most one step set or modulus lives in
 one Geometry per size, shared by every kernel of that size: the fixed
 masks, the Toeplitz test, the diagonal read-off and fold, row reading and
 the text and JSON forms, and the tables filled on first use (column masks
-per step, and whole diagonal pairs up to n = PAIRS_UP_TO; residue
+per step, and whole diagonal pairs up to PAIR_BITS bits; residue
 matrices, congruent offset masks and residue classes per modulus; shift
-lists and one-step partner rules per step set).  A ToeplitzKernel keeps
+lists and one-step partner rules per step set).  packed.geometry keeps the
+Geometry of the last 128 sizes asked for.  A ToeplitzKernel keeps
 only what its own steps pick: the shift lists, the adjacency matrix and
 the two steps.  closure is reachability over row masks, for any digraph
 given by its rows, and members decodes a vertex or offset mask.
@@ -46,9 +47,11 @@ ROW_BYTES_FROM = 140
 # 2^(n-1) - 1 of a size up to n = 12, and a bound on memory for larger sizes.
 STEP_SETS = 2048
 
-# Largest size whose Geometry keeps the diagonal pairs it builds: all n - 1
-# of them take about n^3 bits, 32 KB at n = 64 but 8 MB at n = 400.
-PAIRS_UP_TO = 64
+# Diagonal pair bits one Geometry keeps, counting n^2 bits per pair: all
+# n - 1 pairs of a size up to n = 80 (about n^3 bits, 64 KB at n = 80), and
+# the first pairs asked for of a larger size (13 at n = 200, 2 at n = 512),
+# where keeping all of them would take 8 MB at n = 400.
+PAIR_BITS = 1 << 19
 
 
 class Geometry:
@@ -56,7 +59,7 @@ class Geometry:
 
     The all-ones and identity matrices, the Toeplitz-test and diagonal-fold
     masks are built with the geometry; the column masks L_k and H_k, the
-    diagonal pairs (kept up to n = PAIRS_UP_TO) and the tables per modulus
+    diagonal pairs (kept up to PAIR_BITS bits) and the tables per modulus
     and per step set on first use.  Every entry depends on n and at most
     one step, step set or modulus, never on a whole instance.
     """
@@ -73,6 +76,7 @@ class Geometry:
         "_low",
         "_high",
         "_pairs",
+        "_pairs_left",
         "_residues",
         "_congruents",
         "_classes",
@@ -109,6 +113,7 @@ class Geometry:
         self._low = [None] * n
         self._high = [None] * n
         self._pairs = [None] * n
+        self._pairs_left = PAIR_BITS // (n * n)
         # Keyed by modulus d.
         self._residues: dict[int, int] = {}
         self._congruents: dict[int, tuple[int, ...]] = {}
@@ -183,11 +188,13 @@ class Geometry:
         return out
 
     def diagonal_pair(self, delta: int) -> int:
-        """The whole diagonals delta and -delta, for delta = 1..n-1."""
+        """The whole diagonals delta and -delta, for delta = 1..n-1, kept
+        while the pairs kept stay within PAIR_BITS."""
         mask = self._pairs[delta]
         if mask is None:
             mask = self.segment(delta, 1, self.n - delta)
-            if self.n <= PAIRS_UP_TO:
+            if self._pairs_left:
+                self._pairs_left -= 1
                 self._pairs[delta] = mask
         return mask
 
@@ -295,9 +302,13 @@ class Geometry:
         return {"n": self.n, "rows": self.row_strings(x)}
 
 
-@lru_cache(maxsize=16)
+# 128 sizes hold every size one mix of traffic touches: the cli_queries
+# benchmark mix asks for 71 (n 10-80), a sweep up to n = 16 for 15 and
+# large_instances for 13, so none of them rebuilds a Geometry and refills
+# its tables on a later call.
+@lru_cache(maxsize=128)
 def geometry(n: int) -> Geometry:
-    """The Geometry of size n, built once while n stays among the 16 sizes
+    """The Geometry of size n, built once while n stays among the 128 sizes
     asked for last."""
     return Geometry(n)
 

@@ -2,7 +2,7 @@
 
 Every table that depends on n and at most one step set or modulus belongs
 to the size's packed.Geometry, and packed.geometry keeps the Geometry of
-the last 16 sizes.  A functools cache anywhere else would be a second home
+the last 128 sizes.  A functools cache anywhere else would be a second home
 for such a table, with a bound of its own.  Besides packed.geometry, only
 the CLI's parser and the sweep's step-set enumeration are cached.
 """

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -623,6 +624,35 @@ def test_packed_commands_match_generic_path(capsys):
             assert json.loads(out)["graph"] == expected, spec.literal
 
 
+def test_python_calls_per_query(capsys):
+    # A warm query's fixed cost: count the Python-level calls (profiler
+    # "call" events; builtins and methods written in C make none) of one
+    # query once the parser and the size's tables are built: only the
+    # command's own parser parses, and only the asked-for form renders.
+    bounds = {
+        ("period",): 75,
+        ("competition", "--format", "json"): 100,
+        ("bound",): 70,
+        ("graph", "--m", "2"): 80,
+    }
+    for (command, *options), bound in bounds.items():
+        argv = [command, "T40<3,7;5>", *options]
+        assert main(argv) == EXIT_OK
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            main(argv)
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert calls <= bound, (argv, calls)
+
+
 # Pairs of calls whose second member would go wrong if the first one left
 # state in a reused parser: opposite flags, other formats, other modes.
 _REUSE_EPISODES = (
@@ -658,16 +688,31 @@ _REUSE_EPISODES = (
 )
 
 
+# Argv that no command parser sees, or whose command parser leaves some of
+# it over or stops with a usage error.
+_DISPATCH_EXTRAS = (
+    (),
+    ("nosuch",),
+    ("--bogus", "period", "T2<1;1>"),
+    ("period",),
+    ("period", "T2<1;1>", "extra"),
+    ("graph", "T3<1;2>", "--m", "x"),
+)
+
+
+def _outcome(capsys, call):
+    """What call returns (or ("exit", code) on SystemExit), and what it
+    printed to stdout and stderr."""
+    try:
+        value = call()
+    except SystemExit as exc:
+        value = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return value, captured.out, captured.err
+
+
 def _run_sequence(capsys, sequence):
-    outcomes = []
-    for argv in sequence:
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = ("exit", exc.code)
-        captured = capsys.readouterr()
-        outcomes.append((code, captured.out, captured.err))
-    return outcomes
+    return [_outcome(capsys, lambda: main(list(argv))) for argv in sequence]
 
 
 class TestParserReuse:
@@ -691,6 +736,34 @@ class TestParserReuse:
         codes = {code for code, _, _ in fresh}
         assert {EXIT_OK, EXIT_FAILURE, 2, EXIT_BAD_FORMAT, ("exit", 0), ("exit", 2)} <= codes
         assert ("exit", EXIT_BAD_SPEC) in codes
+
+    def test_dispatch_matches_the_full_parse(self, capsys, monkeypatch):
+        # main and parse_args share one parser whose commands record the
+        # namespace they are called with instead of running.
+        parser = cli.build_parser()
+        seen = []
+        for command in parser.commands.values():
+            command.set_defaults(fn=lambda args: seen.append(args) or EXIT_OK)
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        argvs = [argv for episode in _REUSE_EPISODES for argv in episode]
+        argvs += _DISPATCH_EXTRAS
+        exits = []
+        for argv in argvs:
+            got = _outcome(capsys, lambda: main(list(argv)))
+            want = _outcome(capsys, lambda: parser.parse_args(list(argv)))
+            args = want[0]
+            if not isinstance(args, argparse.Namespace):
+                # A usage error or help: same text, same exit code.
+                assert got == want, argv
+                exits.append(args[1])
+                continue
+            allowed = getattr(args, "allowed_formats", None)
+            if allowed is None or args.format in allowed:
+                assert got == (EXIT_OK, "", "") and seen.pop() == args, argv
+            else:
+                assert got[0] == EXIT_BAD_FORMAT and not seen, argv
+        assert seen == []
+        assert sorted(exits) == [0, 0] + [EXIT_USAGE] * 7  # --help, walk --help; 7 usage errors
 
     def test_import_builds_no_parser(self):
         src = str(Path(toeplab.__file__).resolve().parent.parent)

@@ -1,12 +1,14 @@
 """Differential tests: the packed Toeplitz kernel against the generic
 BoolMatrix path and against the brute-force oracles."""
 
+import gc
 import random
 import tracemalloc
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
+from toeplab import cli
 from toeplab.boolmat import BoolMatrix
 from toeplab.compgraph import (
     SimpleGraph,
@@ -14,13 +16,19 @@ from toeplab.compgraph import (
     competition_graph_formula,
     residue_clique_graph,
 )
-from toeplab.packed import PAIRS_UP_TO, ROW_BYTES_FROM, Geometry, ToeplitzKernel, geometry
+from toeplab.packed import PAIR_BITS, ROW_BYTES_FROM, Geometry, ToeplitzKernel, geometry
 from toeplab.spectra import (
     competition_table,
     power_is_eventually_toeplitz,
     power_table,
 )
-from toeplab.toeplitz import build_matrix, offset_generators, pair_sum_gcd, validate_spec
+from toeplab.toeplitz import (
+    build_matrix,
+    offset_generators,
+    pair_sum_gcd,
+    parse_literal,
+    validate_spec,
+)
 from toeplab.verify import (
     FAILS,
     HOLDS,
@@ -520,6 +528,48 @@ class TestGeometry:
         assert a.geometry is b.geometry is geometry(9)
         assert ToeplitzKernel(validate_spec(10, (1,), (1,))).geometry is not a.geometry
 
+    def test_every_size_of_a_query_mix_stays_cached(self):
+        sizes = range(2, 81)
+        for n in sizes:
+            geometry(n)
+        before = geometry.cache_info()
+        for n in sizes:
+            geometry(n)
+        after = geometry.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (len(sizes), 0)
+
+    def test_memory_kept_after_a_query_mix(self, capsys):
+        # Five queries on one seeded instance of each size n = 10..80, as
+        # many sizes as the cli_queries mix asks for.  The 71 Geometries
+        # hold about 0.7 MB after it (Python 3.11).
+        rng = random.Random(17)
+        mix = []
+        for n in range(10, 81):
+            fwd = rng.sample(range(1, n), rng.randint(1, 3))
+            bwd = rng.sample(range(1, n), rng.randint(1, 3))
+            literal = validate_spec(n, fwd, bwd).literal
+            mix += [
+                ["period", literal],
+                ["competition", literal, "--format", "json"],
+                ["graph", literal, "--m", "2"],
+                ["bound", literal],
+                ["psets", literal, "--stabilize"],
+            ]
+        cli.main(mix[0])  # the parser and lazy imports, outside the trace
+        geometry.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for argv in mix:
+                assert cli.main(argv) == 0, argv
+            capsys.readouterr()
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert geometry.cache_info().currsize == 71
+        assert kept < 3 << 19  # 1.5 MB
+
 
 def naive_one_step_graph(spec):
     b = oracles.naive_competition(naive_spec_matrix(spec), 1)
@@ -561,9 +611,10 @@ class TestCachedCompetitionFormula:
             competition_formula(kernel)
         assert builds == []
 
-    def test_large_size_keeps_no_diagonal_pair(self):
+    def test_large_size_keeps_pairs_within_the_budget(self):
         # Every delta of n = 400 is a sum s + t here, so the formula reads
-        # all 399 diagonal pairs, about n^3 bits = 8 MB if they were kept.
+        # all 399 diagonal pairs, about n^3 bits = 8 MB if they were kept;
+        # the budget keeps the first PAIR_BITS // n^2 = 3 of them.
         n = 400
         kernel = ToeplitzKernel(validate_spec(n, range(1, n), range(1, n)))
         tracemalloc.start()
@@ -574,14 +625,45 @@ class TestCachedCompetitionFormula:
             tracemalloc.stop()
         assert out == kernel.geometry.full ^ kernel.geometry.identity
         assert kept < 1 << 20
+        assert len(kept_pairs(kernel.geometry)) == PAIR_BITS // (n * n)
+
+    def test_warm_large_instance_builds_no_diagonal_pair(self, monkeypatch):
+        # T400<3,7;5> reads the pairs 8 and 12: both fit the budget, so a
+        # second call builds no segment (its partner rules are kept too).
+        # A Geometry of its own, so no earlier test has spent its budget.
+        kernel = ToeplitzKernel(parse_literal("T400<3,7;5>"))
+        kernel.geometry = g = Geometry(400)
+        first = competition_formula(kernel)
+        assert sorted(kept_pairs(g)) == [8, 12]
+        assert sum(p.bit_length() for p in kept_pairs(g).values()) <= PAIR_BITS
+        builds = []
+        segment = Geometry.segment
+
+        def counted(self, delta, lo, hi):
+            builds.append(delta)
+            return segment(self, delta, lo, hi)
+
+        monkeypatch.setattr(Geometry, "segment", counted)
+        assert competition_formula(kernel) == first
+        assert builds == []
 
     def test_sweep_sizes_keep_their_diagonal_pairs(self):
-        for n in (2, 16, PAIRS_UP_TO):
+        for n in (2, 16, 64, 80):
             g = Geometry(n)
             assert all(g.diagonal_pair(k) is g.diagonal_pair(k) for k in range(1, n))
-        g = Geometry(PAIRS_UP_TO + 1)
-        assert g.diagonal_pair(1) is not g.diagonal_pair(1)
-        assert g.diagonal_pair(1) == g.segment(1, 1, PAIRS_UP_TO)
+        # At n = 81 the first 79 pairs fill the budget; the 80th is built on
+        # every call.
+        n = 81
+        g = Geometry(n)
+        assert all(g.diagonal_pair(k) is g.diagonal_pair(k) for k in range(1, n - 1))
+        assert len(kept_pairs(g)) * n * n <= PAIR_BITS
+        assert g.diagonal_pair(n - 1) is not g.diagonal_pair(n - 1)
+        assert g.diagonal_pair(n - 1) == g.segment(n - 1, 1, 1)
+
+
+def kept_pairs(g):
+    """delta -> the diagonal pair Geometry g keeps for it."""
+    return {delta: pair for delta, pair in enumerate(g._pairs) if pair is not None}
 
 
 def boolmatrix_bound_hypothesis(spec):

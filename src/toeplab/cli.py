@@ -34,7 +34,6 @@ from .toeplitz import (
     bezout_certificate,
     pair_sum_gcd,
     parse_literal,
-    predicted_period,
 )
 from .verify import DEFAULT_STEP_BUDGET, MAX_SWEEP_N, sweep
 from .walks import (
@@ -133,7 +132,7 @@ def _cmd_period(args) -> int:
     tail, _ = power_table(ToeplitzKernel(spec), max_steps=DEFAULT_STEP_BUDGET)
     d = pair_sum_gcd(spec)
     d_prime = gcd(d, spec.min_forward)
-    predicted = predicted_period(spec)
+    predicted = d // d_prime
     _emit(
         {
             "spec": spec.literal,
@@ -349,16 +348,17 @@ def _cmd_bound(args) -> int:
 def _cmd_certificate(args) -> int:
     spec = _parse_spec(args.spec, matrix=False)
     cert = bezout_certificate(spec)
+    d = cert.value  # the pair-sum gcd, checked when the certificate was built
     _emit(
         {
             "spec": spec.literal,
             "forward_coeffs": list(cert.forward_coeffs),
             "backward_coeffs": list(cert.backward_coeffs),
-            "gcd": pair_sum_gcd(spec),
+            "gcd": d,
         },
         args.format,
         [
-            f"gcd={pair_sum_gcd(spec)} a={list(cert.forward_coeffs)} "
+            f"gcd={d} a={list(cert.forward_coeffs)} "
             f"b={list(cert.backward_coeffs)}"
         ],
     )

@@ -1,4 +1,4 @@
-import multiprocessing
+import concurrent.futures
 import os
 
 import pytest
@@ -6,23 +6,20 @@ import pytest
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Report 2 CPUs and run multiprocessing.Pool's imap in this process;
+    """Report 2 CPUs and run ProcessPoolExecutor's map in this process;
     the returned list records the worker count each pool was asked for."""
     sizes = []
 
-    class InProcessPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class InProcessExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
     return sizes

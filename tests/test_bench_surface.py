@@ -7,6 +7,8 @@ KeyError, although no test of the library itself would notice.
 
 import importlib.util
 import inspect
+import io
+import json
 from pathlib import Path
 
 import toeplab
@@ -61,3 +63,36 @@ def test_step_set_counter_reads_the_power_table():
     run = toeplab.walks.step_set_run(spec, horizon, table=table)
     counts = dict(load_spans()._step_set_steps((spec, horizon), {"table": table}, run))
     assert counts["steps"] == horizon and counts["reused"] > 0
+
+
+def test_verify_holds_the_json_module():
+    # spans.Tracer.install swaps toeplab.verify.json for a shim that times
+    # json.dumps, and reads verify.json.dumps to build it.
+    assert toeplab.verify.json is json
+
+
+def test_jsonl_stream_reads_to_json_dict():
+    # perfbench/selftest.py alters one streamed line by rebinding
+    # InstanceReport.to_json_dict, as spans.rebind does; the altered run
+    # must fail the benchmark's stream hash.
+    spans = load_spans()
+    original = toeplab.verify.InstanceReport.to_json_dict
+    calls = []
+
+    def altered(self):
+        calls.append(self.spec.literal)
+        data = original(self)
+        data["d"] += 1
+        return data
+
+    plain, changed = io.StringIO(), io.StringIO()
+    toeplab.verify.sweep(3, require_conditions=False, report_stream=plain)
+    undo = spans.rebind(original, altered)
+    try:
+        toeplab.verify.sweep(3, require_conditions=False, report_stream=changed)
+    finally:
+        spans.restore(undo)
+    assert len(calls) == 10 and toeplab.verify.InstanceReport.to_json_dict is original
+    assert [json.loads(line)["d"] for line in changed.getvalue().splitlines()] == [
+        json.loads(line)["d"] + 1 for line in plain.getvalue().splitlines()
+    ]

@@ -653,6 +653,29 @@ def test_python_calls_per_query(capsys):
         assert calls <= bound, (argv, calls)
 
 
+def test_one_pair_sum_gcd_per_query(capsys):
+    # period derives its prediction from the d it holds, and certificate
+    # reads d off the certificate that checked it: one gcd over the pair
+    # sums per warm query (profiler "call" events of pair_sum_gcd).
+    code = pair_sum_gcd.__code__
+    for command in ("period", "certificate"):
+        argv = [command, "T40<3,7;5>"]
+        assert main(argv) == EXIT_OK
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is code
+
+        sys.setprofile(count)
+        try:
+            main(argv)
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert calls == 1, (argv, calls)
+
+
 # Pairs of calls whose second member would go wrong if the first one left
 # state in a reused parser: opposite flags, other formats, other modes.
 _REUSE_EPISODES = (

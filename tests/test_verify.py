@@ -1,12 +1,15 @@
 import io
 import json
+import multiprocessing
 import os
 import random
 import sys
+from functools import partial
 
 import pytest
 
 from toeplab import verify
+from toeplab.packed import ToeplitzKernel
 from toeplab.toeplitz import parse_literal, validate_spec
 from toeplab.verify import (
     FAILS,
@@ -14,6 +17,7 @@ from toeplab.verify import (
     MAX_SWEEP_N,
     NOT_APPLICABLE,
     PREDICATES,
+    InstanceReport,
     SweepReport,
     enumerate_specs,
     sweep,
@@ -149,6 +153,35 @@ class TestVerifyInstance:
         assert set(data["checks"]) == set(PREDICATES)
 
 
+class TestWielandtFamily:
+    """For odd n, T_n<(n+1)/2; (n-1)/2, n-1> is Wielandt's digraph: an
+    n-cycle plus one chord closing an (n-1)-cycle, n + 1 arcs in all."""
+
+    @staticmethod
+    def family(n):
+        return validate_spec(n, [(n + 1) // 2], [(n - 1) // 2, n - 1])
+
+    @pytest.mark.parametrize("n", range(3, 16, 2))
+    def test_extremal_indices(self, n):
+        spec = self.family(n)
+        kernel = ToeplitzKernel(spec)
+        assert sum(map(int.bit_count, kernel.geometry.rows(kernel.adjacency))) == n + 1
+        report = verify_instance(spec)
+        assert report.power_index == (n - 1) ** 2 + 1  # Wielandt's bound
+        assert report.comp_index == ((n - 1) ** 2 + 2) // 2
+        assert report.cond1 and not report.cond2
+        assert report.violations() == [] and not report.incomplete
+
+    def test_competition_bound_fails_outside_its_hypotheses(self):
+        # Outside the theorem the bound need not hold, and here it does not;
+        # bound_holds is then n/a, never a violation.
+        report = verify_instance(parse_literal("T19<10;9,18>"))
+        assert report.comp_index == 163 and report.bound_value == 146
+        assert report.bound_hypothesis is None  # the conditions fail
+        assert report.checks["bound_holds"] == NOT_APPLICABLE
+        assert report.violations() == []
+
+
 def fields(report, mirror=False):
     """The report without its spec; with `mirror`, as the mirror
     T<n><T;S> should have it, the two step-fit conditions swapped."""
@@ -224,12 +257,6 @@ class TestSweep:
     def test_pooled_matches_serial_under_a_canary(self, monkeypatch, pool_sizes):
         # With a planted bug the aggregate carries violations, so their
         # order across rows is compared too.
-        def reversed_chain(congruent, combination, realized):
-            for p, q, r in zip(congruent, combination, realized):
-                if p & ~q or q & ~r:
-                    return False
-            return True
-
         monkeypatch.setattr(verify, "containment_chain", reversed_chain)
         serial = sweep(6, require_conditions=False).to_json_dict()
         assert len(serial["violations"]) > 1
@@ -254,6 +281,126 @@ class TestSweep:
         table = agg.summary_table()
         assert "violations: 0" in table
         assert "gcd_equality" in table
+
+
+def reversed_chain(congruent, combination, realized):
+    """A planted bug: containment_chain with its inclusions reversed."""
+    for p, q, r in zip(congruent, combination, realized):
+        if p & ~q or q & ~r:
+            return False
+    return True
+
+
+def streamed(n_max, jobs=1):
+    buf = io.StringIO()
+    agg = sweep(n_max, require_conditions=False, jobs=jobs, report_stream=buf)
+    return agg, buf.getvalue()
+
+
+def dumped(n_max, **kwargs):
+    """The stream as json.dumps writes each report, and the reports."""
+    reports = [verify.verify_instance(spec, **kwargs) for spec in enumerate_specs(n_max, False)]
+    return "".join(json.dumps(r.to_json_dict()) + "\n" for r in reports), reports
+
+
+class TestJsonlLines:
+    """Each streamed line is written from a template, not by json.dumps; it
+    must be the bytes json.dumps writes for the report's to_json_dict()."""
+
+    def test_every_report_up_to_6(self):
+        _, text = streamed(6)
+        expected, reports = dumped(6)
+        assert text == expected
+        # Complete reports hold null m_emp and bound_hypothesis values; the
+        # incomplete ones below hold null tails and bound values.
+        assert None in {r.m_emp for r in reports}
+        assert {None, True, False} <= {r.bound_hypothesis for r in reports}
+
+    def test_incomplete_reports(self, monkeypatch):
+        monkeypatch.setattr(verify, "verify_instance", partial(verify_instance, step_budget=4))
+        _, text = streamed(5)
+        expected, reports = dumped(5)
+        assert text == expected
+        incomplete = [r for r in reports if r.incomplete]
+        assert incomplete and {r.bound_value for r in incomplete} == {None}
+        assert None in {r.power_index for r in incomplete}
+
+    def test_reports_with_violations(self, monkeypatch):
+        monkeypatch.setattr(verify, "containment_chain", reversed_chain)
+        agg, text = streamed(5)
+        assert agg.violation_count > 1 and '"fails"' in text
+        assert text == dumped(5)[0]
+
+    def test_single_lines_against_json_dumps(self):
+        # Field by field: every None, bool and int combination the template
+        # branches on, and checks dicts in any order or outcome.
+        report = verify_instance(parse_literal("T8<1,4;2,5>"))
+        names = list(PREDICATES)
+        random.Random(18).shuffle(names)
+        outcomes = (HOLDS, FAILS, NOT_APPLICABLE)
+        for i, value in enumerate((None, 0, 1, 7, 10**20)):
+            for flag in (None, True, False):
+                data = report.to_json_dict()
+                for key in ("power_index", "power_period", "competition_index",
+                            "competition_period", "m_emp", "bound_value"):
+                    data[key] = value
+                data["bound_hypothesis"] = flag
+                data["cond1"] = data["incomplete"] = flag is True
+                data["cond2"] = flag is False
+                data["d"] = data["d_prime"] = data["predicted_period"] = i + 1
+                data["checks"] = {name: outcomes[(i + j) % 3] for j, name in enumerate(names)}
+                line = verify._jsonl_line(data, {})
+                assert line == json.dumps(data) + "\n", (value, flag)
+
+    def test_stream_goes_through_to_json_dict(self, monkeypatch):
+        # A changed to_json_dict changes the stream, also where a real
+        # two-process pool writes it.
+        original = InstanceReport.to_json_dict
+
+        def altered(self):
+            data = original(self)
+            data["d"] += 100
+            return data
+
+        _, plain = streamed(4)
+        monkeypatch.setattr(InstanceReport, "to_json_dict", altered)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for jobs in (1, 2):
+            _, text = streamed(4, jobs=jobs)
+            assert text != plain
+            assert [json.loads(line)["d"] for line in text.splitlines()] == [
+                json.loads(line)["d"] + 100 for line in plain.splitlines()
+            ]
+
+
+class FailingStream:
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+class TestPooledSweepStops:
+    @pytest.mark.parametrize("error", [OSError(32, "Broken pipe"), KeyboardInterrupt()])
+    def test_failed_write_ends_a_two_process_sweep(self, monkeypatch, error):
+        # The first write fails.  The rows still pending must not run: a
+        # full n <= 9 sweep verifies 86,368 instances, about 4 s on two
+        # workers, where only the rows already queued may finish.  The
+        # workers count the instances they verify.
+        verified = multiprocessing.Value("q", 0)
+
+        def counted(spec):
+            with verified.get_lock():
+                verified.value += 1
+            return verify_instance(spec)
+
+        monkeypatch.setattr(verify, "verify_instance", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(type(error)):
+            sweep(9, require_conditions=False, jobs=2, report_stream=FailingStream(error))
+        assert verified.value < 86_368 // 10, verified.value
+        assert multiprocessing.active_children() == []
 
 
 class TestMerge:

@@ -6,7 +6,10 @@ codes: 0 ok, 1 computation failed (e.g. impossible walk, golden
 mismatch), 2 usage error, 3 malformed instance literal, 4 format not
 applicable to the subcommand, 5 verification violations, 6 a sequence scan,
 step count or walk length exceeded the step budget, or n exceeded
-MAX_MATRIX_N in a command that builds an n x n matrix.
+MAX_MATRIX_N in a command that builds an n x n matrix, 141 (128 + SIGPIPE,
+as a shell reports a command a closed pipe killed) stdout was closed before
+all output was written (`| head`, say): the command writes nothing more and
+prints no traceback.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import sys
 from math import gcd
 
 from . import goldens
-from .compgraph import SimpleGraph, digraph_dot, graph_dot
-from .packed import ToeplitzKernel, members
+from .compgraph import digraph_dot, dot_from_rows, json_from_rows, text_from_rows
+from .packed import MAX_MATRIX_N, ToeplitzKernel, members
 from .spectra import (
     BudgetExceeded,
     competition_table,
@@ -54,13 +57,10 @@ EXIT_BAD_SPEC = 3
 EXIT_BAD_FORMAT = 4
 EXIT_VIOLATIONS = 5
 EXIT_BUDGET = 6
+EXIT_BROKEN_PIPE = 141
 
 
 _ALL_FORMATS = ("text", "json", "dot", "jsonl")
-
-# Largest n for the commands that build an n x n matrix: DEFAULT_STEP_BUDGET
-# stored powers of n^2 bits each stay under 655 MB.
-MAX_MATRIX_N = 512
 
 
 def _spec_arg(parser):
@@ -196,15 +196,15 @@ def _cmd_graph(args) -> int:
     kernel = ToeplitzKernel(spec)
     table = competition_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.m)
     b = power_from_table(*table, args.m)
-    g = SimpleGraph.from_symmetric_matrix(spec.n, kernel.geometry.rows(b))
+    rows = kernel.geometry.rows(b)
     if args.format == "dot":
-        print(graph_dot(g, name=f"{spec.literal} m={args.m}"))
+        print(dot_from_rows(spec.n, rows, f"{spec.literal} m={args.m}"))
     elif args.format == "json":
-        print(json.dumps({"spec": spec.literal, "m": args.m, "graph": g.to_json_dict()}))
+        # The literal's characters need no JSON escaping.
+        graph = json_from_rows(spec.n, rows)
+        print(f'{{"spec": "{spec.literal}", "m": {args.m}, "graph": {graph}}}')
     else:
-        lines = [f"vertices={g.n} edges={len(g.edges)}"]
-        lines += [f"{u} -- {v}" for u, v in g.edges]
-        print("\n".join(lines))
+        print(text_from_rows(spec.n, rows))
     return EXIT_OK
 
 
@@ -527,10 +527,25 @@ def main(argv=None) -> int:
         )
         return EXIT_BAD_FORMAT
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # Flushed here, so a closed pipe raises inside this try and not at exit.
+        sys.stdout.flush()
+        return code
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # The reader is gone.  Point a real stdout at devnull, so that the
+        # flush of what is still buffered at exit does not raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass  # an in-process stream: nothing of it is flushed at exit
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -6,15 +6,22 @@ when the off-diagonal entry of A^m (A^T)^m is 1.  For m = 1 the edges also
 admit a closed-form test straight from the step sets, which this module
 implements and which the verify sweep cross-checks against the matrix
 route on every instance.
+
+The text, DOT and JSON forms of a graph are written straight from the row
+masks of a symmetric matrix (text_from_rows, dot_from_rows, json_from_rows),
+reading each row at its columns v > u as from_symmetric_matrix does, so
+the `graph` command never builds an edge tuple; graph_dot hands a
+SimpleGraph's upper-triangle rows to the same DOT writer.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 
 from .boolmat import BoolMatrix
-from .packed import ToeplitzKernel, closure, members
+from .packed import MAX_MATRIX_N, ToeplitzKernel, closure, members
 from .spectra import competition_matrix
 # pair_sum_gcd is unused here: perfbench/selftest.py checks tracing rebinds it in this module.
 from .toeplitz import ToeplitzSpec, pair_sum_gcd  # noqa: F401
@@ -28,10 +35,16 @@ __all__ = [
     "residue_clique_graph",
     "digraph_dot",
     "graph_dot",
+    "text_from_rows",
+    "dot_from_rows",
+    "json_from_rows",
 ]
 
 # bytes.translate table from binary digits to 0/1 column selectors.
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+# str(v) for every vertex of a graph the CLI writes.
+_NUMERALS = tuple(map(str, range(MAX_MATRIX_N + 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +80,11 @@ class SimpleGraph:
         return cls(n, tuple(edges))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and (min(u, v), max(u, v)) in self.edges
+        if u == v:
+            return False
+        key = (u, v) if u < v else (v, u)
+        i = bisect_left(self.edges, key)
+        return i < len(self.edges) and self.edges[i] == key
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": self.edges}
@@ -160,8 +177,52 @@ def digraph_dot(spec: ToeplitzSpec) -> str:
 
 
 def graph_dot(graph: SimpleGraph, name: str = "competition") -> str:
-    lines = [f'graph "{name}" {{']
-    lines += [f"  {v};" for v in range(1, graph.n + 1)]
-    lines += [f"  {u} -- {v};" for u, v in graph.edges]
-    lines.append("}")
-    return "\n".join(lines)
+    rows = [0] * graph.n
+    for u, v in graph.edges:
+        rows[u - 1] |= 1 << (v - 1)
+    return dot_from_rows(graph.n, rows, name)
+
+
+# -- Graph forms written from row masks ----------------------------------------
+#
+# rows is the list of n-bit row masks of a symmetric matrix (bit c - 1 stands
+# for column c), read only at columns v > u: the diagonal and the lower triangle
+# are ignored, as in SimpleGraph.from_symmetric_matrix.  Each row's edges
+# come out lowest column first, in one join over its neighbors' numerals.
+
+
+def _edges(n: int, rows, head: str, mid: str, tail: str, sep: str) -> str:
+    """Every edge (u, v) as head + u + mid + v + tail, joined by sep."""
+    numerals = _NUMERALS if n <= MAX_MATRIX_N else tuple(map(str, range(n + 1)))
+    return sep.join(
+        [
+            f"{head}{u}{mid}"
+            + f"{tail}{sep}{head}{u}{mid}".join(
+                compress(numerals[u + 1 : n + 1], bin(row >> u)[:1:-1].encode().translate(_DIGITS))
+            )
+            + tail
+            for u, row in enumerate(rows, 1)
+            if row >> u
+        ]
+    )
+
+
+def text_from_rows(n: int, rows) -> str:
+    """A header line with the counts, then one line "u -- v" per edge."""
+    size = sum([(row >> u).bit_count() for u, row in enumerate(rows, 1)])
+    edges = _edges(n, rows, "\n", " -- ", "", "")
+    return f"vertices={n} edges={size}{edges}"
+
+
+def dot_from_rows(n: int, rows, name: str) -> str:
+    """An undirected DOT graph: every vertex, then every edge."""
+    vertices = "".join([f"\n  {v};" for v in range(1, n + 1)])
+    edges = _edges(n, rows, "\n  ", " -- ", ";", "")
+    return f'graph "{name}" {{{vertices}{edges}\n}}'
+
+
+def json_from_rows(n: int, rows) -> str:
+    """The graph's JSON object, the bytes json.dumps writes for
+    SimpleGraph.to_json_dict."""
+    edges = _edges(n, rows, "[", ", ", "]", ", ")
+    return f'{{"n": {n}, "edges": [{edges}]}}'

@@ -53,6 +53,10 @@ STEP_SETS = 2048
 # where keeping all of them would take 8 MB at n = 400.
 PAIR_BITS = 1 << 19
 
+# Largest n for the commands that build an n x n matrix: DEFAULT_STEP_BUDGET
+# stored powers of n^2 bits each stay under 655 MB.
+MAX_MATRIX_N = 512
+
 
 class Geometry:
     """Everything of one size n that no single instance owns.

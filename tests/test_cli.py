@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import toeplab
 from toeplab import cli
 from toeplab.cli import (
     EXIT_BAD_FORMAT,
+    EXIT_BROKEN_PIPE,
     EXIT_BAD_SPEC,
     EXIT_BUDGET,
     EXIT_FAILURE,
@@ -30,6 +32,7 @@ import oracles
 
 PSETS_PIN = "7375ccd26c478dde6d021b78faa3d8394334790693e981f293aa4c19f74599a2"
 GRAPH_PIN = "6ba9b8d67ce12fa0a0b027f00e4ffc52b5d142bc36dfe206ae1e1faea34a04eb"
+GRAPH_WIDE_PIN = "2468a8893706b45abafce41a4514b9ef250b5f94f462c0afc0b4f8b2535c78c0"
 MATRIX_PIN = "9b2a9ae7ac9ccbaabf1a8933a5bb4a367cfdf5b24d8c2d70f9edefaa64e17e6d"
 
 
@@ -206,6 +209,26 @@ class TestGraph:
                 assert err == "", (literal, m, fmt)
                 digest.update(f"{literal} {m} {fmt} {code}\n{out}".encode())
         assert digest.hexdigest() == GRAPH_PIN
+
+    def test_wide_output_bytes_pinned(self, capsys):
+        # Text, dot and JSON output of `graph --m` at sizes from
+        # packed.ROW_BYTES_FROM on, where Geometry.rows slices the rows out
+        # of the matrix's bytes: two sparse graphs, a denser one, and two
+        # empty ones, hashed together.
+        queries = [
+            ("T150<1;2>", 1),
+            ("T150<1;2>", 3),
+            ("T400<3,7;5>", 2),
+            ("T150<149;149>", 1),
+            ("T512<1;511>", 1),
+        ]
+        digest = hashlib.sha256()
+        for literal, m in queries:
+            for fmt in ("text", "dot", "json"):
+                code, out, err = run(capsys, "graph", literal, "--m", str(m), "--format", fmt)
+                assert err == "", (literal, m, fmt)
+                digest.update(f"{literal} {m} {fmt} {code}\n{out}".encode())
+        assert digest.hexdigest() == GRAPH_WIDE_PIN
 
     def test_dense_graph_written_in_at_most_two_writes(self, monkeypatch):
         # 2,698 edges: one print of the whole text, not one per edge.
@@ -583,6 +606,43 @@ class TestExitCodes:
             code, _, err = run(capsys, "walk", "T8<1,4;2,5>", *argv)
             assert code == 2 and err.startswith("error:"), argv
 
+    def test_closed_in_process_stream_ends_with_the_pipe_code(self, monkeypatch):
+        # Like io.StringIO, the stream has no descriptor to redirect.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["graph", "T8<1,4;2,5>", "--m", "3"]) == EXIT_BROKEN_PIPE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "T400<3,7;5>", "--m", "40"],
+            ["verify", "--nmax", "7", "--all", "--format", "jsonl"],
+        ],
+    )
+    def test_closed_pipe_ends_without_traceback(self, argv):
+        # Each output is far larger than a pipe's buffer, so the command is
+        # still writing when the reader closes its end after one line.
+        src = str(Path(toeplab.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "toeplab.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert code == EXIT_BROKEN_PIPE, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
 
 def test_packed_commands_match_generic_path(capsys):
     """period, competition and graph run on the packed kernel; the generic
@@ -629,14 +689,18 @@ def test_python_calls_per_query(capsys):
     # "call" events; builtins and methods written in C make none) of one
     # query once the parser and the size's tables are built: only the
     # command's own parser parses, and only the asked-for form renders.
+    # The graph forms are written one join per row: a Python call per row
+    # or per edge would put T74's bounds out of reach.
     bounds = {
-        ("period",): 75,
-        ("competition", "--format", "json"): 100,
-        ("bound",): 70,
-        ("graph", "--m", "2"): 80,
+        ("period", "T40<3,7;5>"): 75,
+        ("competition", "T40<3,7;5>", "--format", "json"): 100,
+        ("bound", "T40<3,7;5>"): 70,
+        ("graph", "T40<3,7;5>", "--m", "2"): 80,
     }
-    for (command, *options), bound in bounds.items():
-        argv = [command, "T40<3,7;5>", *options]
+    for fmt in ("text", "json", "dot"):
+        bounds["graph", "T74<6,21;1,13,21>", "--m", "3", "--format", fmt] = 90
+    for argv, bound in bounds.items():
+        argv = list(argv)
         assert main(argv) == EXIT_OK
         calls = 0
 

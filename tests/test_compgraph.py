@@ -9,10 +9,13 @@ from toeplab.compgraph import (
     SimpleGraph,
     competition_graph_formula,
     digraph_dot,
+    dot_from_rows,
     graph_dot,
+    json_from_rows,
     m_step_graph,
     residue_clique_graph,
     strong_components,
+    text_from_rows,
 )
 from toeplab.spectra import competition_matrix, competition_table, residue_classes
 from toeplab.toeplitz import build_matrix, parse_literal, validate_spec
@@ -61,10 +64,66 @@ class TestSimpleGraph:
         assert g.has_edge(1, 3) and g.has_edge(3, 1)
         assert not g.has_edge(2, 2)
 
+    def test_has_edge_on_a_dense_graph(self):
+        rng = random.Random(53)
+        n = 40
+        rows = [sum(1 << j for j in range(n) if rng.random() < 0.7) for _ in range(n)]
+        g = SimpleGraph.from_symmetric_matrix(n, rows)
+        edges = set(g.edges)
+        assert len(edges) > 400
+        for u in range(0, n + 2):
+            for v in range(0, n + 2):
+                expected = (u, v) in edges or (v, u) in edges
+                assert g.has_edge(u, v) == expected, (u, v)
+
     def test_json_edges_sorted(self):
         g = SimpleGraph(4, ((1, 2), (1, 3), (2, 4)))
         data = json.loads(json.dumps(g.to_json_dict()))
         assert data == {"n": 4, "edges": [[1, 2], [1, 3], [2, 4]]}
+
+
+class TestRowWriters:
+    """The graph forms written straight from row masks against the forms of
+    the SimpleGraph that from_symmetric_matrix reads off the same rows."""
+
+    @staticmethod
+    def reference_dot(g, name):
+        # The per-edge DOT rendering the row writer replaced.
+        lines = [f'graph "{name}" {{']
+        lines += [f"  {v};" for v in range(1, g.n + 1)]
+        lines += [f"  {u} -- {v};" for u, v in g.edges]
+        lines.append("}")
+        return "\n".join(lines)
+
+    def test_forms_match_the_simple_graph(self):
+        # Random rows, not symmetric, with bits on and below the diagonal:
+        # only the columns v > u may show.
+        rng = random.Random(19)
+        sizes = [2, 3, 7, 64, 65, 139, 140, 200] + [rng.randint(2, 200) for _ in range(8)]
+        for n in sizes:
+            for density in (0.0, 0.05, 0.5, 1.0):
+                rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+                g = SimpleGraph.from_symmetric_matrix(n, rows)
+                text = "\n".join([f"vertices={n} edges={len(g.edges)}"] + [f"{u} -- {v}" for u, v in g.edges])
+                assert text_from_rows(n, rows) == text, (n, density)
+                name = f"T{n} d={density}"
+                assert dot_from_rows(n, rows, name) == graph_dot(g, name) == self.reference_dot(g, name)
+                assert json_from_rows(n, rows) == json.dumps(g.to_json_dict()), (n, density)
+
+    def test_lower_triangle_is_ignored(self):
+        n = 6
+        full = [(1 << n) - 1] * n
+        lower = [(1 << u) - 1 for u in range(1, n + 1)]  # columns 1..u of row u
+        assert text_from_rows(n, lower) == f"vertices={n} edges=0"
+        assert json_from_rows(n, lower) == f'{{"n": {n}, "edges": []}}'
+        assert text_from_rows(n, full).count("\n") == n * (n - 1) // 2
+
+    def test_graph_dot_past_the_matrix_cap(self):
+        # A SimpleGraph may be larger than any matrix the CLI builds.
+        g = residue_clique_graph(600, 150)
+        dot = graph_dot(g, "big")
+        assert dot == self.reference_dot(g, "big")
+        assert "  450 -- 600;" in dot
 
 
 class TestMStepGraph:

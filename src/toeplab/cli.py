@@ -63,15 +63,30 @@ EXIT_BROKEN_PIPE = 141
 _ALL_FORMATS = ("text", "json", "dot", "jsonl")
 
 
+def _integer(text: str) -> int:
+    """The `type` of every integer option, and the reader of $TOEPLAB_JOBS:
+    ASCII -?[0-9]+.  int() alone would also take other Unicode decimal
+    digits, "_" and "+"."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _spec_arg(parser):
-    parser.add_argument("spec", help='instance literal, e.g. "T8<1,4;2,5>"')
+    return parser.add_argument("spec", help='instance literal, e.g. "T8<1,4;2,5>"')
 
 
 def _format_arg(parser, allowed):
     # Parse any known format; applicability is the command's concern so an
     # inapplicable choice gets its own exit code instead of a usage error.
-    parser.add_argument("--format", choices=_ALL_FORMATS, default="text", help="output format")
     parser.set_defaults(allowed_formats=allowed)
+    return parser.add_argument(
+        "--format", choices=_ALL_FORMATS, default="text", help="output format"
+    )
 
 
 def _parse_spec(text: str, matrix: bool = True) -> ToeplitzSpec:
@@ -380,8 +395,8 @@ def _cmd_verify(args) -> int:
         source = "TOEPLAB_JOBS"
         env = os.environ.get(source, "1")
         try:
-            jobs = int(env)
-        except ValueError:
+            jobs = _integer(env)
+        except argparse.ArgumentTypeError:
             print(f"error: TOEPLAB_JOBS must be an integer, got {env!r}", file=sys.stderr)
             return EXIT_USAGE
     if jobs < 1:
@@ -414,6 +429,16 @@ def _cmd_examples(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
+def _canonical(*actions):
+    """One command's table for _parse_canonical, from the actions its
+    add_argument calls returned: the positional action (None if the command
+    takes none), the action of each option string, and the dests that must
+    be given."""
+    positional = next((a for a in actions if not a.option_strings), None)
+    options = {string: a for a in actions for string in a.option_strings}
+    return positional, options, frozenset(a.dest for a in actions if a.required)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toeplab",
@@ -422,74 +447,90 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="matrix of an instance (text/json/dot)")
-    _spec_arg(p)
-    _format_arg(p, ("text", "json", "dot"))
+    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json", "dot")))
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("power", help="m-th Boolean power of the matrix")
-    _spec_arg(p)
-    p.add_argument("--m", type=int, required=True)
-    _format_arg(p, ("text", "json"))
+    p.canonical = _canonical(
+        _spec_arg(p),
+        p.add_argument("--m", type=_integer, required=True),
+        _format_arg(p, ("text", "json")),
+    )
     p.set_defaults(fn=_cmd_power)
 
     p = sub.add_parser("period", help="exact matrix period vs predicted value")
-    _spec_arg(p)
-    _format_arg(p, ("text", "json"))
+    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json")))
     p.set_defaults(fn=_cmd_period)
 
     p = sub.add_parser("competition", help="competition index, period, and limit")
-    _spec_arg(p)
-    _format_arg(p, ("text", "json"))
+    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json")))
     p.set_defaults(fn=_cmd_competition)
 
     p = sub.add_parser("graph", help="m-step competition graph")
-    _spec_arg(p)
-    p.add_argument("--m", type=int, required=True)
-    _format_arg(p, ("text", "json", "dot"))
+    p.canonical = _canonical(
+        _spec_arg(p),
+        p.add_argument("--m", type=_integer, required=True),
+        _format_arg(p, ("text", "json", "dot")),
+    )
     p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser("psets", help="offset step sets at one step count")
-    _spec_arg(p)
-    p.add_argument("--i", type=int, default=None, help="step count")
-    p.add_argument("--stabilize", action="store_true", help="scan for the agreement point")
-    p.add_argument("--horizon", type=int, default=None, help="scan horizon for --stabilize")
-    _format_arg(p, ("text", "json"))
+    p.canonical = _canonical(
+        _spec_arg(p),
+        p.add_argument("--i", type=_integer, default=None, help="step count"),
+        p.add_argument("--stabilize", action="store_true", help="scan for the agreement point"),
+        p.add_argument(
+            "--horizon", type=_integer, default=None, help="scan horizon for --stabilize"
+        ),
+        _format_arg(p, ("text", "json")),
+    )
     p.set_defaults(fn=_cmd_psets)
 
     p = sub.add_parser("walk", help="build a walk with prescribed arc counts")
-    _spec_arg(p)
-    p.add_argument("--start", type=int, required=True)
-    p.add_argument("--counts", default="", help='higher-index arc counts, e.g. "s2=5,t2=6"')
-    p.add_argument("--exact", action="store_true", help="prescribe the shortest-step counts too")
-    p.add_argument("--s1", type=int, default=0, help="total shortest forward arcs (with --exact)")
-    p.add_argument("--t1", type=int, default=0, help="total shortest backward arcs (with --exact)")
-    _format_arg(p, ("text", "json"))
+    p.canonical = _canonical(
+        _spec_arg(p),
+        p.add_argument("--start", type=_integer, required=True),
+        p.add_argument("--counts", default="", help='higher-index arc counts, e.g. "s2=5,t2=6"'),
+        p.add_argument(
+            "--exact", action="store_true", help="prescribe the shortest-step counts too"
+        ),
+        p.add_argument(
+            "--s1", type=_integer, default=0, help="total shortest forward arcs (with --exact)"
+        ),
+        p.add_argument(
+            "--t1", type=_integer, default=0, help="total shortest backward arcs (with --exact)"
+        ),
+        _format_arg(p, ("text", "json")),
+    )
     p.set_defaults(fn=_cmd_walk)
 
     p = sub.add_parser("bound", help="competition-index bound and its hypothesis")
-    _spec_arg(p)
-    _format_arg(p, ("text", "json"))
+    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json")))
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("certificate", help="zero-sum gcd certificate")
-    _spec_arg(p)
-    _format_arg(p, ("text", "json"))
+    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json")))
     p.set_defaults(fn=_cmd_certificate)
 
     p = sub.add_parser("verify", help="exhaustive sweep up to --nmax")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--all", action="store_true", help="include condition-violating instances")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes, at most the CPU count (default $TOEPLAB_JOBS or 1)",
+    p.canonical = _canonical(
+        p.add_argument("--nmax", type=_integer, required=True),
+        p.add_argument("--all", action="store_true", help="include condition-violating instances"),
+        p.add_argument(
+            "--jobs",
+            type=_integer,
+            default=None,
+            help="worker processes, at most the CPU count (default $TOEPLAB_JOBS or 1)",
+        ),
+        p.add_argument(
+            "--progress", type=_integer, default=None, help="print a line every N instances"
+        ),
+        _format_arg(p, ("text", "json", "jsonl")),
     )
-    p.add_argument("--progress", type=int, default=None, help="print a line every N instances")
-    _format_arg(p, ("text", "json", "jsonl"))
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("examples", help="re-run the embedded worked-example goldens")
+    p.canonical = _canonical()
     p.set_defaults(fn=_cmd_examples)
 
     parser.commands = sub.choices  # name -> subparser, for main's dispatch
@@ -499,9 +540,52 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Built on the first call, not at import.  Reuse carries nothing over:
-    # parse_args returns a fresh Namespace and no action has a mutable
-    # default.
+    # argparse and _parse_canonical return a fresh Namespace and no action
+    # has a mutable default.
     return build_parser()
+
+
+def _parse_canonical(command, argv):
+    """The Namespace command.parse_known_args(argv) returns, for a canonical
+    argv: the command's positional (if it takes one) and exact option
+    strings, each option but a flag followed by a value that does not start
+    with "-" and that its type and choices accept, no option twice and
+    every required one given.  None for any other argv: argparse parses
+    those, so help, usage and every error message stay its own."""
+    positional, options, required = command.canonical
+    values = {action.dest: action.default for action in options.values()}
+    given = set()
+    tokens = iter(argv)
+    for token in tokens:
+        action = options.get(token, positional)
+        if action is None or action.dest in given:
+            return None
+        given.add(action.dest)
+        if action is positional:
+            if token.startswith("-"):
+                return None
+            values[action.dest] = token
+        elif action.nargs == 0:
+            values[action.dest] = action.const
+        else:
+            value = next(tokens, "-")  # a missing value fails like a negative one
+            if value.startswith("-"):
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+    if not given >= required:
+        return None
+    for name in ("fn", "allowed_formats"):
+        default = command.get_default(name)
+        if default is not None:
+            values[name] = default
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
@@ -515,9 +599,11 @@ def main(argv=None) -> int:
     if command is None:
         args = parser.parse_args(argv)
     else:
-        args, extra = command.parse_known_args(argv[1:])
-        if extra:
-            parser.error("unrecognized arguments: " + " ".join(extra))
+        args = _parse_canonical(command, argv[1:])
+        if args is None:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                parser.error("unrecognized arguments: " + " ".join(extra))
         args.command = argv[0]
     allowed = getattr(args, "allowed_formats", None)
     if allowed is not None and args.format not in allowed:

@@ -36,6 +36,11 @@ GRAPH_WIDE_PIN = "2468a8893706b45abafce41a4514b9ef250b5f94f462c0afc0b4f8b2535c78
 MATRIX_PIN = "9b2a9ae7ac9ccbaabf1a8933a5bb4a367cfdf5b24d8c2d70f9edefaa64e17e6d"
 
 
+# int() reads each of these as a number: Arabic-Indic two, three and seven,
+# a fullwidth three, a digit group separator and an explicit plus sign.
+NOT_ASCII_INTEGERS = ("\u0662", "\u0663", "\u0667", "\uff13", "1_0", "+3")
+
+
 class CountingStdout:
     """A stdout that counts its write calls."""
 
@@ -584,6 +589,37 @@ class TestExitCodes:
         # An explicit --jobs never reads the variable.
         assert run(capsys, "verify", "--nmax", "3", "--jobs", "1")[0] == EXIT_OK
 
+    def test_integer_options_take_ascii_digits_only(self, capsys):
+        # --m -1 is an integer: the command refuses it, not the parser.
+        code, out, err = run(capsys, "power", "T5<2;4>", "--m", "-1")
+        assert (code, out) == (EXIT_USAGE, "") and "--m must be nonnegative" in err
+        for argv in (
+            ("power", "T5<2;4>", "--m"),
+            ("graph", "T5<2;4>", "--m"),
+            ("psets", "T5<2;4>", "--i"),
+            ("psets", "T5<2;4>", "--stabilize", "--horizon"),
+            ("walk", "T8<1,4;2,5>", "--start"),
+            ("walk", "T8<1,4;2,5>", "--start", "1", "--exact", "--s1"),
+            ("walk", "T8<1,4;2,5>", "--start", "1", "--exact", "--t1"),
+            ("verify", "--nmax"),
+            ("verify", "--nmax", "3", "--jobs"),
+            ("verify", "--nmax", "3", "--progress"),
+        ):
+            for value in NOT_ASCII_INTEGERS:
+                with pytest.raises(SystemExit) as exc:
+                    run(capsys, *argv, value)
+                assert exc.value.code == EXIT_USAGE, (argv, value)
+                captured = capsys.readouterr()
+                assert captured.out == "", (argv, value)
+                assert f"argument {argv[-1]}: invalid int value: {value!r}" in captured.err
+
+    def test_verify_jobs_env_takes_ascii_digits_only(self, capsys, monkeypatch):
+        for value in NOT_ASCII_INTEGERS:
+            monkeypatch.setenv("TOEPLAB_JOBS", value)
+            code, out, err = run(capsys, "verify", "--nmax", "3")
+            assert (code, out) == (EXIT_USAGE, ""), value
+            assert err == f"error: TOEPLAB_JOBS must be an integer, got {value!r}\n"
+
     def test_verify_jobs_capped_at_cpu_count(self, capsys, monkeypatch, pool_sizes):
         # pool_sizes reports 2 CPUs and records each pool's worker count.
         argv = ("verify", "--nmax", "4", "--all", "--format", "json")
@@ -776,7 +812,8 @@ _REUSE_EPISODES = (
 
 
 # Argv that no command parser sees, or whose command parser leaves some of
-# it over or stops with a usage error.
+# it over or stops with a usage error, and argv that are not canonical:
+# main hands all of these to argparse.
 _DISPATCH_EXTRAS = (
     (),
     ("nosuch",),
@@ -784,6 +821,47 @@ _DISPATCH_EXTRAS = (
     ("period",),
     ("period", "T2<1;1>", "extra"),
     ("graph", "T3<1;2>", "--m", "x"),
+    *(
+        (command, "-h")
+        for command in (
+            "build", "power", "period", "competition", "graph", "psets",
+            "walk", "bound", "certificate", "verify", "examples",
+        )
+    ),
+    ("period", "T2<1;1>", "--form", "json"),
+    ("walk", "T8<1,4;2,5>", "--st", "3"),
+    ("period", "T2<1;1>", "--format=json"),
+    ("power", "T5<2;4>", "--m", "2", "--m", "3"),
+    ("psets", "T8<1,4;2,5>", "--stabilize", "--stabilize"),
+    ("power", "--m", "3", "T5<2;4>"),
+    ("power", "T5<2;4>", "--m", "-1"),
+    ("period", "--", "T2<1;1>"),
+    ("power", "T5<2;4>", "--m"),
+    ("walk", "T8<1,4;2,5>", "--start", "1", "--counts"),
+    ("walk", "T8<1,4;2,5>", "--start", "one"),
+    ("walk", "T8<1,4;2,5>", "--start", "\u0667"),
+    ("period", "T2<1;1>", "--format", "xml"),
+)
+
+# Canonical argv that exit 0: one per command, and every option of
+# walk --exact, psets --stabilize, graph and verify.
+_CANONICAL = (
+    ("build", "T6<2,4;4,5>", "--format", "dot"),
+    ("power", "T5<2;4>", "--m", "3", "--format", "json"),
+    ("period", "T8<1,4;2,5>"),
+    ("competition", "T7<3,4;5>", "--format", "json"),
+    ("graph", "T8<1,4;2,5>", "--m", "3", "--format", "dot"),
+    ("psets", "T8<1,4;2,5>", "--i", "3"),
+    ("psets", "T8<1,4;2,5>", "--stabilize", "--horizon", "12", "--format", "json"),
+    ("walk", "T8<1,4;2,5>", "--start", "7", "--counts", "s2=5,t2=6"),
+    (
+        "walk", "T8<1,4;2,5>", "--start", "1", "--counts", "s2=1", "--exact",
+        "--s1", "3", "--t1", "1", "--format", "json",
+    ),
+    ("bound", "T8<1,4;2,5>"),
+    ("certificate", "T9<2,3,7;1,4,8>", "--format", "json"),
+    ("verify", "--nmax", "4", "--all", "--jobs", "1", "--progress", "50", "--format", "jsonl"),
+    ("examples",),
 )
 
 
@@ -850,7 +928,26 @@ class TestParserReuse:
             else:
                 assert got[0] == EXIT_BAD_FORMAT and not seen, argv
         assert seen == []
-        assert sorted(exits) == [0, 0] + [EXIT_USAGE] * 7  # --help, walk --help; 7 usage errors
+        # --help, walk --help and each command's -h; 12 usage errors.
+        assert sorted(exits) == [0] * 13 + [EXIT_USAGE] * 12
+
+    def test_canonical_argv_skip_argparse(self, capsys, monkeypatch):
+        # Handing a canonical argv to argparse gives the same output, only
+        # slower: here every parser refuses to parse.
+        want = _run_sequence(capsys, _CANONICAL)
+        assert {code for code, _, _ in want} == {EXIT_OK}
+        assert {argv[0] for argv in _CANONICAL} == set(cli._parser().commands)
+        parser = cli.build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("argparse parsed a canonical argv")
+
+        for p in (parser, *parser.commands.values()):
+            monkeypatch.setattr(p, "parse_known_args", refuse)
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        got = _run_sequence(capsys, _CANONICAL)
+        for argv, outcome, expected in zip(_CANONICAL, got, want):
+            assert outcome == expected, argv
 
     def test_import_builds_no_parser(self):
         src = str(Path(toeplab.__file__).resolve().parent.parent)

@@ -3,7 +3,8 @@
 `python -O` strips every assert statement, so an invariant written as one
 would silently stop being checked; the library raises instead.  And only
 the reference modules import boolmat, so matrices stay packed ints
-everywhere else.
+everywhere else.  No command-line option is typed `int`, which would take
+digits the instance literal refuses.
 """
 
 import ast
@@ -51,3 +52,21 @@ def test_boolmat_imported_only_by_the_reference_modules():
         if path.stem != "boolmat" and imports_boolmat(ast.parse(path.read_text(), str(path)))
     }
     assert found <= BOOLMAT_IMPORTERS
+
+
+def test_integer_options_take_the_ascii_parser():
+    # int() also takes other Unicode decimal digits, "_" and "+"; every
+    # integer option goes through cli's ASCII parser instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        and any(
+            kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id == "int"
+            for kw in node.keywords
+        )
+    ]
+    assert found == []

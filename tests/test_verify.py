@@ -5,11 +5,13 @@ import os
 import random
 import sys
 from functools import partial
+from math import gcd
 
 import pytest
 
 from toeplab import verify
 from toeplab.packed import ToeplitzKernel
+from toeplab.spectra import power_table
 from toeplab.toeplitz import parse_literal, validate_spec
 from toeplab.verify import (
     FAILS,
@@ -171,6 +173,36 @@ class TestWielandtFamily:
         assert report.comp_index == ((n - 1) ** 2 + 2) // 2
         assert report.cond1 and not report.cond2
         assert report.violations() == [] and not report.incomplete
+
+    def test_instances_at_the_square_bound_up_to_7(self):
+        # Every instance with 3 <= n <= 7 whose power index reaches (n-1)^2
+        # (at n = 2 every instance does): T_n<k; n-1-k, n-1> with k prime
+        # to n - 1 at (n-1)^2, the family at (n-1)^2 + 1 for odd n, T4<3;1,2>
+        # at 9, and the mirror of each.  All are primitive: period 1 and a
+        # limit of all ones.
+        expected = {}
+        for n in range(3, 8):
+            square = (n - 1) ** 2
+            for k in range(1, n - 1):
+                if gcd(k, n - 1) == 1:
+                    expected[n, (k,), (n - 1 - k, n - 1)] = square
+            if n % 2:
+                expected[n, ((n + 1) // 2,), ((n - 1) // 2, n - 1)] = square + 1
+        expected[4, (3,), (1, 2)] = 9
+        expected.update({(n, b, a): i for (n, a, b), i in expected.items()})
+        found = {}
+        count = 0
+        for spec in enumerate_specs(7, False):
+            count += 1
+            kernel = ToeplitzKernel(spec)
+            tail, _ = power_table(kernel)
+            if spec.n > 2 and tail.index >= (spec.n - 1) ** 2:
+                assert tail.period == 1, spec.literal
+                assert tail.cycle[0] == kernel.geometry.full, spec.literal
+                found[spec.n, spec.forward_steps, spec.backward_steps] = tail.index
+        assert count == 5214
+        assert found == expected
+        assert len(found) == 4 + 6 + 6 + 8 + 6  # n = 3, ..., 7
 
     def test_competition_bound_fails_outside_its_hypotheses(self):
         # Outside the theorem the bound need not hold, and here it does not;

@@ -15,12 +15,12 @@ prints no traceback.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import re
 import sys
 from math import gcd
+from typing import Callable, NamedTuple
 
 from . import goldens
 from .compgraph import digraph_dot, dot_from_rows, json_from_rows, text_from_rows
@@ -74,19 +74,6 @@ def _integer(text: str) -> int:
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-
-
-def _spec_arg(parser):
-    return parser.add_argument("spec", help='instance literal, e.g. "T8<1,4;2,5>"')
-
-
-def _format_arg(parser, allowed):
-    # Parse any known format; applicability is the command's concern so an
-    # inapplicable choice gets its own exit code instead of a usage error.
-    parser.set_defaults(allowed_formats=allowed)
-    return parser.add_argument(
-        "--format", choices=_ALL_FORMATS, default="text", help="output format"
-    )
 
 
 def _parse_spec(text: str, matrix: bool = True) -> ToeplitzSpec:
@@ -332,9 +319,9 @@ def _cmd_walk(args) -> int:
             str(walk),
             f"length={walk.length} offset={walk.end - walk.start:+d}",
             "forward arc counts: "
-            + " ".join(f"s{i + 1}({s})={c}" for i, (s, c) in enumerate(zip(spec.forward_steps, a))),
+            + " ".join(f"s{i}({s})={c}" for i, (s, c) in enumerate(zip(spec.forward_steps, a), 1)),
             "backward arc counts: "
-            + " ".join(f"t{i + 1}({t})={c}" for i, (t, c) in enumerate(zip(spec.backward_steps, b))),
+            + " ".join(f"t{i}({t})={c}" for i, (t, c) in enumerate(zip(spec.backward_steps, b), 1)),
         ],
     )
     return EXIT_OK
@@ -372,10 +359,7 @@ def _cmd_certificate(args) -> int:
             "gcd": d,
         },
         args.format,
-        [
-            f"gcd={d} a={list(cert.forward_coeffs)} "
-            f"b={list(cert.backward_coeffs)}"
-        ],
+        [f"gcd={d} a={list(cert.forward_coeffs)} b={list(cert.backward_coeffs)}"],
     )
     return EXIT_OK
 
@@ -429,191 +413,153 @@ def _cmd_examples(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
-def _canonical(*actions):
-    """One command's table for _parse_canonical, from the actions its
-    add_argument calls returned: the positional action (None if the command
-    takes none), the action of each option string, and the dests that must
-    be given."""
-    positional = next((a for a in actions if not a.option_strings), None)
-    options = {string: a for a in actions for string in a.option_strings}
-    return positional, options, frozenset(a.dest for a in actions if a.required)
+class _Command(NamedTuple):
+    fn: Callable[[argparse.Namespace], int]
+    help: str
+    spec: bool  # takes an instance literal
+    formats: tuple[str, ...] | None  # the formats it applies to; None: no --format
+    # (flag, type, default, help) of each option, in order: the type is _integer,
+    # None for a string or _FLAG, and a _REQUIRED default makes it required.
+    options: tuple = ()
+
+
+_FLAG = "store_true"
+_REQUIRED = object()
+_TEXT_JSON = ("text", "json")
+_WITH_DOT = ("text", "json", "dot")
+_WITH_JSONL = ("text", "json", "jsonl")
+_M = ("--m", _integer, _REQUIRED, None)
+
+# Every command, declared once: _parse_canonical reads these, and
+# build_parser builds the argparse tree from them in this order.
+COMMANDS = {
+    "build": _Command(_cmd_build, "matrix of an instance (text/json/dot)", True, _WITH_DOT),
+    "power": _Command(_cmd_power, "m-th Boolean power of the matrix", True, _TEXT_JSON, (_M,)),
+    "period": _Command(_cmd_period, "exact matrix period vs predicted value", True, _TEXT_JSON),
+    "competition": _Command(
+        _cmd_competition, "competition index, period, and limit", True, _TEXT_JSON
+    ),
+    "graph": _Command(_cmd_graph, "m-step competition graph", True, _WITH_DOT, (_M,)),
+    "psets": _Command(_cmd_psets, "offset step sets at one step count", True, _TEXT_JSON, (
+        ("--i", _integer, None, "step count"),
+        ("--stabilize", _FLAG, False, "scan for the agreement point"),
+        ("--horizon", _integer, None, "scan horizon for --stabilize"),
+    )),
+    "walk": _Command(_cmd_walk, "build a walk with prescribed arc counts", True, _TEXT_JSON, (
+        ("--start", _integer, _REQUIRED, None),
+        ("--counts", None, "", 'higher-index arc counts, e.g. "s2=5,t2=6"'),
+        ("--exact", _FLAG, False, "prescribe the shortest-step counts too"),
+        ("--s1", _integer, 0, "total shortest forward arcs (with --exact)"),
+        ("--t1", _integer, 0, "total shortest backward arcs (with --exact)"),
+    )),
+    "bound": _Command(_cmd_bound, "competition-index bound and its hypothesis", True, _TEXT_JSON),
+    "certificate": _Command(_cmd_certificate, "zero-sum gcd certificate", True, _TEXT_JSON),
+    "verify": _Command(_cmd_verify, "exhaustive sweep up to --nmax", False, _WITH_JSONL, (
+        ("--nmax", _integer, _REQUIRED, None),
+        ("--all", _FLAG, False, "include condition-violating instances"),
+        ("--jobs", _integer, None,
+         "worker processes, at most the CPU count (default $TOEPLAB_JOBS or 1)"),
+        ("--progress", _integer, None, "print a line every N instances"),
+    )),
+    "examples": _Command(_cmd_examples, "re-run the embedded worked-example goldens", False, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of COMMANDS: each command's literal, its options,
+    then --format.  main builds it only for an argv the one pass refuses."""
     parser = argparse.ArgumentParser(
         prog="toeplab",
         description="Boolean Toeplitz matrices: periods, competition graphs, walks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="matrix of an instance (text/json/dot)")
-    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json", "dot")))
-    p.set_defaults(fn=_cmd_build)
-
-    p = sub.add_parser("power", help="m-th Boolean power of the matrix")
-    p.canonical = _canonical(
-        _spec_arg(p),
-        p.add_argument("--m", type=_integer, required=True),
-        _format_arg(p, ("text", "json")),
-    )
-    p.set_defaults(fn=_cmd_power)
-
-    p = sub.add_parser("period", help="exact matrix period vs predicted value")
-    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json")))
-    p.set_defaults(fn=_cmd_period)
-
-    p = sub.add_parser("competition", help="competition index, period, and limit")
-    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json")))
-    p.set_defaults(fn=_cmd_competition)
-
-    p = sub.add_parser("graph", help="m-step competition graph")
-    p.canonical = _canonical(
-        _spec_arg(p),
-        p.add_argument("--m", type=_integer, required=True),
-        _format_arg(p, ("text", "json", "dot")),
-    )
-    p.set_defaults(fn=_cmd_graph)
-
-    p = sub.add_parser("psets", help="offset step sets at one step count")
-    p.canonical = _canonical(
-        _spec_arg(p),
-        p.add_argument("--i", type=_integer, default=None, help="step count"),
-        p.add_argument("--stabilize", action="store_true", help="scan for the agreement point"),
-        p.add_argument(
-            "--horizon", type=_integer, default=None, help="scan horizon for --stabilize"
-        ),
-        _format_arg(p, ("text", "json")),
-    )
-    p.set_defaults(fn=_cmd_psets)
-
-    p = sub.add_parser("walk", help="build a walk with prescribed arc counts")
-    p.canonical = _canonical(
-        _spec_arg(p),
-        p.add_argument("--start", type=_integer, required=True),
-        p.add_argument("--counts", default="", help='higher-index arc counts, e.g. "s2=5,t2=6"'),
-        p.add_argument(
-            "--exact", action="store_true", help="prescribe the shortest-step counts too"
-        ),
-        p.add_argument(
-            "--s1", type=_integer, default=0, help="total shortest forward arcs (with --exact)"
-        ),
-        p.add_argument(
-            "--t1", type=_integer, default=0, help="total shortest backward arcs (with --exact)"
-        ),
-        _format_arg(p, ("text", "json")),
-    )
-    p.set_defaults(fn=_cmd_walk)
-
-    p = sub.add_parser("bound", help="competition-index bound and its hypothesis")
-    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json")))
-    p.set_defaults(fn=_cmd_bound)
-
-    p = sub.add_parser("certificate", help="zero-sum gcd certificate")
-    p.canonical = _canonical(_spec_arg(p), _format_arg(p, ("text", "json")))
-    p.set_defaults(fn=_cmd_certificate)
-
-    p = sub.add_parser("verify", help="exhaustive sweep up to --nmax")
-    p.canonical = _canonical(
-        p.add_argument("--nmax", type=_integer, required=True),
-        p.add_argument("--all", action="store_true", help="include condition-violating instances"),
-        p.add_argument(
-            "--jobs",
-            type=_integer,
-            default=None,
-            help="worker processes, at most the CPU count (default $TOEPLAB_JOBS or 1)",
-        ),
-        p.add_argument(
-            "--progress", type=_integer, default=None, help="print a line every N instances"
-        ),
-        _format_arg(p, ("text", "json", "jsonl")),
-    )
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("examples", help="re-run the embedded worked-example goldens")
-    p.canonical = _canonical()
-    p.set_defaults(fn=_cmd_examples)
-
-    parser.commands = sub.choices  # name -> subparser, for main's dispatch
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.spec:
+            p.add_argument("spec", help='instance literal, e.g. "T8<1,4;2,5>"')
+        for flag, kind, default, text in command.options:
+            required = default is _REQUIRED
+            how = {"action": _FLAG} if kind is _FLAG else {"type": kind, "required": required}
+            p.add_argument(flag, default=None if required else default, help=text, **how)
+        if command.formats is not None:
+            # Parse any known format; applicability is the command's concern so an
+            # inapplicable choice gets its own exit code instead of a usage error.
+            p.add_argument("--format", choices=_ALL_FORMATS, default="text", help="output format")
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first call, not at import.  Reuse carries nothing over:
-    # argparse and _parse_canonical return a fresh Namespace and no action
-    # has a mutable default.
-    return build_parser()
+def _flag_table(command):
+    """What _parse_canonical reads of one command: the (dest, type, choices)
+    of each option string and of the literal (None if it takes none), each
+    dest's default, and the dests that must be given."""
+    options = [(flag[2:], kind, None, default) for flag, kind, default, _ in command.options]
+    if command.formats is not None:
+        options.append(("format", None, _ALL_FORMATS, "text"))
+    flags = {"--" + dest: (dest, kind, choices) for dest, kind, choices, _ in options}
+    defaults = {dest: None if d is _REQUIRED else d for dest, _, _, d in options}
+    required = {dest for dest, _, _, d in options if d is _REQUIRED}
+    if not command.spec:
+        return flags, None, defaults, required
+    return flags, ("spec", None, None), defaults, required | {"spec"}
 
 
-def _parse_canonical(command, argv):
-    """The Namespace command.parse_known_args(argv) returns, for a canonical
-    argv: the command's positional (if it takes one) and exact option
+_FLAG_TABLES = {name: _flag_table(command) for name, command in COMMANDS.items()}
+
+
+def _parse_canonical(name, argv):
+    """The Namespace build_parser().parse_args([name, *argv]) returns, for a
+    canonical argv: the command's literal (if it takes one) and exact option
     strings, each option but a flag followed by a value that does not start
-    with "-" and that its type and choices accept, no option twice and
-    every required one given.  None for any other argv: argparse parses
+    with "-" and that its type and choices accept, no option twice and every
+    required one given.  None for any other name or argv: argparse parses
     those, so help, usage and every error message stay its own."""
-    positional, options, required = command.canonical
-    values = {action.dest: action.default for action in options.values()}
+    if name not in _FLAG_TABLES:
+        return None
+    flags, positional, values, required = _FLAG_TABLES[name]
+    values = dict(values)  # the tables are shared: no call sees another's values
     given = set()
     tokens = iter(argv)
     for token in tokens:
-        action = options.get(token, positional)
-        if action is None or action.dest in given:
+        entry = flags.get(token, positional)
+        if entry is None or entry[0] in given:
             return None
-        given.add(action.dest)
-        if action is positional:
+        dest, kind, choices = entry
+        given.add(dest)
+        if entry is positional:
             if token.startswith("-"):
                 return None
-            values[action.dest] = token
-        elif action.nargs == 0:
-            values[action.dest] = action.const
+            values[dest] = token
+        elif kind is _FLAG:
+            values[dest] = True
         else:
             value = next(tokens, "-")  # a missing value fails like a negative one
             if value.startswith("-"):
                 return None
-            if action.type is not None:
+            if kind is not None:
                 try:
-                    value = action.type(value)
-                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    value = kind(value)
+                except argparse.ArgumentTypeError:
                     return None
-            if action.choices is not None and value not in action.choices:
+            if choices is not None and value not in choices:
                 return None
-            values[action.dest] = value
+            values[dest] = value
     if not given >= required:
         return None
-    for name in ("fn", "allowed_formats"):
-        default = command.get_default(name)
-        if default is not None:
-            values[name] = default
-    return argparse.Namespace(**values)
+    return argparse.Namespace(command=name, **values)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
-    # parse_args hands everything after a command name to that command's
-    # parser, so a command's argv goes to its parser directly; the
-    # top-level parser only reports what that leaves over.
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        args = parser.parse_args(argv)
-    else:
-        args = _parse_canonical(command, argv[1:])
-        if args is None:
-            args, extra = command.parse_known_args(argv[1:])
-            if extra:
-                parser.error("unrecognized arguments: " + " ".join(extra))
-        args.command = argv[0]
-    allowed = getattr(args, "allowed_formats", None)
-    if allowed is not None and args.format not in allowed:
-        print(
-            f"error: format {args.format!r} does not apply to {args.command!r}",
-            file=sys.stderr,
-        )
+    args = _parse_canonical(argv[0], argv[1:]) if argv else None
+    if args is None:
+        args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
+    if command.formats is not None and args.format not in command.formats:
+        print(f"error: format {args.format!r} does not apply to {args.command!r}", file=sys.stderr)
         return EXIT_BAD_FORMAT
     try:
-        code = args.fn(args)
+        code = command.fn(args)
         # Flushed here, so a closed pipe raises inside this try and not at exit.
         sys.stdout.flush()
         return code

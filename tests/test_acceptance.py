@@ -7,6 +7,7 @@ up to n = 10, no condition filter) executes once and feeds criteria 3, 5,
 and 7; criterion 4 runs its own unfiltered sweep at n = 8.
 """
 
+import os
 import random
 
 import pytest
@@ -48,7 +49,9 @@ def _verdict(num, label, failures):
 
 @pytest.fixture(scope="module")
 def sweep10():
-    return sweep(10, require_conditions=False)
+    # sweep gives the same aggregate for any worker count; the serial path
+    # is criterion 4's own sweep and tests/test_verify.py's TestSweep.
+    return sweep(10, require_conditions=False, jobs=os.cpu_count() or 1)
 
 
 def test_criterion_1_power_display_regression():

@@ -4,7 +4,7 @@ Every table that depends on n and at most one step set or modulus belongs
 to the size's packed.Geometry, and packed.geometry keeps the Geometry of
 the last 128 sizes.  A functools cache anywhere else would be a second home
 for such a table, with a bound of its own.  Besides packed.geometry, only
-the CLI's parser and the sweep's step-set enumeration are cached.
+the sweep's step-set enumeration is cached.
 """
 
 import functools
@@ -13,7 +13,7 @@ import pkgutil
 
 import toeplab
 
-ALLOWED = {"packed.geometry", "cli._parser", "verify._subsets"}
+ALLOWED = {"packed.geometry", "verify._subsets"}
 
 
 def is_cache(value):

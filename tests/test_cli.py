@@ -841,6 +841,11 @@ _DISPATCH_EXTRAS = (
     ("walk", "T8<1,4;2,5>", "--start", "one"),
     ("walk", "T8<1,4;2,5>", "--start", "\u0667"),
     ("period", "T2<1;1>", "--format", "xml"),
+    ("period", "T2<1;1>", "T2<1;1>"),
+    ("verify", "T2<1;1>", "--nmax", "3"),
+    ("examples", "--format", "json"),
+    ("verify", "--nmax", "3", "--all", "1"),
+    ("examples", "extra"),
 )
 
 # Canonical argv that exit 0: one per command, and every option of
@@ -889,12 +894,13 @@ class TestParserReuse:
             "build", "power", "period", "competition", "graph", "psets",
             "walk", "bound", "certificate", "verify", "examples",
         }
-        cli._parser()  # built before the sequence, so every call below reuses it
-        hits = cli._parser.cache_info().hits
         reused = _run_sequence(capsys, sequence)
-        assert cli._parser.cache_info().hits - hits == len(sequence)
-        monkeypatch.setattr(cli, "_parser", cli.build_parser)
-        fresh = _run_sequence(capsys, sequence)
+        fresh = []
+        for argv in sequence:
+            # The call alone: its one pass reads flag tables no other call has.
+            tables = {name: cli._flag_table(c) for name, c in cli.COMMANDS.items()}
+            monkeypatch.setattr(cli, "_FLAG_TABLES", tables)
+            fresh += _run_sequence(capsys, [argv])
         for argv, got, want in zip(sequence, reused, fresh):
             assert got == want, argv
         # The sequence exercises usage errors, help and every exit path.
@@ -903,13 +909,13 @@ class TestParserReuse:
         assert ("exit", EXIT_BAD_SPEC) in codes
 
     def test_dispatch_matches_the_full_parse(self, capsys, monkeypatch):
-        # main and parse_args share one parser whose commands record the
-        # namespace they are called with instead of running.
-        parser = cli.build_parser()
+        # Every declared command records the namespace it is called with
+        # instead of running; main and parse_args read the same declarations.
         seen = []
-        for command in parser.commands.values():
-            command.set_defaults(fn=lambda args: seen.append(args) or EXIT_OK)
-        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        for name, command in list(cli.COMMANDS.items()):
+            record = command._replace(fn=lambda args: seen.append(args) or EXIT_OK)
+            monkeypatch.setitem(cli.COMMANDS, name, record)
+        parser = cli.build_parser()
         argvs = [argv for episode in _REUSE_EPISODES for argv in episode]
         argvs += _DISPATCH_EXTRAS
         exits = []
@@ -922,36 +928,45 @@ class TestParserReuse:
                 assert got == want, argv
                 exits.append(args[1])
                 continue
-            allowed = getattr(args, "allowed_formats", None)
+            allowed = cli.COMMANDS[args.command].formats
             if allowed is None or args.format in allowed:
                 assert got == (EXIT_OK, "", "") and seen.pop() == args, argv
             else:
                 assert got[0] == EXIT_BAD_FORMAT and not seen, argv
         assert seen == []
-        # --help, walk --help and each command's -h; 12 usage errors.
-        assert sorted(exits) == [0] * 13 + [EXIT_USAGE] * 12
+        # --help, walk --help and each command's -h; 17 usage errors.
+        assert sorted(exits) == [0] * 13 + [EXIT_USAGE] * 17
 
     def test_canonical_argv_skip_argparse(self, capsys, monkeypatch):
         # Handing a canonical argv to argparse gives the same output, only
-        # slower: here every parser refuses to parse.
+        # slower: here no parser can be built.
         want = _run_sequence(capsys, _CANONICAL)
         assert {code for code, _, _ in want} == {EXIT_OK}
-        assert {argv[0] for argv in _CANONICAL} == set(cli._parser().commands)
-        parser = cli.build_parser()
+        assert {argv[0] for argv in _CANONICAL} == set(cli.COMMANDS)
 
-        def refuse(*args, **kwargs):
+        def refuse():
             raise AssertionError("argparse parsed a canonical argv")
 
-        for p in (parser, *parser.commands.values()):
-            monkeypatch.setattr(p, "parse_known_args", refuse)
-        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        monkeypatch.setattr(cli, "build_parser", refuse)
         got = _run_sequence(capsys, _CANONICAL)
         for argv, outcome, expected in zip(_CANONICAL, got, want):
             assert outcome == expected, argv
 
-    def test_import_builds_no_parser(self):
+    def test_import_builds_no_parser(self, capsys):
+        # A fresh interpreter in which no ArgumentParser can be made imports
+        # the CLI and answers a canonical query as an unpatched one does.
+        argv = ["bound", "T8<1,4;2,5>"]
+        assert main(list(argv)) == EXIT_OK
+        want = capsys.readouterr().out
         src = str(Path(toeplab.__file__).resolve().parent.parent)
-        code = "import toeplab.cli as cli; print(cli._parser.cache_info().currsize)"
+        code = (
+            "import argparse, sys\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('an ArgumentParser was built')\n"
+            "argparse.ArgumentParser.__init__ = refuse\n"
+            "import toeplab.cli as cli\n"
+            f"sys.exit(cli.main({argv!r}))\n"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code],
             env=dict(os.environ, PYTHONPATH=src),
@@ -959,8 +974,8 @@ class TestParserReuse:
             text=True,
             timeout=60,
         )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "0"
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout == want
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert cli.build_parser() is not cli.build_parser()

@@ -7,10 +7,12 @@ everywhere else.  No command-line option is typed `int`, which would take
 digits the instance literal refuses.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import toeplab
+from toeplab import cli
 
 SOURCES = sorted(Path(toeplab.__file__).parent.glob("*.py"))
 
@@ -70,3 +72,16 @@ def test_integer_options_take_the_ascii_parser():
         )
     ]
     assert found == []
+
+
+def test_declared_options_take_the_ascii_parser():
+    # cli declares its options as data, where the check above cannot see a
+    # type, and build_parser passes each declared type on to argparse.
+    kinds = {kind for command in cli.COMMANDS.values() for _, kind, _, _ in command.options}
+    assert kinds <= {cli._integer, None, cli._FLAG}
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for p in (parser, *subparsers.choices.values()) for a in p._actions]
+    assert len(subparsers.choices) == len(cli.COMMANDS)
+    assert [a.option_strings for a in actions if a.type is int] == []
+    assert sum(a.type is cli._integer for a in actions) == 10

@@ -4,8 +4,10 @@ Two vertices are adjacent in the m-step competition graph when some third
 vertex is reachable from both by directed walks of length exactly m, i.e.
 when the off-diagonal entry of A^m (A^T)^m is 1.  For m = 1 the edges also
 admit a closed-form test straight from the step sets, which this module
-implements and which the verify sweep cross-checks against the matrix
-route on every instance.
+implements on packed ints from the tables of the size's Geometry (the
+partner rules per step set, the diagonal pairs, the step sets as masks)
+and which the verify sweep cross-checks against the matrix route on every
+instance.
 
 The text, DOT and JSON forms of a graph are written straight from the row
 masks of a symmetric matrix (text_from_rows, dot_from_rows, json_from_rows),
@@ -121,15 +123,22 @@ def competition_formula(kernel: ToeplitzKernel) -> int:
     of the diagonals delta and -delta.  The first rule depends on (n, S)
     only and the second on (n, T) only, so the size's Geometry keeps each
     per step set (Geometry.partners); the third admits every u, the whole
-    diagonal pair (Geometry.diagonal_pair).
+    diagonal pair (Geometry.diagonal_pair) of each sum below n.  The sums
+    S + T are one mask, the forward step mask shifted by each backward
+    step, where bit delta stands for delta.
     """
     spec = kernel.spec
-    n = spec.n
     g = kernel.geometry
     out = g.partners(spec.forward_steps, True) | g.partners(spec.backward_steps, False)
-    for delta in {s + t for s in spec.forward_steps for t in spec.backward_steps}:
-        if delta < n:
-            out |= g.diagonal_pair(delta)
+    forward = kernel.forward_bits
+    sums = 0
+    for t in spec.backward_steps:
+        sums |= forward << t
+    sums &= (1 << spec.n) - 1
+    while sums:
+        low = sums & -sums
+        out |= g.diagonal_pair(low.bit_length() - 1)
+        sums ^= low
     return out
 
 

@@ -22,16 +22,19 @@ masks, the Toeplitz test, the diagonal read-off and fold, row reading and
 the text and JSON forms, and the tables filled on first use (column masks
 per step, and whole diagonal pairs up to PAIR_BITS bits; residue
 matrices, congruent offset masks and residue classes per modulus; shift
-lists and one-step partner rules per step set).  packed.geometry keeps the
-Geometry of the last 128 sizes asked for.  A ToeplitzKernel keeps
-only what its own steps pick: the shift lists, the adjacency matrix and
-the two steps.  closure is reachability over row masks, for any digraph
-given by its rows, and members decodes a vertex or offset mask.
+lists, the set as one mask, the gcd of its differences and the one-step
+partner rules per step set).  packed.geometry keeps the Geometry of the
+last 128 sizes asked for.  A ToeplitzKernel keeps only what its own steps
+pick: the shift lists, the two step masks and difference gcds, the
+adjacency matrix and the two steps.  closure is reachability over row
+masks, for any digraph given by its rows, and members decodes a vertex or
+offset mask.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .toeplitz import ToeplitzSpec
 
@@ -143,10 +146,13 @@ class Geometry:
         return mask
 
     def step_masks(self, steps: tuple[int, ...]) -> tuple:
-        """The (L_k, k) and (H_k, k) pairs and the row shifts k*n of one step
-        set, kept for the first STEP_SETS step sets asked for."""
+        """The (L_k, k) and (H_k, k) pairs, the row shifts k*n, the step
+        set as one mask (bit k stands for step k) and the gcd of its
+        differences k' - k (0 for one step) of one step set, kept for the
+        first STEP_SETS step sets asked for."""
         entry = self._step_sets.get(steps)
         if entry is None:
+            first = steps[0]
             # tuple(list), not tuple(generator): a tuple grown from a
             # generator is resized, which parks one cached tuple per call in
             # another size's free list and inflates peak memory over a sweep.
@@ -154,6 +160,9 @@ class Geometry:
                 tuple([(self.low(k), k) for k in steps]),
                 tuple([(self.high(k), k) for k in steps]),
                 tuple([k * self.n for k in steps]),
+                sum([1 << k for k in steps]),
+                # Every difference k' - k is (k' - first) - (k - first).
+                gcd(*[k - first for k in steps]),
             )
             if len(self._step_sets) < STEP_SETS:
                 self._step_sets[steps] = entry
@@ -320,12 +329,18 @@ def geometry(n: int) -> Geometry:
 class ToeplitzKernel:
     """The power and competition steps of one instance, on packed ints.
     Everything that depends on n alone is the size's Geometry; the kernel
-    keeps the shift lists of its own steps and the adjacency matrix."""
+    keeps the shift lists of its own steps, each step set as a mask (bit k
+    stands for step k) with the gcd of its differences, and the adjacency
+    matrix."""
 
     __slots__ = (
         "spec",
         "geometry",
         "adjacency",
+        "forward_bits",
+        "backward_bits",
+        "forward_diff_gcd",
+        "backward_diff_gcd",
         "_times_a",
         "_rows_down",
         "_rows_up",
@@ -335,8 +350,12 @@ class ToeplitzKernel:
     def __init__(self, spec: ToeplitzSpec):
         self.spec = spec
         self.geometry = g = geometry(spec.n)
-        fwd_low, fwd_high, self._rows_down = g.step_masks(spec.forward_steps)
-        bwd_low, bwd_high, self._rows_up = g.step_masks(spec.backward_steps)
+        fwd_low, fwd_high, self._rows_down, self.forward_bits, self.forward_diff_gcd = (
+            g.step_masks(spec.forward_steps)
+        )
+        bwd_low, bwd_high, self._rows_up, self.backward_bits, self.backward_diff_gcd = (
+            g.step_masks(spec.backward_steps)
+        )
         self._times_a = fwd_low, bwd_high
         self._times_at = fwd_high, bwd_low
         self.adjacency = self.times_a(g.identity)

@@ -7,6 +7,8 @@ up to n = 10, no condition filter) executes once and feeds criteria 3, 5,
 and 7; criterion 4 runs its own unfiltered sweep at n = 8.
 """
 
+import hashlib
+import json
 import os
 import random
 
@@ -29,6 +31,9 @@ from toeplab.walks import (
 )
 
 import oracles
+
+# sha256 of `toeplab verify --nmax 8 --all --format json` at any --jobs.
+SWEEP8_JSON_SHA256 = "6bfbe3c81c056737719eb99ed0db1a0859bda317de8641855cbf6535e9ec410e"
 
 T5 = parse_literal("T5<2;4>")
 T8 = parse_literal("T8<1,4;2,5>")
@@ -161,6 +166,10 @@ def test_criterion_4_unconditional_sweep_and_counterexamples():
             failures.append(f"{predicate}: {agg.fails(predicate)} violations")
         if agg.holds(predicate) != agg.instances:
             failures.append(f"{predicate}: not evaluated everywhere")
+    # The bytes of `toeplab verify --nmax 8 --all --format json`.
+    digest = hashlib.sha256((json.dumps(agg.to_json_dict()) + "\n").encode()).hexdigest()
+    if digest != SWEEP8_JSON_SHA256:
+        failures.append(f"json aggregate sha256 {digest} != {SWEEP8_JSON_SHA256}")
 
     a5 = build_matrix(T5)
     if any(a5.power(m).is_toeplitz() for m in range(2, 8)):

@@ -3,7 +3,7 @@ or the predicate glue and checks that the sweep at n <= 6 reports its own
 predicate failing, or that the embedded goldens report a mismatch.  A check
 never seen to fail is no evidence."""
 
-import itertools
+from math import gcd
 
 from toeplab import goldens, verify
 from toeplab.packed import Geometry, ToeplitzKernel
@@ -109,15 +109,18 @@ def test_pqr_stabilized_catches_short_diagonal_pad(monkeypatch):
     assert sweep_fails("pqr_stabilized") > 0
 
 
-def test_gcd_equality_catches_differences_for_sums(monkeypatch):
-    def generators_with_differences(spec):
-        gens = set()
-        for steps in (spec.forward_steps, spec.backward_steps):
-            gens.update(b - a for a, b in itertools.combinations(steps, 2))
-        gens.update(abs(s - t) for s in spec.forward_steps for t in spec.backward_steps)
-        return tuple(sorted(gens))  # |s - t| where s + t belongs
+def test_gcd_equality_catches_steps_for_differences(monkeypatch):
+    # gcd_equality reads the gcd of each step set's differences from the
+    # set's Geometry entry.  The gcd of the steps themselves goes in its
+    # place as each entry is read, so an entry a clean sweep has cached
+    # carries the bug too.
+    step_masks = Geometry.step_masks
 
-    monkeypatch.setattr(verify, "offset_generators", generators_with_differences)
+    def steps_gcd(self, steps):
+        *entry, _ = step_masks(self, steps)
+        return (*entry, gcd(*steps))
+
+    monkeypatch.setattr(Geometry, "step_masks", steps_gcd)
     assert sweep_fails("gcd_equality") > 0
 
 
@@ -180,6 +183,7 @@ def test_warm_caches_carry_no_result_across_mutations(monkeypatch):
         test_limit_block_match_catches_missing_main_diagonal,
         test_formula_match_catches_dropped_transpose,
         test_pqr_stabilized_catches_short_diagonal_pad,
+        test_gcd_equality_catches_steps_for_differences,
     ):
         with monkeypatch.context() as patch:
             canary(patch)

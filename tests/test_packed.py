@@ -4,6 +4,7 @@ BoolMatrix path and against the brute-force oracles."""
 import gc
 import random
 import tracemalloc
+from itertools import combinations
 from math import gcd
 
 from hypothesis import given, settings, strategies as st
@@ -488,6 +489,10 @@ def kernel_from_scratch(spec):
     fwd, bwd = spec.forward_steps, spec.backward_steps
     return {
         "adjacency": matrix_of(n, lambda r, c: c - r in fwd or r - c in bwd),
+        "forward_bits": sum(1 << s for s in fwd),
+        "backward_bits": sum(1 << t for t in bwd),
+        "forward_diff_gcd": gcd(*[b - a for a, b in combinations(fwd, 2)]),
+        "backward_diff_gcd": gcd(*[b - a for a, b in combinations(bwd, 2)]),
         "_times_a": (tuple((low(s), s) for s in fwd), tuple((high(t), t) for t in bwd)),
         "_rows_down": tuple(s * n for s in fwd),
         "_rows_up": tuple(t * n for t in bwd),
@@ -521,6 +526,23 @@ class TestGeometry:
                         for forward in (True, False)
                     ]
                     assert got == partners, spec.literal
+
+    def test_step_set_entries_match_the_offset_generators(self):
+        # Each step set's mask and difference gcd, from a fresh Geometry and
+        # from the cached one, against the within-set differences that
+        # offset_generators lists.
+        for n in range(2, 11):
+            fresh = Geometry(n)
+            for steps in _subsets(n):
+                differences = {b - a for a, b in combinations(steps, 2)}
+                expected = (sum(1 << k for k in steps), gcd(*differences))
+                assert fresh.step_masks(steps)[3:] == expected, (n, steps)
+                assert geometry(n).step_masks(steps)[3:] == expected, (n, steps)
+        # Together with d they give the gcd of every offset generator.
+        for spec in enumerate_specs(7, False):
+            kernel = ToeplitzKernel(spec)
+            diffs = gcd(kernel.forward_diff_gcd, kernel.backward_diff_gcd, pair_sum_gcd(spec))
+            assert diffs == gcd(*offset_generators(spec)), spec.literal
 
     def test_one_geometry_per_size(self):
         a = ToeplitzKernel(validate_spec(9, (1, 4), (2,)))
@@ -591,6 +613,26 @@ class TestCachedCompetitionFormula:
         got = as_lists(unpack(spec.n, competition_formula(kernel)))
         assert got == naive_one_step_graph(spec)
 
+    def test_sum_mask_matches_the_sum_set(self):
+        # Every instance up to 7, and a seeded sample with n 81-200, where
+        # the size's Geometry keeps only some diagonal pairs: the formula
+        # against the sums S + T taken as a set, and against the one-step
+        # competition matrix of the kernel.
+        rng = random.Random(2022)
+        sample = []
+        for _ in range(30):
+            n = rng.randint(81, 200)
+            fwd = rng.sample(range(1, n), rng.randint(1, 4))
+            bwd = rng.sample(range(1, n), rng.randint(1, 4))
+            sample.append(validate_spec(n, fwd, bwd))
+        assert all(PAIR_BITS // spec.n**2 < spec.n - 1 for spec in sample)
+        for spec in [*enumerate_specs(7, False), *sample]:
+            kernel = ToeplitzKernel(spec)
+            g = kernel.geometry
+            got = competition_formula(kernel)
+            assert got == formula_from_sum_set(kernel), spec.literal
+            assert got == kernel.compete(g.identity) & (g.full ^ g.identity), spec.literal
+
     def test_warm_geometry_rebuilds_no_partner_rule(self, monkeypatch):
         # Both rules of all 2,047 step sets of n = 12 fit in one Geometry:
         # after a pass that asks for every one of them, a row of the n = 12
@@ -659,6 +701,16 @@ class TestCachedCompetitionFormula:
         assert len(kept_pairs(g)) * n * n <= PAIR_BITS
         assert g.diagonal_pair(n - 1) is not g.diagonal_pair(n - 1)
         assert g.diagonal_pair(n - 1) == g.segment(n - 1, 1, 1)
+
+
+def formula_from_sum_set(kernel):
+    """competition_formula with the sums s + t below n taken from a set."""
+    spec, g = kernel.spec, kernel.geometry
+    out = g.partners(spec.forward_steps, True) | g.partners(spec.backward_steps, False)
+    for delta in {s + t for s in spec.forward_steps for t in spec.backward_steps}:
+        if delta < spec.n:
+            out |= g.diagonal_pair(delta)
+    return out
 
 
 def kept_pairs(g):

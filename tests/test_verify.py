@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import multiprocessing
@@ -146,7 +147,7 @@ class TestVerifyInstance:
                 verify_instance(spec)
         finally:
             sys.setprofile(None)
-        assert calls <= 60 * len(specs)
+        assert calls <= 53 * len(specs)
 
     def test_json_round_trip_keys(self):
         report = verify_instance(parse_literal("T3<1;2>"))
@@ -335,14 +336,21 @@ def dumped(n_max, **kwargs):
     return "".join(json.dumps(r.to_json_dict()) + "\n" for r in reports), reports
 
 
+# sha256 of the n <= 6 stream, the same with one process and with two.
+STREAM6_SHA256 = "ebcfedd83658b545608304b79c6494004cb3fb9b804ae0e2770165aa662173cd"
+
+
 class TestJsonlLines:
     """Each streamed line is written from a template, not by json.dumps; it
     must be the bytes json.dumps writes for the report's to_json_dict()."""
 
-    def test_every_report_up_to_6(self):
+    def test_every_report_up_to_6(self, monkeypatch):
         _, text = streamed(6)
         expected, reports = dumped(6)
         assert text == expected
+        assert hashlib.sha256(text.encode()).hexdigest() == STREAM6_SHA256
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert streamed(6, jobs=2)[1] == text
         # Complete reports hold null m_emp and bound_hypothesis values; the
         # incomplete ones below hold null tails and bound values.
         assert None in {r.m_emp for r in reports}
@@ -467,13 +475,29 @@ class TestMerge:
         merged.merge(SweepReport(n_max=2, require_conditions=False))  # an empty first part
         for row in rows:
             part = SweepReport(n_max=row[0].spec.n, require_conditions=False)
-            for report in row:
-                part.add(report)
+            part.extend(row)  # one tally per row, as the sweep folds it
             merged.merge(part)
             merged.merge(SweepReport(n_max=5, require_conditions=False))  # a filtered-out row
         # json.dumps keeps key order, which the --format json output hashes.
         assert json.dumps(merged.to_json_dict()) == json.dumps(added.to_json_dict())
         assert list(merged.outcome_counts) == list(PREDICATES)
+        reports = [report for row in rows for report in row]
+        assert json.dumps(added.to_json_dict()) == json.dumps(reference_fold(reports))
+
+    def test_row_tallies_equal_added_reports(self, monkeypatch):
+        # The sweep tallies each row's outcomes once; with a planted FAILS
+        # and a small step budget its aggregate, violations and incomplete
+        # instances in order, must equal adding the reports one by one.
+        monkeypatch.setattr(verify, "verify_instance", partial(verify_instance, step_budget=4))
+        monkeypatch.setattr(verify, "containment_chain", reversed_chain)
+        swept = sweep(5, require_conditions=False)
+        reports = [verify.verify_instance(spec) for spec in enumerate_specs(5, False)]
+        added = SweepReport(n_max=5, require_conditions=False)
+        for report in reports:
+            added.add(report)
+        assert swept.violations and swept.incomplete
+        expected = json.dumps(reference_fold(reports))
+        assert json.dumps(swept.to_json_dict()) == json.dumps(added.to_json_dict()) == expected
 
     def test_merge_does_not_share_counts_with_the_part(self):
         part = SweepReport(n_max=2, require_conditions=False)
@@ -483,3 +507,26 @@ class TestMerge:
         agg.merge(part)
         assert agg.instances == 2 and agg.holds("gcd_equality") == 2
         assert part.holds("gcd_equality") == 1
+
+
+def reference_fold(reports):
+    """The aggregate of reports counted one outcome at a time, in the
+    shape of SweepReport.to_json_dict for n_max 5, unfiltered."""
+    counts = {name: {HOLDS: 0, FAILS: 0, NOT_APPLICABLE: 0} for name in PREDICATES}
+    violations, incomplete = [], []
+    for report in reports:
+        if report.incomplete:
+            incomplete.append(report.spec.literal)
+        for name, outcome in report.checks.items():
+            counts[name][outcome] += 1
+            if outcome == FAILS:
+                violations.append([report.spec.literal, name])
+    return {
+        "n_max": 5,
+        "require_conditions": False,
+        "instances": len(reports),
+        "condition_instances": sum(r.cond1 and r.cond2 for r in reports),
+        "outcome_counts": counts,
+        "violations": violations,
+        "incomplete": incomplete,
+    }

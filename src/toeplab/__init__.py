@@ -14,7 +14,6 @@ from .packed import ToeplitzKernel
 from .spectra import (
     BudgetExceeded,
     PeriodicTail,
-    competition_matrix,
     competition_table,
     power_from_table,
     power_is_eventually_toeplitz,

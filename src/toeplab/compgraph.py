@@ -22,9 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 
-from .boolmat import BoolMatrix
 from .packed import MAX_MATRIX_N, ToeplitzKernel, closure, members
-from .spectra import competition_matrix
 # pair_sum_gcd is unused here: perfbench/selftest.py checks tracing rebinds it in this module.
 from .toeplitz import ToeplitzSpec, pair_sum_gcd  # noqa: F401
 
@@ -95,11 +93,13 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={len(self.edges)})"
 
 
-def m_step_graph(A: BoolMatrix, m: int) -> SimpleGraph:
-    """Competition graph after m steps: off-diagonal part of A^m (A^T)^m."""
+def m_step_graph(A, m: int) -> SimpleGraph:
+    """Competition graph after m steps of the BoolMatrix A: the off-diagonal
+    part of A^m (A^T)^m."""
     if m < 1:
         raise ValueError("step count must be at least 1")
-    return SimpleGraph.from_symmetric_matrix(A.n, competition_matrix(A, m).rows)
+    x = A.power(m)
+    return SimpleGraph.from_symmetric_matrix(A.n, x.multiply(x.transpose()).rows)
 
 
 def competition_graph_formula(spec: ToeplitzSpec) -> SimpleGraph:
@@ -142,19 +142,19 @@ def competition_formula(kernel: ToeplitzKernel) -> int:
     return out
 
 
-def strong_components(A: BoolMatrix) -> tuple[tuple[int, ...], ...]:
-    """Strongly connected components of the digraph of A, each sorted,
-    ordered by smallest vertex.  The component of v is everything v reaches
-    that also reaches v: its closure along the rows of A meets its closure
-    along the rows of A^T."""
-    backward = A.transpose().rows
+def strong_components(rows) -> tuple[tuple[int, ...], ...]:
+    """Strongly connected components of the digraph given by its row masks
+    (bit u - 1 of rows[v - 1] is an arc v -> u), each sorted, ordered by
+    smallest vertex.  u is in v's component when each one's closure holds
+    the other."""
+    reach = [closure(rows, v) for v in range(len(rows))]
     components = []
     placed = 0
-    for v in range(A.n):
+    for v, ahead in enumerate(reach):
         if not placed >> v & 1:
-            comp = closure(A.rows, v) & closure(backward, v)
-            placed |= comp
-            components.append(tuple(members(comp)))
+            comp = tuple(u for u in members(ahead) if reach[u - 1] >> v & 1)
+            placed |= sum([1 << u - 1 for u in comp])
+            components.append(comp)
     return tuple(components)
 
 

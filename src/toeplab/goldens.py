@@ -13,7 +13,7 @@ from __future__ import annotations
 from .compgraph import strong_components
 from .packed import ToeplitzKernel, members
 from .spectra import competition_table, power_from_table, power_table
-from .toeplitz import build_matrix, pair_sum_gcd, parse_literal
+from .toeplitz import pair_sum_gcd, parse_literal
 from .walks import (
     Arc,
     Walk,
@@ -166,8 +166,9 @@ def golden_t8_period():
 
 def golden_t8_limit():
     kernel = _kernel(T8)
-    tail, _ = competition_table(kernel)
-    return _check((tail.period, kernel.geometry.to_text(tail.cycle[0])), (1, _T8_LIMIT.strip()))
+    tail, bs = competition_table(kernel)
+    limit = kernel.geometry.to_text(bs[tail.index - 1])
+    return _check((tail.period, limit), (1, _T8_LIMIT.strip()))
 
 
 def golden_t8_walk_witness():
@@ -210,7 +211,8 @@ def golden_t6_matrix():
 
 
 def golden_t6_components():
-    comps = strong_components(build_matrix(parse_literal(T6)))
+    kernel = _kernel(T6)
+    comps = strong_components(kernel.geometry.rows(kernel.adjacency))
     return _check(comps, ((1, 3, 5), (2, 4, 6)))
 
 

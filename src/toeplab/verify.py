@@ -219,7 +219,7 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     checks["competition_period_is_1"] = HOLDS if ctail.period == 1 else FAILS
 
     if ctail.period == 1:
-        limit = ctail.cycle[0]
+        limit = bs[ctail.index - 1]
         checks["limit_block_match"] = HOLDS if limit == residues else FAILS
         checks["limit_clique_match"] = (
             HOLDS if limit & off_diagonal == residues & off_diagonal else FAILS

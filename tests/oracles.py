@@ -117,6 +117,27 @@ def combination_offsets(n, fwd, bwd, i):
     return frozenset(v for v in sums if -(n - 1) <= v <= n - 1)
 
 
+def combination_offsets_run(n, fwd, bwd, horizon):
+    """combination_offsets for i = 1..horizon, as a list: one unclipped
+    mask carried across the terms by the same shift-OR, with each i's
+    window [-(n-1), n-1] read off it, so the run is one pass instead of
+    one rebuild from i = 1 per i."""
+    tmax = max(bwd)
+    shifts = [s + tmax for s in fwd] + [tmax - t for t in bwd]
+    width = (1 << (2 * n - 1)) - 1
+    mask = 1
+    out = []
+    for i in range(1, horizon + 1):
+        nxt = 0
+        for sh in shifts:
+            nxt |= mask << sh
+        mask = nxt
+        low = i * tmax - (n - 1)  # the bit of sum -(n-1) after i terms
+        window = (mask >> low if low >= 0 else mask << -low) & width
+        out.append(frozenset(k - (n - 1) for k in range(2 * n - 1) if (window >> k) & 1))
+    return out
+
+
 def full_diagonal_offsets(n, rows):
     """Offsets ell whose whole diagonal of entries (u, u+ell) is ones; row r
     is an int whose bit c is entry (r+1, c+1)."""

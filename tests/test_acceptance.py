@@ -16,7 +16,6 @@ import pytest
 
 from toeplab.compgraph import SimpleGraph, strong_components
 from toeplab.packed import members
-from toeplab.spectra import competition_table, power_table
 from toeplab.toeplitz import build_matrix, pair_sum_gcd, parse_literal, validate_spec
 from toeplab.verify import FAILS, HOLDS, NOT_APPLICABLE, sweep
 from toeplab.walks import (
@@ -31,6 +30,7 @@ from toeplab.walks import (
 )
 
 import oracles
+from generic import competition_table, power_table
 
 # sha256 of `toeplab verify --nmax 8 --all --format json` at any --jobs.
 SWEEP8_JSON_SHA256 = "6bfbe3c81c056737719eb99ed0db1a0859bda317de8641855cbf6535e9ec410e"
@@ -95,10 +95,10 @@ def test_criterion_2_running_example_regression():
     a = build_matrix(T8)
     if power_table(a)[0].period != 3:
         failures.append("matrix period != 3")
-    ct = competition_table(a)[0]
+    ct, bs = competition_table(a)
     if ct.period != 1:
         failures.append("competition period != 1")
-    limit = ct.cycle[0]
+    limit = bs[ct.index - 1]
     entries = [[limit.get(u, v) for v in range(1, 9)] for u in range(1, 9)]
     if entries != oracles.naive_residue_matrix(8, 3):
         failures.append("competition limit != residue block matrix")
@@ -174,7 +174,7 @@ def test_criterion_4_unconditional_sweep_and_counterexamples():
     a5 = build_matrix(T5)
     if any(a5.power(m).is_toeplitz() for m in range(2, 8)):
         failures.append("a T5 power >= 2 is Toeplitz")
-    if strong_components(build_matrix(T6)) != ((1, 3, 5), (2, 4, 6)):
+    if strong_components(build_matrix(T6).rows) != ((1, 3, 5), (2, 4, 6)):
         failures.append("T6 strong components wrong")
     try:
         build_walk_with_counts(T6, 1, s_counts=(0,), t_counts=(1,))

@@ -23,12 +23,12 @@ from toeplab.cli import (
     main,
 )
 from toeplab.compgraph import m_step_graph
-from toeplab.spectra import competition_table, power_table
 from toeplab.toeplitz import build_matrix, pair_sum_gcd, parse_literal, validate_spec
 from toeplab import verify
 from toeplab.verify import MAX_SWEEP_N
 
 import oracles
+from generic import competition_table, power_table
 
 PSETS_PIN = "7375ccd26c478dde6d021b78faa3d8394334790693e981f293aa4c19f74599a2"
 GRAPH_PIN = "6ba9b8d67ce12fa0a0b027f00e4ffc52b5d142bc36dfe206ae1e1faea34a04eb"
@@ -440,6 +440,31 @@ class TestExamplesCommand:
         assert "MISMATCH" not in result.stdout
         assert result.stdout.strip().endswith("17/17 goldens match")
 
+    def test_goldens_load_only_for_examples(self):
+        # A fresh interpreter answers a query without importing the goldens,
+        # and the examples command still imports and runs all of them.
+        src = str(Path(toeplab.__file__).resolve().parent.parent)
+        code = (
+            "import sys\n"
+            "import toeplab.cli as cli\n"
+            "cli.main(['bound', 'T8<1,4;2,5>'])\n"
+            "print('toeplab.goldens' in sys.modules)\n"
+            "code = cli.main(['examples'])\n"
+            "print('toeplab.goldens' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[1] == "False" and lines[-1] == "True", result.stdout
+        assert lines[-2] == "17/17 goldens match"
+
 
 class TestExitCodes:
     def test_bad_literal(self, capsys):
@@ -700,10 +725,10 @@ def test_packed_commands_match_generic_path(capsys):
         assert (payload["index"], payload["period"]) == (tail.index, tail.period), spec.literal
 
         payload = json.loads(run(capsys, "competition", spec.literal, "--format", "json")[1])
-        ctail = competition_table(A)[0]
+        ctail, bs = competition_table(A)
         assert (payload["index"], payload["period"]) == (ctail.index, ctail.period), spec.literal
         if ctail.period == 1:
-            limit = ctail.cycle[0]
+            limit = bs[ctail.index - 1]
             expected = {"n": n, "rows": oracles.row_strings(n, limit.rows)}
             assert payload["limit"] == expected, spec.literal
             expected = [sum(1 << c for c in range(n) if (r - c) % d == 0) for r in range(n)]

@@ -17,11 +17,14 @@ from toeplab.compgraph import (
     strong_components,
     text_from_rows,
 )
-from toeplab.spectra import competition_matrix, competition_table, residue_classes
+from toeplab.packed import ToeplitzKernel
+from toeplab.spectra import residue_classes
 from toeplab.toeplitz import build_matrix, parse_literal, validate_spec
 from toeplab.verify import HOLDS, enumerate_specs, verify_instance
 
+import generic
 import oracles
+from generic import competition_limit, competition_matrix
 
 
 def as_lists(mat):
@@ -173,13 +176,6 @@ class TestFormulaGraph:
         assert competition_graph_formula(spec).edges == ()
 
 
-def competition_limit(a):
-    """The constant tail of the competition sequence of a."""
-    tail = competition_table(a)[0]
-    assert tail.period == 1, f"no limit: competition period is {tail.period}"
-    return tail.cycle[0]
-
-
 def limit_graph(a):
     """The eventual competition graph: the off-diagonal part of the
     competition limit."""
@@ -205,7 +201,7 @@ class TestLimitGraph:
         # The competition index is the first m whose B_m is the limit.
         for literal in ("T8<1,4;2,5>", "T5<2;4>", "T6<1,2;3>"):
             a = build_matrix(parse_literal(literal))
-            tail = competition_table(a)[0]
+            tail = generic.competition_table(a)[0]
             limit = competition_limit(a)
             assert competition_matrix(a, tail.index) == limit
             if tail.index > 1:
@@ -213,7 +209,7 @@ class TestLimitGraph:
 
     def test_cycling_sequence_has_no_limit(self):
         # Conditions fail here and the competition sequence genuinely cycles.
-        tail = competition_table(build_matrix(parse_literal("T6<2,3,4;5>")))[0]
+        tail = generic.competition_table(build_matrix(parse_literal("T6<2,3,4;5>")))[0]
         assert tail.period == 3
 
     def test_residue_cliques_are_the_class_pairs_in_order(self):
@@ -256,11 +252,11 @@ class TestEdgesRespectResidues:
 
 class TestStrongComponents:
     def test_counterexample_split(self):
-        comps = strong_components(build_matrix(parse_literal("T6<2,4;4,5>")))
+        comps = strong_components(build_matrix(parse_literal("T6<2,4;4,5>")).rows)
         assert comps == ((1, 3, 5), (2, 4, 6))
 
     def test_connected_instance(self):
-        comps = strong_components(build_matrix(parse_literal("T8<1,4;2,5>")))
+        comps = strong_components(build_matrix(parse_literal("T8<1,4;2,5>")).rows)
         assert comps == ((1, 2, 3, 4, 5, 6, 7, 8),)
 
     def test_matches_reachability_definition(self):
@@ -277,7 +273,7 @@ class TestStrongComponents:
                 ).multiply(
                     BoolMatrix(n, (closure.rows[i] | (1 << i) for i in range(n)))
                 )
-            comps = strong_components(a)
+            comps = strong_components(a.rows)
             for comp in comps:
                 for u in comp:
                     for v in comp:
@@ -297,9 +293,18 @@ class TestStrongComponents:
         merged = 0
         for a in cases:
             expected = oracles.naive_strong_components(as_lists(a))
-            assert strong_components(a) == expected, a.rows
+            assert strong_components(a.rows) == expected, a.rows
             merged += any(len(c) > 1 for c in expected) and len(expected) > 1
         assert merged > 50  # many cases mix a nontrivial component with others
+
+    def test_kernel_rows_match_oracle_on_every_instance_up_to_7(self):
+        for spec in enumerate_specs(7, False):
+            kernel = ToeplitzKernel(spec)
+            expected = oracles.naive_strong_components(
+                oracles.naive_from_spec(spec.n, spec.forward_steps, spec.backward_steps)
+            )
+            rows = kernel.geometry.rows(kernel.adjacency)
+            assert strong_components(rows) == expected, spec.literal
 
 
 class TestDot:

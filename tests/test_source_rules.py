@@ -28,10 +28,11 @@ def test_no_assert_statements():
     assert found == []
 
 
-# The modules that hold BoolMatrix: the package's exports, the generic
-# reference paths and the names perfbench traces.  Every other module works
-# on packed ints and renders matrices through packed.Geometry.
-BOOLMAT_IMPORTERS = {"__init__", "toeplitz", "spectra", "compgraph"}
+# The modules that hold BoolMatrix: the package's exports, and toeplitz,
+# whose build_matrix gives the adjacency as one for perfbench and the tests.
+# Every other module works on packed ints and renders matrices through
+# packed.Geometry; the tests keep the generic tail tables (tests/generic.py).
+BOOLMAT_IMPORTERS = {"__init__", "toeplitz"}
 
 
 def imports_boolmat(tree):

@@ -6,7 +6,6 @@ from toeplab.boolmat import BoolMatrix
 from toeplab.packed import ToeplitzKernel, geometry
 from toeplab.spectra import (
     BudgetExceeded,
-    competition_matrix,
     competition_table,
     power_from_table,
     power_is_eventually_toeplitz,
@@ -16,7 +15,9 @@ from toeplab.spectra import (
 from toeplab.toeplitz import build_matrix, parse_literal, predicted_period
 from toeplab.verify import enumerate_specs
 
+import generic
 import oracles
+from generic import competition_limit, competition_matrix
 
 
 def as_lists(mat):
@@ -34,28 +35,26 @@ def three_cycle():
 class TestPowerTail:
     def test_t5_display_cycle(self):
         a = build_matrix(parse_literal("T5<2;4>"))
-        tail = power_table(a)[0]
+        tail, seq = generic.power_table(a)
         assert (tail.index, tail.period) == (2, 3)
         # The cycle is exactly the three displayed matrices, in order.
-        assert tail.cycle[0] == a.power(2)
-        assert tail.cycle[1] == a.power(3)
-        assert tail.cycle[2] == a.power(4)
+        assert seq[tail.index - 1 :] == [a.power(2), a.power(3), a.power(4)]
         # The first power is outside the cycle.
         assert a != a.power(4)
 
     def test_three_cycle_permutation(self):
-        tail = power_table(three_cycle())[0]
+        tail = generic.power_table(three_cycle())[0]
         assert (tail.index, tail.period) == (1, 3)
 
     def test_identity_fixed_point(self):
-        tail = power_table(BoolMatrix.identity(4))[0]
+        tail = generic.power_table(BoolMatrix.identity(4))[0]
         assert (tail.index, tail.period) == (1, 1)
 
     def test_matches_definitional_oracle(self):
         rng = random.Random(13)
         for _ in range(40):
             a = random_matrix(rng, 5)
-            tail = power_table(a)[0]
+            tail = generic.power_table(a)[0]
             seq = oracles.naive_powers(as_lists(a), tail.index + 2 * tail.period + 4)
             assert oracles.naive_tail(seq) == (tail.index, tail.period)
 
@@ -63,7 +62,7 @@ class TestPowerTail:
         rng = random.Random(29)
         for _ in range(30):
             a = random_matrix(rng, 6)
-            tail = power_table(a)[0]
+            tail = generic.power_table(a)[0]
             p = tail.period
             for m in range(tail.index, tail.index + 4):
                 assert a.power(m) == a.power(m + p)
@@ -73,20 +72,24 @@ class TestPowerTail:
     def test_budget_cap(self):
         a = build_matrix(parse_literal("T8<1,4;2,5>"))
         with pytest.raises(BudgetExceeded):
-            power_table(a, max_steps=2)
+            generic.power_table(a, max_steps=2)
 
     def test_budget_boundary_on_both_paths(self):
         # A scan stores index + period - 1 terms and steps once more to the
         # repeat: a budget of index + period is enough, one less is not.
         for spec in enumerate_specs(5, False):
-            kernel = ToeplitzKernel(spec)
-            for a in (kernel, build_matrix(spec)):
-                for table in (power_table, competition_table):
-                    tail = table(a)[0]
-                    steps = tail.index + tail.period
-                    assert table(a, max_steps=steps)[0] == tail, spec.literal
-                    with pytest.raises(BudgetExceeded):
-                        table(a, max_steps=steps - 1)
+            kernel, a = ToeplitzKernel(spec), build_matrix(spec)
+            for table, x in (
+                (power_table, kernel),
+                (competition_table, kernel),
+                (generic.power_table, a),
+                (generic.competition_table, a),
+            ):
+                tail = table(x)[0]
+                steps = tail.index + tail.period
+                assert table(x, max_steps=steps)[0] == tail, spec.literal
+                with pytest.raises(BudgetExceeded):
+                    table(x, max_steps=steps - 1)
 
     def test_scan_stopped_at_term_m(self):
         # With last=m a scan that reaches A^m (B_m) before the first repeat
@@ -105,7 +108,7 @@ class TestPowerTail:
 
     def test_table_lookup_agrees_with_direct_powers(self):
         a = build_matrix(parse_literal("T5<2;4>"))
-        tail, seq = power_table(a)
+        tail, seq = generic.power_table(a)
         for m in range(1, 20):
             assert power_from_table(tail, seq, m) == a.power(m)
 
@@ -113,14 +116,15 @@ class TestPowerTail:
 class TestMatrixPeriod:
     def test_running_example_matches_prediction(self):
         spec = parse_literal("T8<1,4;2,5>")
-        assert power_table(build_matrix(spec))[0].period == 3 == predicted_period(spec)
+        assert generic.power_table(build_matrix(spec))[0].period == 3 == predicted_period(spec)
 
     def test_two_cycle(self):
-        assert power_table(build_matrix(parse_literal("T2<1;1>")))[0].period == 2
+        assert generic.power_table(build_matrix(parse_literal("T2<1;1>")))[0].period == 2
 
     def test_prediction_on_conditioned_sweep(self):
         for spec in enumerate_specs(6, True):
-            assert power_table(build_matrix(spec))[0].period == predicted_period(spec), spec.literal
+            period = generic.power_table(build_matrix(spec))[0].period
+            assert period == predicted_period(spec), spec.literal
 
 
 class TestCompetitionMatrix:
@@ -148,12 +152,12 @@ class TestCompetitionMatrix:
 
 class TestCompetitionTail:
     def test_two_cycle_immediate(self):
-        tail = competition_table(build_matrix(parse_literal("T2<1;1>")))[0]
+        tail = generic.competition_table(build_matrix(parse_literal("T2<1;1>")))[0]
         assert (tail.index, tail.period) == (1, 1)
 
     def test_t5_period_one_despite_failed_conditions(self):
         a = build_matrix(parse_literal("T5<2;4>"))
-        tail = competition_table(a)[0]
+        tail = generic.competition_table(a)[0]
         assert tail.period == 1
         bs = [oracles.naive_competition(as_lists(a), m) for m in range(1, 11)]
         index, period = oracles.naive_tail(bs)
@@ -172,7 +176,7 @@ class TestCompetitionTail:
             density = rng.choice((0.1, 0.2, 0.3, 0.5))
             rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
             a = BoolMatrix(n, rows)
-            tail = competition_table(a)[0]
+            tail = generic.competition_table(a)[0]
             if checked >= 60 and tail.period == 1:
                 continue
             horizon = tail.index + 2 * tail.period + 6
@@ -184,14 +188,14 @@ class TestCompetitionTail:
 
     def test_period_one_on_conditioned_sweep(self):
         for spec in enumerate_specs(6, True):
-            assert competition_table(build_matrix(spec))[0].period == 1, spec.literal
+            assert generic.competition_table(build_matrix(spec))[0].period == 1, spec.literal
 
     def test_structural_relations_to_power_tail(self):
         rng = random.Random(41)
         for _ in range(25):
             a = random_matrix(rng, 6)
-            p = power_table(a)[0]
-            c = competition_table(a)[0]
+            p = generic.power_table(a)[0]
+            c = generic.competition_table(a)[0]
             assert p.period % c.period == 0
             assert c.index <= p.index + p.period
 
@@ -200,16 +204,10 @@ class TestCompetitionTail:
         # nonzero and each vertex competes with itself at every step.
         for spec in enumerate_specs(6, True):
             a = build_matrix(spec)
-            tail = power_table(a)[0]
+            tail = generic.power_table(a)[0]
             for m in range(1, tail.index + tail.period + 1):
                 b = competition_matrix(a, m)
                 assert all(b.get(v, v) == 1 for v in range(1, spec.n + 1)), spec.literal
-
-
-def competition_limit(a):
-    tail = competition_table(a)[0]
-    assert tail.period == 1
-    return tail.cycle[0]
 
 
 class TestCompetitionLimit:
@@ -257,14 +255,15 @@ class TestResidueBlocks:
 
 class TestEventuallyToeplitz:
     def test_t5_never_again(self):
-        a = build_matrix(parse_literal("T5<2;4>"))
-        holds, first_m = power_is_eventually_toeplitz(a, power_table(a)[0])
+        kernel = ToeplitzKernel(parse_literal("T5<2;4>"))
+        holds, first_m = power_is_eventually_toeplitz(kernel, *power_table(kernel))
         assert holds is False and first_m is None
 
     def test_running_example_holds(self):
-        a = build_matrix(parse_literal("T8<1,4;2,5>"))
-        tail = power_table(a)[0]
-        holds, first_m = power_is_eventually_toeplitz(a, tail)
+        spec = parse_literal("T8<1,4;2,5>")
+        kernel, a = ToeplitzKernel(spec), build_matrix(spec)
+        tail, seq = power_table(kernel)
+        holds, first_m = power_is_eventually_toeplitz(kernel, tail, seq)
         assert holds is True
         # Independent threshold: scan a long prefix directly.
         flags = [a.power(m).is_toeplitz() for m in range(1, tail.index + tail.period + 1)]
@@ -275,6 +274,6 @@ class TestEventuallyToeplitz:
 
     def test_conditioned_sweep_holds(self):
         for spec in enumerate_specs(6, True):
-            a = build_matrix(spec)
-            holds, _ = power_is_eventually_toeplitz(a, power_table(a)[0])
+            kernel = ToeplitzKernel(spec)
+            holds, _ = power_is_eventually_toeplitz(kernel, *power_table(kernel))
             assert holds, spec.literal

@@ -29,6 +29,7 @@ from toeplab.walks import (
     walk_offset_decomposition,
 )
 
+import generic
 import oracles
 
 T8 = parse_literal("T8<1,4;2,5>")
@@ -112,9 +113,24 @@ class TestCombinationOffsets:
         steps = st.lists(st.integers(1, n - 1), min_size=1, max_size=4, unique=True)
         spec = validate_spec(n, data.draw(steps), data.draw(steps))
         run = decoded_run(spec, data.draw(st.integers(1, 120)))
-        for i, (_, q, _) in enumerate(run, start=1):
-            expected = oracles.combination_offsets(n, spec.forward_steps, spec.backward_steps, i)
-            assert q == expected, (spec.literal, i)
+        expected = oracles.combination_offsets_run(
+            n, spec.forward_steps, spec.backward_steps, len(run)
+        )
+        for i, ((_, q, _), sums) in enumerate(zip(run, expected), start=1):
+            assert q == sums, (spec.literal, i)
+
+    def test_carried_oracle_matches_per_step_oracle(self):
+        # The carried run reads each i's window off one mask; the per-step
+        # oracle rebuilds the mask from i = 1.  Narrow and wide step sets,
+        # with a window far below the sums the mask reaches.
+        literals = ["T8<1,4;2,5>", "T5<2;4>", "T6<2,4;4,5>", "T2<1;1>", "T9<8;1>", "T40<3,39;1,37>"]
+        for literal in literals:
+            spec = parse_literal(literal)
+            n, fwd, bwd = spec.n, spec.forward_steps, spec.backward_steps
+            run = oracles.combination_offsets_run(n, fwd, bwd, 60)
+            assert len(run) == 60
+            for i, sums in enumerate(run, start=1):
+                assert sums == oracles.combination_offsets(n, fwd, bwd, i), (literal, i)
 
     def test_window_ordering_of_any_step_multiset(self):
         # Why the window loses no sum: steps of length at most n - 1 whose
@@ -221,11 +237,10 @@ class TestStabilization:
         assert not result.certified
 
     def test_default_horizon_is_two_combined_cycles_past_the_index(self):
-        from toeplab.spectra import power_table
         from toeplab.toeplitz import predicted_period
 
         for spec in enumerate_specs(5, False):
-            tail = power_table(build_matrix(spec))[0]
+            tail = generic.power_table(build_matrix(spec))[0]
             expected = tail.index + 2 * tail.period * predicted_period(spec)
             result = step_set_stabilization(spec)
             assert result.horizon == expected, spec.literal
@@ -457,11 +472,9 @@ class TestIndexBound:
         assert competition_index_bound(parse_literal("T2<1;1>")) == 4
 
     def test_bound_dominates_measured_index_small(self):
-        from toeplab.spectra import competition_table
-
         for spec in enumerate_specs(6, True):
             if bound_hypothesis_holds(spec):
-                measured = competition_table(build_matrix(spec))[0].index
+                measured = generic.competition_table(build_matrix(spec))[0].index
                 assert measured <= competition_index_bound(spec), spec.literal
 
 

@@ -139,9 +139,6 @@ class BoolMatrix:
         rows = self.rows
         return all(rows[i] & low == rows[i + 1] >> 1 for i in range(n - 1))
 
-    def is_symmetric(self) -> bool:
-        return self.rows == self.transpose().rows
-
     def count_ones(self) -> int:
         return sum(r.bit_count() for r in self.rows)
 

@@ -12,13 +12,11 @@ instance.
 The text, DOT and JSON forms of a graph are written straight from the row
 masks of a symmetric matrix (text_from_rows, dot_from_rows, json_from_rows),
 reading each row at its columns v > u as from_symmetric_matrix does, so
-the `graph` command never builds an edge tuple; graph_dot hands a
-SimpleGraph's upper-triangle rows to the same DOT writer.
+the `graph` command never builds an edge tuple.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 
@@ -34,7 +32,6 @@ __all__ = [
     "strong_components",
     "residue_clique_graph",
     "digraph_dot",
-    "graph_dot",
     "text_from_rows",
     "dot_from_rows",
     "json_from_rows",
@@ -78,13 +75,6 @@ class SimpleGraph:
             digits = bin(row >> u)[:1:-1].encode().translate(_DIGITS)
             edges += zip(repeat(u), compress(count(u + 1), digits))
         return cls(n, tuple(edges))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        key = (u, v) if u < v else (v, u)
-        i = bisect_left(self.edges, key)
-        return i < len(self.edges) and self.edges[i] == key
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": self.edges}
@@ -183,13 +173,6 @@ def digraph_dot(spec: ToeplitzSpec) -> str:
                 lines.append(f'  {i} -> {i - t} [label="t={t}", style=dashed];')
     lines.append("}")
     return "\n".join(lines)
-
-
-def graph_dot(graph: SimpleGraph, name: str = "competition") -> str:
-    rows = [0] * graph.n
-    for u, v in graph.edges:
-        rows[u - 1] |= 1 << (v - 1)
-    return dot_from_rows(graph.n, rows, name)
 
 
 # -- Graph forms written from row masks ----------------------------------------

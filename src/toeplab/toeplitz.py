@@ -22,7 +22,6 @@ __all__ = [
     "parse_literal",
     "build_matrix",
     "pair_sum_gcd",
-    "offset_generators",
     "predicted_period",
     "BezoutCertificate",
     "bezout_certificate",
@@ -124,18 +123,6 @@ def build_matrix(spec: ToeplitzSpec) -> BoolMatrix:
 def pair_sum_gcd(spec: ToeplitzSpec) -> int:
     """gcd of all sums s + t over forward steps s and backward steps t."""
     return gcd(*[s + t for s in spec.forward_steps for t in spec.backward_steps])
-
-
-def offset_generators(spec: ToeplitzSpec) -> tuple[int, ...]:
-    """Positive differences within each step set plus all pairwise sums.
-
-    These generate every offset change achievable between two equal-length
-    walks, hence the congruence class that competition edges live in.
-    """
-    fwd, bwd = spec.forward_steps, spec.backward_steps
-    gens = {b - a for steps in (fwd, bwd) for a, b in itertools.combinations(steps, 2)}
-    gens.update([s + t for s in fwd for t in bwd])
-    return tuple(sorted(gens))
 
 
 def predicted_period(spec: ToeplitzSpec) -> int:

@@ -5,7 +5,7 @@ never calls into the package, so expected values stay independent of the
 implementations they check.
 """
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 
@@ -234,6 +234,18 @@ def naive_congruent_offsets(n, fwd, bwd, i):
             d = gcd(d, s + t)
     target = (i * min(fwd)) % d
     return frozenset(v for v in range(-(n - 1), n) if v % d == target % d)
+
+
+def offset_generators(spec):
+    """Positive differences within each step set plus all pairwise sums.
+
+    These generate every offset change achievable between two equal-length
+    walks, hence the congruence class that competition edges live in.
+    """
+    fwd, bwd = spec.forward_steps, spec.backward_steps
+    gens = {b - a for steps in (fwd, bwd) for a, b in combinations(steps, 2)}
+    gens.update([s + t for s in fwd for t in bwd])
+    return tuple(sorted(gens))
 
 
 def prefix_positions(start, order):

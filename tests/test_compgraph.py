@@ -10,14 +10,13 @@ from toeplab.compgraph import (
     competition_graph_formula,
     digraph_dot,
     dot_from_rows,
-    graph_dot,
     json_from_rows,
     m_step_graph,
     residue_clique_graph,
     strong_components,
     text_from_rows,
 )
-from toeplab.packed import ToeplitzKernel
+from toeplab.packed import MAX_MATRIX_N, ToeplitzKernel
 from toeplab.spectra import residue_classes
 from toeplab.toeplitz import build_matrix, parse_literal, validate_spec
 from toeplab.verify import HOLDS, enumerate_specs, verify_instance
@@ -62,23 +61,6 @@ class TestSimpleGraph:
         with pytest.raises(TypeError):
             SimpleGraph(3, frozenset({(1, 2)}))
 
-    def test_has_edge_is_symmetric_and_loop_free(self):
-        g = SimpleGraph(3, ((1, 3),))
-        assert g.has_edge(1, 3) and g.has_edge(3, 1)
-        assert not g.has_edge(2, 2)
-
-    def test_has_edge_on_a_dense_graph(self):
-        rng = random.Random(53)
-        n = 40
-        rows = [sum(1 << j for j in range(n) if rng.random() < 0.7) for _ in range(n)]
-        g = SimpleGraph.from_symmetric_matrix(n, rows)
-        edges = set(g.edges)
-        assert len(edges) > 400
-        for u in range(0, n + 2):
-            for v in range(0, n + 2):
-                expected = (u, v) in edges or (v, u) in edges
-                assert g.has_edge(u, v) == expected, (u, v)
-
     def test_json_edges_sorted(self):
         g = SimpleGraph(4, ((1, 2), (1, 3), (2, 4)))
         data = json.loads(json.dumps(g.to_json_dict()))
@@ -98,6 +80,14 @@ class TestRowWriters:
         lines.append("}")
         return "\n".join(lines)
 
+    def assert_forms_match(self, n, rows, name):
+        g = SimpleGraph.from_symmetric_matrix(n, rows)
+        text = "\n".join([f"vertices={n} edges={len(g.edges)}"] + [f"{u} -- {v}" for u, v in g.edges])
+        assert text_from_rows(n, rows) == text, name
+        assert dot_from_rows(n, rows, name) == self.reference_dot(g, name)
+        assert json_from_rows(n, rows) == json.dumps(g.to_json_dict()), name
+        return g
+
     def test_forms_match_the_simple_graph(self):
         # Random rows, not symmetric, with bits on and below the diagonal:
         # only the columns v > u may show.
@@ -106,12 +96,7 @@ class TestRowWriters:
         for n in sizes:
             for density in (0.0, 0.05, 0.5, 1.0):
                 rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
-                g = SimpleGraph.from_symmetric_matrix(n, rows)
-                text = "\n".join([f"vertices={n} edges={len(g.edges)}"] + [f"{u} -- {v}" for u, v in g.edges])
-                assert text_from_rows(n, rows) == text, (n, density)
-                name = f"T{n} d={density}"
-                assert dot_from_rows(n, rows, name) == graph_dot(g, name) == self.reference_dot(g, name)
-                assert json_from_rows(n, rows) == json.dumps(g.to_json_dict()), (n, density)
+                self.assert_forms_match(n, rows, f"T{n} d={density}")
 
     def test_lower_triangle_is_ignored(self):
         n = 6
@@ -121,10 +106,25 @@ class TestRowWriters:
         assert json_from_rows(n, lower) == f'{{"n": {n}, "edges": []}}'
         assert text_from_rows(n, full).count("\n") == n * (n - 1) // 2
 
+    def test_forms_at_the_matrix_cap(self):
+        # The largest matrix the CLI builds: its edges to vertex 512 take the
+        # last of compgraph's precomputed numerals.
+        n = MAX_MATRIX_N
+        rng = random.Random(41)
+        rows = [sum(1 << j for j in range(n) if rng.random() < 0.01) for _ in range(n)]
+        rows[0] |= 1 << (n - 1)
+        rows[n - 2] |= 1 << (n - 1)
+        g = self.assert_forms_match(n, rows, "cap")
+        assert (1, n) in g.edges and (n - 1, n) in g.edges
+
     def test_graph_dot_past_the_matrix_cap(self):
-        # A SimpleGraph may be larger than any matrix the CLI builds.
+        # The writers also take rows larger than any matrix the CLI builds.
         g = residue_clique_graph(600, 150)
-        dot = graph_dot(g, "big")
+        rows = [0] * g.n
+        for u, v in g.edges:
+            rows[u - 1] |= 1 << (v - 1)
+        assert SimpleGraph.from_symmetric_matrix(600, rows) == g
+        dot = dot_from_rows(600, rows, "big")
         assert dot == self.reference_dot(g, "big")
         assert "  450 -- 600;" in dot
 
@@ -133,7 +133,7 @@ class TestMStepGraph:
     def test_running_example_step_three(self):
         a = build_matrix(parse_literal("T8<1,4;2,5>"))
         g = m_step_graph(a, 3)
-        assert g.has_edge(4, 1)
+        assert (1, 4) in g.edges
         assert g.edges == tuple(sorted(oracles.naive_competition_edges(as_lists(a), 3)))
 
     def test_matches_walk_enumeration_oracle(self):
@@ -166,7 +166,7 @@ class TestFormulaGraph:
         g = competition_graph_formula(spec)
         # offset 3 = 4 - 1 with the long step fitting below vertex 1 and the
         # short step below vertex 4; both share out-neighbor 5.
-        assert g.has_edge(1, 4)
+        assert (1, 4) in g.edges
         a = as_lists(build_matrix(spec))
         common = [w for w in range(8) if a[0][w] and a[3][w]]
         assert common
@@ -324,6 +324,5 @@ class TestDot:
         assert 'label="t=5", style=dashed' in dot
 
     def test_graph_dot_lists_edges(self):
-        g = SimpleGraph(3, ((1, 3),))
-        dot = graph_dot(g)
+        dot = dot_from_rows(3, [1 << 2, 0, 0], "competition")
         assert "1 -- 3;" in dot and dot.startswith("graph")

@@ -21,7 +21,6 @@ from toeplab.packed import PAIR_BITS, ROW_BYTES_FROM, Geometry, ToeplitzKernel, 
 from toeplab.spectra import competition_table, power_table
 from toeplab.toeplitz import (
     build_matrix,
-    offset_generators,
     pair_sum_gcd,
     parse_literal,
     validate_spec,
@@ -45,6 +44,7 @@ from toeplab.walks import (
 
 import generic
 import oracles
+from oracles import offset_generators
 
 MAX_N = 40
 

@@ -4,17 +4,20 @@
 would silently stop being checked; the library raises instead.  And only
 the reference modules import boolmat, so matrices stay packed ints
 everywhere else.  No command-line option is typed `int`, which would take
-digits the instance literal refuses.
+digits the instance literal refuses.  And every module-level function and
+class is reached, by the library itself or by perfbench.
 """
 
 import argparse
 import ast
+import importlib
 from pathlib import Path
 
 import toeplab
 from toeplab import cli
 
 SOURCES = sorted(Path(toeplab.__file__).parent.glob("*.py"))
+PERFBENCH = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -57,6 +60,20 @@ def test_boolmat_imported_only_by_the_reference_modules():
     assert found <= BOOLMAT_IMPORTERS
 
 
+def test_reexports_leave_the_submodules_in_place():
+    # The package star-imports each module's __all__: a name there equal to
+    # a module's would replace toeplab.<module> by that object.
+    stems = [path.stem for path in SOURCES if path.stem != "__init__"]
+    modules = {stem: importlib.import_module(f"toeplab.{stem}") for stem in stems}
+    init = ast.parse(Path(toeplab.__file__).read_text())
+    exported = {node.module for node in init.body if isinstance(node, ast.ImportFrom)}
+    assert exported
+    for name in exported:
+        assert modules.keys().isdisjoint(modules[name].__all__), name
+    for name, module in modules.items():
+        assert getattr(toeplab, name) is module, name
+
+
 def test_integer_options_take_the_ascii_parser():
     # int() also takes other Unicode decimal digits, "_" and "+"; every
     # integer option goes through cli's ASCII parser instead.
@@ -86,3 +103,60 @@ def test_declared_options_take_the_ascii_parser():
     assert len(subparsers.choices) == len(cli.COMMANDS)
     assert [a.option_strings for a in actions if a.type is int] == []
     assert sum(a.type is cli._integer for a in actions) == 10
+
+
+def names_used(node):
+    """Every name node refers to: a name, an attribute, an imported name."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found
+
+
+def reached_by_src():
+    """Each module-level function and class of src, with whether src code
+    other than its own definition refers to it.  The package's re-exports
+    are not uses."""
+    modules = [path for path in SOURCES if path.stem != "__init__"]
+    statements = [stmt for path in modules for stmt in ast.parse(path.read_text(), str(path)).body]
+    used = [names_used(stmt) for stmt in statements]
+    defs = (ast.FunctionDef, ast.ClassDef)
+    return {
+        stmt.name: any(stmt.name in names for other, names in zip(statements, used) if other is not stmt)
+        for stmt in statements
+        if isinstance(stmt, defs)
+    }
+
+
+def named_by_perfbench():
+    """What perfbench names: its imported names and attributes, and the
+    first part of each spans.TARGETS attribute path."""
+    found = set()
+    for path in PERFBENCH:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets):
+                found.update(target.elts[1].value.split(".")[0] for target in node.value.elts)
+    return found
+
+
+def perfbench_only_names():
+    """The module-level names that only perfbench reaches."""
+    named = named_by_perfbench()
+    return sorted(name for name, reached in reached_by_src().items() if not reached and name in named)
+
+
+def test_every_definition_is_reached():
+    # A definition nothing in src reaches stays only while perfbench names
+    # it (perfbench_only_names); anything else is dead code.
+    assert PERFBENCH
+    named = named_by_perfbench()
+    assert sorted(name for name, reached in reached_by_src().items() if not (reached or name in named)) == []

@@ -16,7 +16,6 @@ from toeplab.toeplitz import (
     _ext_gcd,
     bezout_certificate,
     build_matrix,
-    offset_generators,
     pair_sum_gcd,
     parse_literal,
     predicted_period,
@@ -25,6 +24,7 @@ from toeplab.toeplitz import (
 from toeplab.verify import enumerate_specs
 
 import oracles
+from oracles import offset_generators
 
 FIG1 = "8\n01001000\n00100100\n10010010\n01001001\n00100100\n10010010\n01001001\n00100100"
 

@@ -309,19 +309,15 @@ def _cmd_walk(args) -> int:
     except (WalkConstructionError, SchedulingFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    if args.format == "json":
+        print(json.dumps({"spec": spec.literal, "walk": walk.to_json_dict()}, sort_keys=True))
+        return EXIT_OK
     a, b = walk.arc_counts()
-    payload = {"spec": spec.literal, "walk": walk.to_json_dict()}
-    _emit(
-        payload,
-        args.format,
-        [
-            str(walk),
-            f"length={walk.length} offset={walk.end - walk.start:+d}",
-            "forward arc counts: "
-            + " ".join(f"s{i}({s})={c}" for i, (s, c) in enumerate(zip(spec.forward_steps, a), 1)),
-            "backward arc counts: "
-            + " ".join(f"t{i}({t})={c}" for i, (t, c) in enumerate(zip(spec.backward_steps, b), 1)),
-        ],
+    forward = " ".join(f"s{i}({s})={c}" for i, (s, c) in enumerate(zip(spec.forward_steps, a), 1))
+    backward = " ".join(f"t{i}({t})={c}" for i, (t, c) in enumerate(zip(spec.backward_steps, b), 1))
+    print(
+        f"{walk}\nlength={walk.length} offset={walk.end - walk.start:+d}\n"
+        f"forward arc counts: {forward}\nbackward arc counts: {backward}"
     )
     return EXIT_OK
 

@@ -15,7 +15,6 @@ from .packed import ToeplitzKernel, members
 from .spectra import competition_table, power_from_table, power_table
 from .toeplitz import pair_sum_gcd, parse_literal
 from .walks import (
-    Arc,
     Walk,
     WalkConstructionError,
     build_walk_with_counts,
@@ -174,11 +173,7 @@ def golden_t8_limit():
 def golden_t8_walk_witness():
     # 4 -> 5 -> 3 -> 1 realizes offset -3 in three arcs.
     spec = parse_literal(T8)
-    walk = Walk(
-        spec,
-        (4, 5, 3, 1),
-        (Arc("s", 1), Arc("t", 1), Arc("t", 1)),
-    )
+    walk = Walk(spec, (4, 5, 3, 1))
     a, b, length, offset = walk_offset_decomposition(walk)
     return _check((a, b, length, offset), ((1, 0), (2, 0), 3, -3))
 

@@ -20,6 +20,7 @@ evaluates the competition-index bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
@@ -181,8 +182,6 @@ class StabilizationResult(NamedTuple):
     m_emp: int | None
     certified: bool
     horizon: int
-    power_index: int
-    power_period: int
 
 
 def certify_stabilization(
@@ -201,7 +200,7 @@ def certify_stabilization(
     else:
         m_emp = m + 1
         certified = horizon >= max(m_emp, tail.index) + lcm(predicted, tail.period) - 1
-    return StabilizationResult(m_emp, certified, horizon, tail.index, tail.period)
+    return StabilizationResult(m_emp, certified, horizon)
 
 
 def step_set_stabilization(
@@ -242,35 +241,38 @@ class Arc(NamedTuple):
     index: int
 
 
+def _arc_of_move(spec: ToeplitzSpec) -> dict:
+    # S and -T are disjoint sets of distinct moves, so a move names one arc.
+    arcs = {s: Arc("s", i) for i, s in enumerate(spec.forward_steps, 1)}
+    arcs.update({-t: Arc("t", i) for i, t in enumerate(spec.backward_steps, 1)})
+    return arcs
+
+
 @dataclass(frozen=True, slots=True)
 class Walk:
-    """A validated directed walk: vertices plus one typed arc per move."""
+    """A validated directed walk, given by its vertices: each move v - u is
+    a forward step up or a backward step down, and so names its arc."""
 
     spec: ToeplitzSpec
     vertices: tuple[int, ...]
-    arcs: tuple[Arc, ...]
 
     def __post_init__(self):
         spec = self.spec
-        if len(self.vertices) != len(self.arcs) + 1:
-            raise ValueError("vertex count must be arc count + 1")
         if not self.vertices:
             raise ValueError("a walk has at least one vertex")
         for v in self.vertices:
             if not 1 <= v <= spec.n:
                 raise ValueError(f"vertex {v} outside [1, {spec.n}]")
-        for k, arc in enumerate(self.arcs):
-            delta = self.vertices[k + 1] - self.vertices[k]
-            if arc.kind == "s":
-                want = spec.forward_steps[arc.index - 1]
-            elif arc.kind == "t":
-                want = -spec.backward_steps[arc.index - 1]
-            else:
-                raise ValueError(f"unknown arc kind {arc.kind!r}")
-            if delta != want:
-                raise ValueError(
-                    f"arc {k}: step {delta} does not match {arc.kind}{arc.index}"
-                )
+        arcs = _arc_of_move(spec)
+        for k, (u, v) in enumerate(zip(self.vertices, self.vertices[1:])):
+            if v - u not in arcs:
+                raise ValueError(f"move {k}: {u} -> {v} is not a step of {spec.literal}")
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """One typed arc per move."""
+        arcs = _arc_of_move(self.spec)
+        return tuple([arcs[v - u] for u, v in zip(self.vertices, self.vertices[1:])])
 
     @property
     def start(self) -> int:
@@ -282,23 +284,21 @@ class Walk:
 
     @property
     def length(self) -> int:
-        return len(self.arcs)
+        return len(self.vertices) - 1
 
     def arc_counts(self):
         """(per-forward-step counts, per-backward-step counts)."""
-        a = [0] * len(self.spec.forward_steps)
-        b = [0] * len(self.spec.backward_steps)
-        for arc in self.arcs:
-            if arc.kind == "s":
-                a[arc.index - 1] += 1
-            else:
-                b[arc.index - 1] += 1
-        return tuple(a), tuple(b)
+        moves = Counter(v - u for u, v in zip(self.vertices, self.vertices[1:]))
+        spec = self.spec
+        return (
+            tuple([moves[s] for s in spec.forward_steps]),
+            tuple([moves[-t] for t in spec.backward_steps]),
+        )
 
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
-            "arcs": [{"kind": a.kind, "index": a.index} for a in self.arcs],
+            "arcs": [{"kind": kind, "index": index} for kind, index in self.arcs],
         }
 
     def __str__(self):
@@ -307,18 +307,9 @@ class Walk:
 
 def walk_offset_decomposition(walk: Walk):
     """(forward counts, backward counts, length, end - start); the counts
-    always recombine into the length and the offset."""
+    recombine into the length and the offset, as each move is one step."""
     a, b = walk.arc_counts()
-    spec = walk.spec
-    length = walk.length
-    offset = walk.end - walk.start
-    if sum(a) + sum(b) != length:
-        raise ValueError("arc counts do not add up to the walk length")
-    recombined = sum(x * s for x, s in zip(a, spec.forward_steps))
-    recombined -= sum(x * t for x, t in zip(b, spec.backward_steps))
-    if recombined != offset:
-        raise ValueError("arc counts do not recombine into the walk offset")
-    return a, b, length, offset
+    return a, b, walk.length, walk.end - walk.start
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -326,55 +317,48 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def schedule_steps(start: int, terms, n: int) -> tuple[int, ...]:
-    """Order a multiset of signed steps so every prefix keeps the position
-    inside [1, n].
+    """Order a multiset of signed steps, of one up size and one down size,
+    so every prefix keeps the position inside [1, n]: the up step whenever
+    it fits, otherwise the down step.
 
-    Preconditions: start and start + sum(terms) are vertices.  A valid
-    ordering always exists when n is at least the largest positive step
-    plus the largest negative step magnitude; outside that regime the
-    exhaustive backtracking search may fail, which raises
-    SchedulingFailure rather than returning a bad ordering.
+    The greedy finds an ordering whenever one exists.  When up + down <= n
+    one of the two moves fits while both kinds remain, and once one kind
+    runs out the rest moves monotonically to the in-range end; when
+    up + down > n at most one move fits at any position, so the ordering
+    is forced.  Raises EndpointOutOfRange when start + sum(terms) is no
+    vertex and SchedulingFailure when no ordering stays inside.
     """
     terms = tuple(terms)
-    if any(t == 0 for t in terms):
+    if 0 in terms:
         raise ValueError("steps must be nonzero")
+    ups = {x for x in terms if x > 0}
+    downs = set(terms) - ups
+    if len(ups) > 1 or len(downs) > 1:
+        raise ValueError("steps must be of one up size and one down size")
     if not 1 <= start <= n:
         raise ValueError(f"start vertex {start} outside [1, {n}]")
-    if not 1 <= start + sum(terms) <= n:
-        raise ValueError("endpoint outside [1, n]")
-    if not terms:
-        return ()
+    end = start + sum(terms)
+    if not 1 <= end <= n:
+        raise EndpointOutOfRange(f"prescribed counts end at {end}, outside [1, {n}]")
 
-    keys = sorted(set(terms), reverse=True)
-    remaining = tuple(terms.count(k) for k in keys)
-    total = len(terms)
-
+    (up,) = ups or {0}
+    (down,) = downs or {0}
+    up_left, down_left = terms.count(up), terms.count(down)
     order: list[int] = []
-    dead: set = set()
-    frames: list[list] = [[start, remaining, 0]]
-    while frames:
-        if len(order) == total:
-            return tuple(order)
-        pos, rem, ki = frames[-1]
-        advanced = False
-        while ki < len(keys):
-            step = keys[ki]
-            if rem[ki] > 0 and 1 <= pos + step <= n:
-                child_rem = rem[:ki] + (rem[ki] - 1,) + rem[ki + 1 :]
-                if (pos + step, child_rem) not in dead:
-                    frames[-1][2] = ki + 1
-                    order.append(step)
-                    frames.append([pos + step, child_rem, 0])
-                    advanced = True
-                    break
-            ki += 1
-        if not advanced:
-            dead.add((pos, rem))
-            frames.pop()
-            if order:
-                order.pop()
-    counts = ", ".join(f"{c} x {k:+d}" for k, c in zip(keys, remaining))
-    raise SchedulingFailure(f"no ordering of {counts} from {start} stays inside [1, {n}]")
+    pos = start
+    while up_left or down_left:
+        if up_left and pos + up <= n:
+            step = up
+            up_left -= 1
+        elif down_left and pos + down >= 1:
+            step = down
+            down_left -= 1
+        else:
+            counts = f"{terms.count(up)} x {up:+d}, {terms.count(down)} x {down:+d}"
+            raise SchedulingFailure(f"no ordering of {counts} from {start} stays inside [1, {n}]")
+        pos += step
+        order.append(step)
+    return tuple(order)
 
 
 def build_walk_with_counts(spec: ToeplitzSpec, start: int, s_counts=(), t_counts=()) -> Walk:
@@ -402,7 +386,6 @@ def build_walk_with_counts(spec: ToeplitzSpec, start: int, s_counts=(), t_counts
 
     s1, t1 = spec.min_forward, spec.min_backward
     verts = [start]
-    arcs: list[Arc] = []
     w = start
 
     def descend_to(limit: int):
@@ -418,7 +401,6 @@ def build_walk_with_counts(spec: ToeplitzSpec, start: int, s_counts=(), t_counts
         for _ in range(r0):
             w -= t1
             verts.append(w)
-            arcs.append(Arc("t", 1))
 
     def ascend_to(limit: int):
         nonlocal w
@@ -432,24 +414,19 @@ def build_walk_with_counts(spec: ToeplitzSpec, start: int, s_counts=(), t_counts
         for _ in range(r0):
             w += s1
             verts.append(w)
-            arcs.append(Arc("s", 1))
 
-    for idx, count in enumerate(s_counts, start=2):
-        step = fwd[idx - 1]
+    for step, count in zip(fwd[1:], s_counts):
         for _ in range(count):
             descend_to(n - step)
             w += step
             verts.append(w)
-            arcs.append(Arc("s", idx))
-    for idx, count in enumerate(t_counts, start=2):
-        step = bwd[idx - 1]
+    for step, count in zip(bwd[1:], t_counts):
         for _ in range(count):
             ascend_to(step + 1)
             w -= step
             verts.append(w)
-            arcs.append(Arc("t", idx))
 
-    return Walk(spec, tuple(verts), tuple(arcs))
+    return Walk(spec, tuple(verts))
 
 
 def extend_walk_exact(
@@ -458,11 +435,11 @@ def extend_walk_exact(
     """Walk from `start` with the FULL arc-type multiset prescribed,
     including the two shortest steps.
 
-    Builds the higher-index walk first, then appends an ordering of the
-    leftover shortest steps that never leaves the vertex range.  Raises
-    InsufficientArcCount when the shortest-step totals fall below what the
-    base walk already used, EndpointOutOfRange when the prescribed counts
-    do not land on a vertex.
+    Builds the higher-index walk first, then appends schedule_steps'
+    ordering of the leftover shortest steps.  Raises InsufficientArcCount
+    when the shortest-step totals fall below what the base walk already
+    used, EndpointOutOfRange when the prescribed counts do not land on a
+    vertex.
     """
     base = build_walk_with_counts(spec, start, s_counts, t_counts)
     a_used, b_used = base.arc_counts()
@@ -475,24 +452,12 @@ def extend_walk_exact(
             f"need at least {b_used[0]} shortest backward arcs, got {t1_count}"
         )
 
-    fwd, bwd = spec.forward_steps, spec.backward_steps
-    endpoint = start + s1_count * fwd[0] - t1_count * bwd[0]
-    endpoint += sum(c * s for c, s in zip(s_counts, fwd[1:]))
-    endpoint -= sum(c * t for c, t in zip(t_counts, bwd[1:]))
-    if not 1 <= endpoint <= spec.n:
-        raise EndpointOutOfRange(f"prescribed counts end at {endpoint}, outside [1, {spec.n}]")
-
-    residual = [fwd[0]] * (s1_count - a_used[0]) + [-bwd[0]] * (t1_count - b_used[0])
-    ordering = schedule_steps(base.end, residual, spec.n)
-
+    s1, t1 = spec.min_forward, spec.min_backward
+    residual = [s1] * (s1_count - a_used[0]) + [-t1] * (t1_count - b_used[0])
     verts = list(base.vertices)
-    arcs = list(base.arcs)
-    w = base.end
-    for step in ordering:
-        w += step
-        verts.append(w)
-        arcs.append(Arc("s", 1) if step > 0 else Arc("t", 1))
-    return Walk(spec, tuple(verts), tuple(arcs))
+    for step in schedule_steps(base.end, residual, spec.n):
+        verts.append(verts[-1] + step)
+    return Walk(spec, tuple(verts))
 
 
 # -- competition-index bound ---------------------------------------------------

@@ -253,3 +253,40 @@ def prefix_positions(start, order):
     for step in order:
         pos.append(pos[-1] + step)
     return pos
+
+
+def backtracking_schedule(start, terms, n):
+    """An ordering of the signed steps `terms` whose every prefix keeps the
+    position inside [1, n], or None if none does: a depth-first search that
+    tries the larger step first at each position and remembers the
+    (position, remaining counts) states already seen to fail."""
+    terms = tuple(terms)
+    keys = sorted(set(terms), reverse=True)
+    remaining = tuple(terms.count(k) for k in keys)
+    total = len(terms)
+
+    order = []
+    dead = set()
+    frames = [[start, remaining, 0]]
+    while frames:
+        if len(order) == total:
+            return tuple(order)
+        pos, rem, ki = frames[-1]
+        advanced = False
+        while ki < len(keys):
+            step = keys[ki]
+            if rem[ki] > 0 and 1 <= pos + step <= n:
+                child_rem = rem[:ki] + (rem[ki] - 1,) + rem[ki + 1 :]
+                if (pos + step, child_rem) not in dead:
+                    frames[-1][2] = ki + 1
+                    order.append(step)
+                    frames.append([pos + step, child_rem, 0])
+                    advanced = True
+                    break
+            ki += 1
+        if not advanced:
+            dead.add((pos, rem))
+            frames.pop()
+            if order:
+                order.pop()
+    return None

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,8 @@ PSETS_PIN = "7375ccd26c478dde6d021b78faa3d8394334790693e981f293aa4c19f74599a2"
 GRAPH_PIN = "6ba9b8d67ce12fa0a0b027f00e4ffc52b5d142bc36dfe206ae1e1faea34a04eb"
 GRAPH_WIDE_PIN = "2468a8893706b45abafce41a4514b9ef250b5f94f462c0afc0b4f8b2535c78c0"
 MATRIX_PIN = "9b2a9ae7ac9ccbaabf1a8933a5bb4a367cfdf5b24d8c2d70f9edefaa64e17e6d"
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # int() reads each of these as a number: Arabic-Indic two, three and seven,
@@ -743,6 +746,38 @@ def test_packed_commands_match_generic_path(capsys):
             assert code == EXIT_OK
             expected = json.loads(json.dumps(m_step_graph(A, m).to_json_dict()))
             assert json.loads(out)["graph"] == expected, spec.literal
+
+
+def test_cli_pool_matches_its_frozen_digests(capsys):
+    # perfbench/reference.json freezes every query of the benchmark's
+    # cli_queries pool, 40 per kind, as sha256 of the exit code, a newline
+    # and stdout (perfbench/gate.py output_digest); replay them all.
+    pool = json.loads((ROOT / "perfbench" / "reference.json").read_text())["cli_pool"]
+    assert len(pool) == 8
+    replayed, mismatched = 0, []
+    for queries in pool.values():
+        for query in queries:
+            code, out, _ = run(capsys, *query["argv"])
+            replayed += 1
+            if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != query["digest"]:
+                mismatched.append(" ".join(query["argv"]))
+    assert replayed == 320
+    assert mismatched == []
+
+
+def test_readme_cli_block_runs(capsys, pool_sizes):
+    # Every line of README's CLI block exits 0, and the period line prints
+    # the output its comment shows.
+    block = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("```\n")[1]
+    lines = block.splitlines()
+    assert len(lines) == 15
+    for line in lines:
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "toeplab", line
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, (line, err)
+        if argv[0] == "period":
+            assert out == line.split("# ", 1)[1] + "\n"
 
 
 def test_python_calls_per_query(capsys):

@@ -1,11 +1,12 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toeplab.packed import geometry, members
+from toeplab.packed import ToeplitzKernel, geometry, members
+from toeplab.spectra import power_table
 from toeplab.toeplitz import build_matrix, parse_literal, validate_spec
 from toeplab.verify import enumerate_specs
 from toeplab.walks import (
@@ -244,7 +245,7 @@ class TestStabilization:
             expected = tail.index + 2 * tail.period * predicted_period(spec)
             result = step_set_stabilization(spec)
             assert result.horizon == expected, spec.literal
-            assert (result.power_index, result.power_period) == (tail.index, tail.period)
+            assert power_table(ToeplitzKernel(spec))[0] == tail, spec.literal
 
     def test_conditioned_sweep_certifies(self):
         for spec in enumerate_specs(6, True):
@@ -316,8 +317,13 @@ class TestScheduleSteps:
         assert schedule_steps(4, (), 9) == ()
 
     def test_forced_failure_is_precondition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EndpointOutOfRange, match="end at 8, outside"):
             schedule_steps(1, (7,), 5)  # endpoint 8 > 5
+
+    def test_one_up_size_and_one_down_size(self):
+        for terms in ((1, 2), (-1, -3, 2)):
+            with pytest.raises(ValueError, match="one up size and one down size"):
+                schedule_steps(4, terms, 9)
 
     def test_unschedulable_raises_distinct_error(self):
         # endpoint fine (2 + 2 - 2 = 2) but both first moves exit [1, 3]
@@ -344,6 +350,28 @@ class TestScheduleSteps:
             assert all(1 <= p <= n for p in positions)
             assert sorted(order) == sorted(terms)
             produced += 1
+
+    def test_greedy_matches_backtracking_exhaustively(self):
+        # Every n <= 8, up and down step sizes, up to 4 of each, and every
+        # start whose endpoint is a vertex: the greedy returns the search's
+        # ordering, and fails exactly where the search finds none.
+        cases = failures = 0
+        for n in range(2, 9):
+            sizes = range(1, n)
+            for up, down, ups, downs in product(sizes, sizes, range(5), range(5)):
+                terms = (up,) * ups + (-down,) * downs
+                for start in range(1, n + 1):
+                    if not 1 <= start + sum(terms) <= n:
+                        continue
+                    want = oracles.backtracking_schedule(start, terms, n)
+                    cases += 1
+                    if want is None:
+                        failures += 1
+                        with pytest.raises(SchedulingFailure):
+                            schedule_steps(start, terms, n)
+                    else:
+                        assert schedule_steps(start, terms, n) == want, (start, terms, n)
+        assert failures and cases > failures
 
 
 class TestBuildWalk:
@@ -432,12 +460,12 @@ class TestExtendWalk:
 
 class TestWalkType:
     def test_witness_walk_decomposition(self):
-        walk = Walk(T8, (4, 5, 3, 1), (Arc("s", 1), Arc("t", 1), Arc("t", 1)))
+        walk = Walk(T8, (4, 5, 3, 1))
         a, b, length, offset = walk_offset_decomposition(walk)
         assert (a, b, length, offset) == ((1, 0), (2, 0), 3, -3)
 
     def test_single_vertex_decomposition(self):
-        walk = Walk(T8, (5,), ())
+        walk = Walk(T8, (5,))
         assert walk_offset_decomposition(walk) == ((0, 0), (0, 0), 0, 0)
 
     def test_builder_outputs_round_trip(self):
@@ -447,15 +475,15 @@ class TestWalkType:
         assert offset == walk.end - walk.start
 
     def test_mismatched_step_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            Walk(T8, (1, 3), (Arc("s", 1),))
+        with pytest.raises(ValueError, match="not a step"):
+            Walk(T8, (1, 3))
 
     def test_vertex_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            Walk(T8, (0, 1), (Arc("s", 1),))
+            Walk(T8, (0, 1))
 
     def test_json_shape(self):
-        walk = Walk(T8, (4, 5), (Arc("s", 1),))
+        walk = Walk(T8, (4, 5))
         assert walk.to_json_dict() == {
             "vertices": [4, 5],
             "arcs": [{"kind": "s", "index": 1}],

@@ -30,6 +30,7 @@ from .spectra import (
     power_from_table,
     power_table,
     residue_classes,
+    within_budget,
 )
 from .toeplitz import (
     ToeplitzSpec,
@@ -37,7 +38,7 @@ from .toeplitz import (
     pair_sum_gcd,
     parse_literal,
 )
-from .verify import DEFAULT_STEP_BUDGET, MAX_SWEEP_N, sweep
+from .verify import MAX_SWEEP_N, sweep
 from .walks import (
     SchedulingFailure,
     WalkConstructionError,
@@ -110,14 +111,11 @@ def _cmd_build(args) -> int:
 
 def _cmd_power(args) -> int:
     spec = _parse_spec(args.spec)
-    if args.m < 0:
-        print("error: --m must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     kernel = ToeplitzKernel(spec)
     if args.m == 0:
         x = kernel.geometry.identity
     else:
-        table = power_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.m)
+        table = power_table(kernel, last=args.m)
         x = power_from_table(*table, args.m)
     g = kernel.geometry
     if args.format == "json":
@@ -130,7 +128,7 @@ def _cmd_power(args) -> int:
 
 def _cmd_period(args) -> int:
     spec = _parse_spec(args.spec)
-    tail, _ = power_table(ToeplitzKernel(spec), max_steps=DEFAULT_STEP_BUDGET)
+    tail, _ = power_table(ToeplitzKernel(spec))
     d = pair_sum_gcd(spec)
     d_prime = gcd(d, spec.min_forward)
     predicted = d // d_prime
@@ -153,7 +151,7 @@ def _cmd_period(args) -> int:
 def _cmd_competition(args) -> int:
     spec = _parse_spec(args.spec)
     kernel = ToeplitzKernel(spec)
-    tail, bs = competition_table(kernel, max_steps=DEFAULT_STEP_BUDGET)
+    tail, bs = competition_table(kernel)
     d = pair_sum_gcd(spec)
     payload = {
         "spec": spec.literal,
@@ -191,11 +189,8 @@ def _cmd_competition(args) -> int:
 
 def _cmd_graph(args) -> int:
     spec = _parse_spec(args.spec)
-    if args.m < 1:
-        print("error: --m must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     kernel = ToeplitzKernel(spec)
-    table = competition_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.m)
+    table = competition_table(kernel, last=args.m)
     b = power_from_table(*table, args.m)
     rows = kernel.geometry.rows(b)
     if args.format == "dot":
@@ -211,11 +206,13 @@ def _cmd_graph(args) -> int:
 
 def _cmd_psets(args) -> int:
     spec = _parse_spec(args.spec)
-    if args.horizon is not None and args.horizon < 1:
-        print("error: --horizon must be at least 1", file=sys.stderr)
+    # One mode or the other: --i alone, or --stabilize with an optional --horizon.
+    if args.stabilize == (args.i is not None) or (args.horizon is not None and not args.stabilize):
+        message = "provide --i or --stabilize, not both (--horizon goes with --stabilize)"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     if args.stabilize:
-        result = step_set_stabilization(spec, args.horizon, max_steps=DEFAULT_STEP_BUDGET)
+        result = step_set_stabilization(spec, args.horizon)
         payload = {
             "spec": spec.literal,
             "m_emp": result.m_emp,
@@ -231,17 +228,9 @@ def _cmd_psets(args) -> int:
             line = f"no agreement point up to horizon={result.horizon} (uncertified)"
         _emit(payload, args.format, [line])
         return EXIT_OK
-    if args.i is None:
-        print("error: provide --i or --stabilize", file=sys.stderr)
-        return EXIT_USAGE
-    if args.i < 1:
-        print("error: --i must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.i > DEFAULT_STEP_BUDGET:
-        raise BudgetExceeded(f"--i {args.i} exceeds {DEFAULT_STEP_BUDGET} steps")
-    kernel = ToeplitzKernel(spec)
-    table = power_table(kernel, max_steps=DEFAULT_STEP_BUDGET, last=args.i)
-    step = step_set_run(spec, args.i, table=table, kernel=kernel)[-1]
+    within_budget(args.i, "--i")
+    table = power_table(ToeplitzKernel(spec), last=args.i)
+    step = step_set_run(spec, args.i, table)[-1]
     offsets = {name: members(mask, spec.n) for name, mask in zip("PQR", step)}
     payload = {"spec": spec.literal, "i": args.i, **offsets}
     lines = [name + "={" + ",".join(map(str, values)) + "}" for name, values in offsets.items()]
@@ -295,12 +284,13 @@ def _cmd_walk(args) -> int:
             raise ValueError(f"--start must be in [1, {spec.n}], got {args.start}")
         if min(s_counts + t_counts + (args.s1, args.t1)) < 0:
             raise ValueError("arc counts must be non-negative")
+        if (args.s1 or args.t1) and not args.exact:
+            raise ValueError("--s1 and --t1 apply only with --exact")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     bound = _walk_length_cap(spec, s_counts, t_counts, args.exact, args.s1, args.t1)
-    if bound > DEFAULT_STEP_BUDGET:
-        raise BudgetExceeded(f"walk length bound {bound} exceeds {DEFAULT_STEP_BUDGET} steps")
+    within_budget(bound, "walk length bound")
     try:
         if args.exact:
             walk = extend_walk_exact(spec, args.start, args.s1, args.t1, s_counts, t_counts)
@@ -360,14 +350,8 @@ def _cmd_certificate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.nmax < 2:
-        print("error: --nmax must be at least 2", file=sys.stderr)
-        return EXIT_USAGE
     if args.nmax > MAX_SWEEP_N:
         print(f"error: --nmax must be at most {MAX_SWEEP_N}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.progress is not None and args.progress < 1:
-        print("error: --progress must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     jobs, source = args.jobs, "--jobs"
     if jobs is None:
@@ -416,8 +400,9 @@ class _Command(NamedTuple):
     help: str
     spec: bool  # takes an instance literal
     formats: tuple[str, ...] | None  # the formats it applies to; None: no --format
-    # (flag, type, default, help) of each option, in order: the type is _integer,
-    # None for a string or _FLAG, and a _REQUIRED default makes it required.
+    # (flag, type, default, least, help) of each option, in order: the type is
+    # _integer, None for a string or _FLAG, a _REQUIRED default makes it
+    # required, and main refuses an integer below `least` (None: any).
     options: tuple = ()
 
 
@@ -426,38 +411,43 @@ _REQUIRED = object()
 _TEXT_JSON = ("text", "json")
 _WITH_DOT = ("text", "json", "dot")
 _WITH_JSONL = ("text", "json", "jsonl")
-_M = ("--m", _integer, _REQUIRED, None)
 
 # Every command, declared once: _parse_canonical reads these, and
 # build_parser builds the argparse tree from them in this order.
 COMMANDS = {
     "build": _Command(_cmd_build, "matrix of an instance (text/json/dot)", True, _WITH_DOT),
-    "power": _Command(_cmd_power, "m-th Boolean power of the matrix", True, _TEXT_JSON, (_M,)),
+    "power": _Command(
+        _cmd_power, "m-th Boolean power of the matrix", True, _TEXT_JSON,
+        (("--m", _integer, _REQUIRED, 0, None),),
+    ),
     "period": _Command(_cmd_period, "exact matrix period vs predicted value", True, _TEXT_JSON),
     "competition": _Command(
         _cmd_competition, "competition index, period, and limit", True, _TEXT_JSON
     ),
-    "graph": _Command(_cmd_graph, "m-step competition graph", True, _WITH_DOT, (_M,)),
+    "graph": _Command(
+        _cmd_graph, "m-step competition graph", True, _WITH_DOT,
+        (("--m", _integer, _REQUIRED, 1, None),),
+    ),
     "psets": _Command(_cmd_psets, "offset step sets at one step count", True, _TEXT_JSON, (
-        ("--i", _integer, None, "step count"),
-        ("--stabilize", _FLAG, False, "scan for the agreement point"),
-        ("--horizon", _integer, None, "scan horizon for --stabilize"),
+        ("--i", _integer, None, 1, "step count"),
+        ("--stabilize", _FLAG, False, None, "scan for the agreement point"),
+        ("--horizon", _integer, None, 1, "scan horizon for --stabilize"),
     )),
     "walk": _Command(_cmd_walk, "build a walk with prescribed arc counts", True, _TEXT_JSON, (
-        ("--start", _integer, _REQUIRED, None),
-        ("--counts", None, "", 'higher-index arc counts, e.g. "s2=5,t2=6"'),
-        ("--exact", _FLAG, False, "prescribe the shortest-step counts too"),
-        ("--s1", _integer, 0, "total shortest forward arcs (with --exact)"),
-        ("--t1", _integer, 0, "total shortest backward arcs (with --exact)"),
+        ("--start", _integer, _REQUIRED, None, None),
+        ("--counts", None, "", None, 'higher-index arc counts, e.g. "s2=5,t2=6"'),
+        ("--exact", _FLAG, False, None, "prescribe the shortest-step counts too"),
+        ("--s1", _integer, 0, None, "total shortest forward arcs (with --exact)"),
+        ("--t1", _integer, 0, None, "total shortest backward arcs (with --exact)"),
     )),
     "bound": _Command(_cmd_bound, "competition-index bound and its hypothesis", True, _TEXT_JSON),
     "certificate": _Command(_cmd_certificate, "zero-sum gcd certificate", True, _TEXT_JSON),
     "verify": _Command(_cmd_verify, "exhaustive sweep up to --nmax", False, _WITH_JSONL, (
-        ("--nmax", _integer, _REQUIRED, None),
-        ("--all", _FLAG, False, "include condition-violating instances"),
-        ("--jobs", _integer, None,
+        ("--nmax", _integer, _REQUIRED, 2, None),
+        ("--all", _FLAG, False, None, "include condition-violating instances"),
+        ("--jobs", _integer, None, None,
          "worker processes, at most the CPU count (default $TOEPLAB_JOBS or 1)"),
-        ("--progress", _integer, None, "print a line every N instances"),
+        ("--progress", _integer, None, 1, "print a line every N instances"),
     )),
     "examples": _Command(_cmd_examples, "re-run the embedded worked-example goldens", False, None),
 }
@@ -475,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         if command.spec:
             p.add_argument("spec", help='instance literal, e.g. "T8<1,4;2,5>"')
-        for flag, kind, default, text in command.options:
+        for flag, kind, default, _, text in command.options:
             required = default is _REQUIRED
             how = {"action": _FLAG} if kind is _FLAG else {"type": kind, "required": required}
             p.add_argument(flag, default=None if required else default, help=text, **how)
@@ -489,16 +479,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _flag_table(command):
     """What _parse_canonical reads of one command: the (dest, type, choices)
     of each option string and of the literal (None if it takes none), each
-    dest's default, and the dests that must be given."""
-    options = [(flag[2:], kind, None, default) for flag, kind, default, _ in command.options]
+    dest's default, and the dests that must be given; and what main checks
+    of either parse, the (dest, least) of each option with a least value."""
+    options = [(flag[2:], kind, None, default) for flag, kind, default, _, _ in command.options]
     if command.formats is not None:
         options.append(("format", None, _ALL_FORMATS, "text"))
     flags = {"--" + dest: (dest, kind, choices) for dest, kind, choices, _ in options}
     defaults = {dest: None if d is _REQUIRED else d for dest, _, _, d in options}
     required = {dest for dest, _, _, d in options if d is _REQUIRED}
+    least = tuple([(flag[2:], k) for flag, _, _, k, _ in command.options if k is not None])
     if not command.spec:
-        return flags, None, defaults, required
-    return flags, ("spec", None, None), defaults, required | {"spec"}
+        return flags, None, defaults, required, least
+    return flags, ("spec", None, None), defaults, required | {"spec"}, least
 
 
 _FLAG_TABLES = {name: _flag_table(command) for name, command in COMMANDS.items()}
@@ -513,7 +505,7 @@ def _parse_canonical(name, argv):
     those, so help, usage and every error message stay its own."""
     if name not in _FLAG_TABLES:
         return None
-    flags, positional, values, required = _FLAG_TABLES[name]
+    flags, positional, values, required, _ = _FLAG_TABLES[name]
     values = dict(values)  # the tables are shared: no call sees another's values
     given = set()
     tokens = iter(argv)
@@ -556,6 +548,11 @@ def main(argv=None) -> int:
     if command.formats is not None and args.format not in command.formats:
         print(f"error: format {args.format!r} does not apply to {args.command!r}", file=sys.stderr)
         return EXIT_BAD_FORMAT
+    for dest, least in _FLAG_TABLES[args.command][4]:
+        value = getattr(args, dest)
+        if value is not None and value < least:
+            print(f"error: --{dest} must be at least {least}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         code = command.fn(args)
         # Flushed here, so a closed pipe raises inside this try and not at exit.

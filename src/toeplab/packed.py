@@ -56,7 +56,7 @@ STEP_SETS = 2048
 # where keeping all of them would take 8 MB at n = 400.
 PAIR_BITS = 1 << 19
 
-# Largest n for the commands that build an n x n matrix: DEFAULT_STEP_BUDGET
+# Largest n for the commands that build an n x n matrix: spectra.STEP_BUDGET
 # stored powers of n^2 bits each stay under 655 MB.
 MAX_MATRIX_N = 512
 
@@ -65,10 +65,10 @@ class Geometry:
     """Everything of one size n that no single instance owns.
 
     The all-ones and identity matrices, the Toeplitz-test and diagonal-fold
-    masks are built with the geometry; the column masks L_k and H_k, the
-    diagonal pairs (kept up to PAIR_BITS bits) and the tables per modulus
-    and per step set on first use.  Every entry depends on n and at most
-    one step, step set or modulus, never on a whole instance.
+    masks are built with the geometry; the diagonal pairs (kept up to
+    PAIR_BITS bits) and the tables per modulus and per step set on first
+    use.  Every entry depends on n and at most one step, step set or
+    modulus, never on a whole instance.
     """
 
     __slots__ = (
@@ -80,8 +80,6 @@ class Geometry:
         "pad_upper",
         "fold_shifts",
         "_ones",
-        "_low",
-        "_high",
         "_pairs",
         "_pairs_left",
         "_residues",
@@ -117,8 +115,6 @@ class Geometry:
         shifts.append((n - span) * stride)
         self.fold_shifts = tuple(shifts)
         # Indexed by step 1..n-1; None until first asked for.
-        self._low = [None] * n
-        self._high = [None] * n
         self._pairs = [None] * n
         self._pairs_left = PAIR_BITS // (n * n)
         # Keyed by modulus d.
@@ -131,34 +127,21 @@ class Geometry:
 
     # -- per step, diagonal and step set ------------------------------------------
 
-    def low(self, k: int) -> int:
-        """L_k: columns 1..n-k of every row."""
-        mask = self._low[k]
-        if mask is None:
-            mask = self._low[k] = self._ones * ((1 << (self.n - k)) - 1)
-        return mask
-
-    def high(self, k: int) -> int:
-        """H_k: columns k+1..n of every row."""
-        mask = self._high[k]
-        if mask is None:
-            mask = self._high[k] = self._ones * (((1 << self.n) - 1) ^ ((1 << k) - 1))
-        return mask
-
     def step_masks(self, steps: tuple[int, ...]) -> tuple:
-        """The (L_k, k) and (H_k, k) pairs, the row shifts k*n, the step
+        """The (L_k, k) and (H_k, k) pairs, where L_k holds columns 1..n-k
+        and H_k columns k+1..n of every row, the row shifts k*n, the step
         set as one mask (bit k stands for step k) and the gcd of its
         differences k' - k (0 for one step) of one step set, kept for the
         first STEP_SETS step sets asked for."""
         entry = self._step_sets.get(steps)
         if entry is None:
-            first = steps[0]
+            first, ones, row = steps[0], self._ones, (1 << self.n) - 1
             # tuple(list), not tuple(generator): a tuple grown from a
             # generator is resized, which parks one cached tuple per call in
             # another size's free list and inflates peak memory over a sweep.
             entry = (
-                tuple([(self.low(k), k) for k in steps]),
-                tuple([(self.high(k), k) for k in steps]),
+                tuple([(ones * (row >> k), k) for k in steps]),
+                tuple([(ones * (row ^ ((1 << k) - 1)), k) for k in steps]),
                 tuple([k * self.n for k in steps]),
                 sum([1 << k for k in steps]),
                 # Every difference k' - k is (k' - first) - (k - first).

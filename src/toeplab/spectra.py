@@ -8,14 +8,15 @@ all-ones blocks the competition limit is expected to be.
 
 from __future__ import annotations
 
-import sys
 from typing import NamedTuple
 
 from .packed import ToeplitzKernel, geometry, members
 
 __all__ = [
+    "STEP_BUDGET",
     "PeriodicTail",
     "BudgetExceeded",
+    "within_budget",
     "power_table",
     "power_from_table",
     "competition_table",
@@ -24,8 +25,20 @@ __all__ = [
 ]
 
 
+# Steps any one scan, step-set run or walk may take.  By Wielandt the power
+# index of an n x n primitive matrix can reach (n-1)^2 + 1, so every scan is
+# capped: an instance past the cap is reported incomplete, never wrong.
+STEP_BUDGET = 20_000
+
+
 class BudgetExceeded(Exception):
     """Raised when a sequence scan exceeds its step budget."""
+
+
+def within_budget(count: int, what: str):
+    """Raise BudgetExceeded, naming `what`, when `count` steps pass STEP_BUDGET."""
+    if count > STEP_BUDGET:
+        raise BudgetExceeded(f"{what} {count} exceeds {STEP_BUDGET} steps")
 
 
 class PeriodicTail(NamedTuple):
@@ -40,32 +53,33 @@ class PeriodicTail(NamedTuple):
     period: int
 
 
-def power_table(kernel: ToeplitzKernel, max_steps: int | None = None, last: int | None = None):
-    """Scan A^1, A^2, ... to the first repeat.
+def power_table(kernel: ToeplitzKernel, last: int | None = None):
+    """Scan A^1, A^2, ... to the first repeat, or past STEP_BUDGET terms to
+    BudgetExceeded.
 
     Returns (tail, seq) where seq lists A^1 .. A^{index+period-1} as the
     kernel's packed ints.  With `last`, the scan also stops at A^last when
     that comes first, and then returns tail None; power_from_table reads
     A^last either way.
     """
-    return _scan(kernel.adjacency, kernel.times_a, max_steps, "power", last)
+    return _scan(kernel.adjacency, kernel.times_a, "power", last)
 
 
-def _scan(first, step, max_steps: int | None, what: str, last: int | None = None):
+def _scan(first, step, what: str, last: int | None = None):
     # Each term is a function of the one before, so the first repeat pins
     # the minimal index and period; the dict compares keys exactly, hashes
     # each term once, and its insertion order is the sequence.  With `last`
     # the scan also stops after term `last` and returns no tail.
     seen: dict = {}
     setdefault = seen.setdefault
-    stop = min(sys.maxsize if max_steps is None else max_steps, last or sys.maxsize)
+    stop = min(STEP_BUDGET, last or STEP_BUDGET)
     x = first
     m = 1
     while (first_m := setdefault(x, m)) == m:
         if m >= stop:
             if m == last:
                 return None, list(seen)
-            raise BudgetExceeded(f"{what} sequence exceeded {max_steps} steps")
+            raise BudgetExceeded(f"{what} sequence exceeded {STEP_BUDGET} steps")
         x = step(x)
         m += 1
     return PeriodicTail(first_m, m - first_m), list(seen)
@@ -81,15 +95,16 @@ def power_from_table(tail: PeriodicTail, seq, m: int):
     return seq[tail.index - 1 + (m - tail.index) % tail.period]
 
 
-def competition_table(kernel: ToeplitzKernel, max_steps: int | None = None, last: int | None = None):
+def competition_table(kernel: ToeplitzKernel, last: int | None = None):
     """Tail of the competition sequence B_m = A^m (A^T)^m plus its prefix.
 
     Scans B_1 = A A^T, B_{m+1} = A B_m A^T up to the first repeat, so the
     prefix B_1 .. B_{index+period-1}, as the kernel's packed ints, holds
-    every distinct B_m.  `last` stops the scan at B_last as in power_table.
+    every distinct B_m.  `last` and STEP_BUDGET stop the scan as in
+    power_table.
     """
     first = kernel.compete(kernel.geometry.identity)
-    return _scan(first, kernel.compete, max_steps, "competition", last)
+    return _scan(first, kernel.compete, "competition", last)
 
 
 def residue_classes(n: int, d: int) -> list[tuple[int, ...]]:

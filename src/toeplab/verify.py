@@ -20,6 +20,7 @@ from math import gcd
 from operator import or_
 from typing import Iterator
 
+from . import spectra
 from .compgraph import competition_formula
 from .packed import ToeplitzKernel
 from .spectra import BudgetExceeded, competition_table, power_table
@@ -43,17 +44,12 @@ __all__ = [
     "enumerate_specs",
     "verify_instance",
     "sweep",
-    "DEFAULT_STEP_BUDGET",
     "MAX_SWEEP_N",
 ]
 
 HOLDS = "holds"
 FAILS = "fails"
 NOT_APPLICABLE = "n/a"
-
-# Power-sequence scan cap per instance; generous for desk-scale sizes but
-# guarantees an instance can only ever be marked incomplete, never wrong.
-DEFAULT_STEP_BUDGET = 20_000
 
 # Largest n a sweep enumerates.  The rows and the cached step sets of every
 # size are built before the first instance runs, and their memory about
@@ -155,11 +151,11 @@ def enumerate_specs(n_max: int, require_conditions: bool) -> Iterator[ToeplitzSp
         yield from _row_specs(n, fwd, require_conditions)
 
 
-def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) -> InstanceReport:
+def verify_instance(spec: ToeplitzSpec) -> InstanceReport:
     """Run every predicate on one instance with exact, tail-derived
     horizons.  Every predicate starts not-applicable and keeps that outcome
-    when the instance runs past `step_budget` (the report is then marked
-    incomplete) or when its theorem's hypothesis fails: the step-fit
+    when the instance runs past spectra.STEP_BUDGET (the report is then
+    marked incomplete) or when its theorem's hypothesis fails: the step-fit
     conditions, or the bound's irreducibility hypothesis."""
     d = pair_sum_gcd(spec)
     s1 = spec.forward_steps[0]
@@ -178,9 +174,9 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     )
 
     try:
-        table = power_table(kernel, max_steps=step_budget)
+        table = power_table(kernel)
         # bs holds B_1 up to its first repeat: every B_m, as B_{m+1} = A B_m A^T.
-        ctail, bs = competition_table(kernel, max_steps=step_budget)
+        ctail, bs = competition_table(kernel)
     except BudgetExceeded:
         report.incomplete = True
         return report
@@ -202,16 +198,17 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     chain_horizon = qa + pa
     pqr_horizon = qa + 2 * pa * pi
     horizon = pqr_horizon if conditions else chain_horizon
-    if horizon > step_budget:
+    # Read off the module, so that a budget set on spectra holds here too.
+    if horizon > spectra.STEP_BUDGET:
         report.incomplete = True
         return report
+    report.bound_value = competition_index_bound(spec, d)
     congruent, combination, realized, toeplitz = step_set_masks(spec, horizon, table, g, d)
     checks["containment_chain"] = (
         HOLDS if containment_chain(congruent, combination, realized) else FAILS
     )
 
     if not conditions:
-        report.bound_value = competition_index_bound(spec, d)
         return report
 
     # Conditional checks ---------------------------------------------------
@@ -247,7 +244,6 @@ def verify_instance(spec: ToeplitzSpec, step_budget: int = DEFAULT_STEP_BUDGET) 
     disjoint_ok = reduce(or_, first).bit_count() == sum(map(int.bit_count, first))
     checks["p_recurrence"] = HOLDS if (recurrence_ok and periodicity_ok and disjoint_ok) else FAILS
 
-    report.bound_value = competition_index_bound(spec, d)
     report.bound_hypothesis = bound_hypothesis_holds(spec, bs[0], d)
     if report.bound_hypothesis:
         checks["bound_holds"] = HOLDS if ctail.index <= report.bound_value else FAILS

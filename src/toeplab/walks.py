@@ -26,7 +26,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .packed import Geometry, ToeplitzKernel, closure, geometry, members
-from .spectra import BudgetExceeded, PeriodicTail, power_table
+from .spectra import PeriodicTail, power_table, within_budget
 from .toeplitz import ToeplitzSpec, pair_sum_gcd, predicted_period
 
 __all__ = [
@@ -145,26 +145,16 @@ def containment_chain(congruent, combination, realized) -> bool:
     return True
 
 
-def step_set_run(
-    spec: ToeplitzSpec,
-    horizon: int,
-    table=None,
-    kernel: ToeplitzKernel | None = None,
-    d: int | None = None,
-) -> list[tuple[int, int, int, bool]]:
+def step_set_run(spec: ToeplitzSpec, horizon: int, table=None) -> list[tuple[int, int, int, bool]]:
     """(P_i, Q_i, R_i, A^i is Toeplitz) for i = 1..horizon, from one
-    step_set_masks run.  `table` is a power_table result of `kernel`, the
-    instance's ToeplitzKernel, and `d` its pair-sum gcd; each is computed
-    here when not given."""
+    step_set_masks run.  `table` is a power_table result of the instance's
+    ToeplitzKernel, scanned here when not given."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if d is None:
-        d = pair_sum_gcd(spec)
-    if kernel is None:
-        kernel = ToeplitzKernel(spec)
     if table is None:
-        table = power_table(kernel)
-    return list(zip(*step_set_masks(spec, horizon, table, kernel.geometry, d)))
+        table = power_table(ToeplitzKernel(spec))
+    masks = step_set_masks(spec, horizon, table, geometry(spec.n), pair_sum_gcd(spec))
+    return list(zip(*masks))
 
 
 class StabilizationResult(NamedTuple):
@@ -203,22 +193,19 @@ def certify_stabilization(
     return StabilizationResult(m_emp, certified, horizon)
 
 
-def step_set_stabilization(
-    spec: ToeplitzSpec, horizon: int | None = None, max_steps: int | None = None
-) -> StabilizationResult:
+def step_set_stabilization(spec: ToeplitzSpec, horizon: int | None = None) -> StabilizationResult:
     """Find and certify the first step count from which the three offset
     sets coincide for good; see StabilizationResult for the semantics.
     The default horizon is the power index plus two combined cycles of the
-    power and the congruent sets.  max_steps caps both the power scan and
-    the horizon."""
+    power and the congruent sets.  STEP_BUDGET caps both the power scan
+    and the horizon."""
     kernel = ToeplitzKernel(spec)
-    table = power_table(kernel, max_steps)
+    table = power_table(kernel)
     tail = table[0]
     pi = predicted_period(spec)
     if horizon is None:
         horizon = tail.index + 2 * tail.period * pi
-    if max_steps is not None and horizon > max_steps:
-        raise BudgetExceeded(f"stabilization horizon {horizon} exceeds {max_steps} steps")
+    within_budget(horizon, "stabilization horizon")
     masks = step_set_masks(spec, horizon, table, kernel.geometry, pair_sum_gcd(spec))
     return certify_stabilization(*masks[:3], tail, pi)
 

@@ -11,15 +11,15 @@ X_{index+period-1}, and its last `period` terms are the cycle.
 from toeplab.spectra import _scan
 
 
-def power_table(A, max_steps=None):
+def power_table(A):
     """A^1, A^2, ... up to the first repeat."""
-    return _scan(A, lambda x: x.multiply(A), max_steps, "power")
+    return _scan(A, lambda x: x.multiply(A), "power")
 
 
-def competition_table(A, max_steps=None):
+def competition_table(A):
     """B_1 = A A^T, B_{m+1} = A B_m A^T up to the first repeat."""
     at = A.transpose()
-    return _scan(A.multiply(at), lambda b: A.multiply(b).multiply(at), max_steps, "competition")
+    return _scan(A.multiply(at), lambda b: A.multiply(b).multiply(at), "competition")
 
 
 def competition_matrix(A, m):

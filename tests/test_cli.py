@@ -25,7 +25,7 @@ from toeplab.cli import (
 )
 from toeplab.compgraph import m_step_graph
 from toeplab.toeplitz import build_matrix, pair_sum_gcd, parse_literal, validate_spec
-from toeplab import verify
+from toeplab import spectra, verify
 from toeplab.verify import MAX_SWEEP_N
 
 import oracles
@@ -137,7 +137,7 @@ class TestPower:
 
     def test_small_m_on_a_tail_past_the_budget(self, capsys):
         # A Wielandt-type digraph: its power index, 199^2 + 1, is past
-        # DEFAULT_STEP_BUDGET, so the scan has to stop at A^m.
+        # spectra.STEP_BUDGET, so the scan has to stop at A^m.
         literal = "T200<1;198,199>"
         a = build_matrix(parse_literal(literal))
         code, out, _ = run(capsys, "power", literal, "--m", "2")
@@ -250,7 +250,7 @@ class TestGraph:
 
 class TestPsets:
     def test_i_on_a_tail_past_the_budget(self, capsys):
-        # The power index of T200<1;198,199> is past DEFAULT_STEP_BUDGET;
+        # The power index of T200<1;198,199> is past spectra.STEP_BUDGET;
         # --i 2 needs A^1 and A^2 only.
         spec = parse_literal("T200<1;198,199>")
         n, fwd, bwd = spec.n, spec.forward_steps, spec.backward_steps
@@ -499,7 +499,7 @@ class TestExitCodes:
         # The power index of T150<1;2> is 147.  power and graph stop at term
         # m when it comes before the first repeat, so their m is past the
         # budget.
-        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 10)
         for argv in (
             ("power", "T150<1;2>", "--m", "11"),
             ("period", "T150<1;2>"),
@@ -512,13 +512,13 @@ class TestExitCodes:
             assert err.startswith("error: ") and "10 steps" in err, argv
 
     def test_horizon_over_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 10)
         code, _, err = run(capsys, "psets", "T8<1,4;2,5>", "--stabilize", "--horizon", "11")
         assert code == EXIT_BUDGET and "horizon 11" in err
         assert run(capsys, "psets", "T8<1,4;2,5>", "--stabilize", "--horizon", "10")[0] == EXIT_OK
 
     def test_psets_i_over_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 10)
         code, out, err = run(capsys, "psets", "T8<1,4;2,5>", "--i", "11")
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("error: ") and "--i 11" in err
@@ -527,7 +527,7 @@ class TestExitCodes:
     def test_walk_over_budget(self, capsys, monkeypatch):
         # With s1 = t1 = 1 each requested arc may take n - 1 positioning
         # moves, so one request bounds the walk by n.
-        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 10)
         code, out, err = run(capsys, "walk", "T11<1,2;1>", "--start", "1", "--counts", "s2=1")
         assert code == EXIT_BUDGET and out == ""
         assert err.startswith("error: ") and "bound 11" in err
@@ -538,7 +538,7 @@ class TestExitCodes:
     def test_exact_walk_over_budget(self, capsys, monkeypatch):
         # T8<1,4;2,5>: one request bounds the base walk by 1 + 7 = 8, and
         # --exact adds the --s1 and --t1 totals.
-        monkeypatch.setattr(cli, "DEFAULT_STEP_BUDGET", 10)
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 10)
         walk = ("walk", "T8<1,4;2,5>", "--start", "1", "--counts", "s2=1", "--exact", "--t1", "0")
         code, out, err = run(capsys, *walk, "--s1", "3")
         assert code == EXIT_BUDGET and out == ""
@@ -579,6 +579,29 @@ class TestExitCodes:
         assert run(capsys, "certificate", big)[0] == EXIT_OK
         assert run(capsys, "walk", big, "--start", "1", "--counts", "")[0] == EXIT_OK
 
+    def test_walk_shortest_counts_need_exact(self, capsys):
+        # Without --exact a walk took no --s1 or --t1 total and printed a
+        # length-0 walk; a zero total is the default and still passes.
+        for option in ("--s1", "--t1"):
+            argv = ("walk", "T8<1,4;2,5>", "--start", "1", option)
+            code, out, err = run(capsys, *argv, "5")
+            assert (code, out) == (EXIT_USAGE, ""), option
+            assert err.startswith("error: ") and option in err and "--exact" in err, option
+            assert run(capsys, *argv, "0")[0] == EXIT_OK
+        code, out, _ = run(capsys, "walk", "T8<1,4;2,5>", "--start", "1", "--exact", "--s1", "5")
+        assert code == EXIT_OK and "length=5" in out
+
+    def test_psets_horizon_needs_stabilize(self, capsys):
+        for argv in (("--horizon", "5"), ("--i", "2", "--horizon", "5")):
+            code, out, err = run(capsys, "psets", "T8<1,4;2,5>", *argv)
+            assert (code, out) == (EXIT_USAGE, ""), argv
+            assert err.startswith("error: ") and "--horizon goes with --stabilize" in err, argv
+
+    def test_psets_i_and_stabilize_exclude_each_other(self, capsys):
+        code, out, err = run(capsys, "psets", "T8<1,4;2,5>", "--stabilize", "--i", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and "not both" in err
+
     def test_verify_nmax_below_2_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--nmax", "1")
         assert code == EXIT_USAGE and out == ""
@@ -618,9 +641,10 @@ class TestExitCodes:
         assert run(capsys, "verify", "--nmax", "3", "--jobs", "1")[0] == EXIT_OK
 
     def test_integer_options_take_ascii_digits_only(self, capsys):
-        # --m -1 is an integer: the command refuses it, not the parser.
+        # --m -1 is an integer: main refuses it as below its least value, not
+        # the parser.
         code, out, err = run(capsys, "power", "T5<2;4>", "--m", "-1")
-        assert (code, out) == (EXIT_USAGE, "") and "--m must be nonnegative" in err
+        assert (code, out) == (EXIT_USAGE, "") and "--m must be at least 0" in err
         for argv in (
             ("power", "T5<2;4>", "--m"),
             ("graph", "T5<2;4>", "--m"),
@@ -979,6 +1003,7 @@ class TestParserReuse:
         argvs = [argv for episode in _REUSE_EPISODES for argv in episode]
         argvs += _DISPATCH_EXTRAS
         exits = []
+        below_least = []
         for argv in argvs:
             got = _outcome(capsys, lambda: main(list(argv)))
             want = _outcome(capsys, lambda: parser.parse_args(list(argv)))
@@ -988,12 +1013,26 @@ class TestParserReuse:
                 assert got == want, argv
                 exits.append(args[1])
                 continue
-            allowed = cli.COMMANDS[args.command].formats
-            if allowed is None or args.format in allowed:
-                assert got == (EXIT_OK, "", "") and seen.pop() == args, argv
-            else:
+            command = cli.COMMANDS[args.command]
+            # main refuses an integer below its option's declared least value.
+            low = [
+                (flag, least)
+                for flag, _, _, least, _ in command.options
+                if least is not None and (value := getattr(args, flag[2:])) is not None
+                and value < least
+            ]
+            allowed = command.formats
+            if allowed is not None and args.format not in allowed:
                 assert got[0] == EXIT_BAD_FORMAT and not seen, argv
+            elif low:
+                flag, least = low[0]
+                assert got == (EXIT_USAGE, "", f"error: {flag} must be at least {least}\n"), argv
+                assert not seen, argv
+                below_least.append(argv)
+            else:
+                assert got == (EXIT_OK, "", "") and seen.pop() == args, argv
         assert seen == []
+        assert below_least == [("power", "T5<2;4>", "--m", "-1")]
         # --help, walk --help and each command's -h; 17 usage errors.
         assert sorted(exits) == [0] * 13 + [EXIT_USAGE] * 17
 

@@ -4,8 +4,9 @@
 would silently stop being checked; the library raises instead.  And only
 the reference modules import boolmat, so matrices stay packed ints
 everywhere else.  No command-line option is typed `int`, which would take
-digits the instance literal refuses.  And every module-level function and
-class is reached, by the library itself or by perfbench.
+digits the instance literal refuses.  The step budget is one constant of
+spectra, which no function takes as a parameter.  And every module-level
+function and class is reached, by the library itself or by perfbench.
 """
 
 import argparse
@@ -95,14 +96,47 @@ def test_integer_options_take_the_ascii_parser():
 def test_declared_options_take_the_ascii_parser():
     # cli declares its options as data, where the check above cannot see a
     # type, and build_parser passes each declared type on to argparse.
-    kinds = {kind for command in cli.COMMANDS.values() for _, kind, _, _ in command.options}
+    options = [option for command in cli.COMMANDS.values() for option in command.options]
+    kinds = {kind for _, kind, _, _, _ in options}
     assert kinds <= {cli._integer, None, cli._FLAG}
+    # Only an integer option has a least value for main to check.
+    assert {kind for _, kind, _, least, _ in options if least is not None} == {cli._integer}
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = [a for p in (parser, *subparsers.choices.values()) for a in p._actions]
     assert len(subparsers.choices) == len(cli.COMMANDS)
     assert [a.option_strings for a in actions if a.type is int] == []
     assert sum(a.type is cli._integer for a in actions) == 10
+
+
+def test_no_function_takes_a_step_budget():
+    # Every scan reads spectra.STEP_BUDGET; no caller passes its own.
+    found = [
+        f"{path.name}:{node.lineno} {arg.arg}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg in ("max_steps", "step_budget")
+    ]
+    assert found == []
+
+
+def test_only_spectra_binds_the_step_budget():
+    # A copy bound elsewhere, by assignment or by `from .spectra import`,
+    # would miss a budget set on spectra.
+    binders = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            if "STEP_BUDGET" in names:
+                binders.add(path.stem)
+    assert binders == {"spectra"}
 
 
 def names_used(node):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from toeplab import spectra
 from toeplab.boolmat import BoolMatrix
 from toeplab.packed import ToeplitzKernel, geometry
 from toeplab.spectra import (
@@ -14,6 +15,7 @@ from toeplab.spectra import (
 )
 from toeplab.toeplitz import build_matrix, parse_literal, predicted_period
 from toeplab.verify import enumerate_specs
+from toeplab.walks import step_set_run, step_set_stabilization
 
 import generic
 import oracles
@@ -69,14 +71,16 @@ class TestPowerTail:
             if tail.index > 1:
                 assert a.power(tail.index - 1) != a.power(tail.index - 1 + p)
 
-    def test_budget_cap(self):
+    def test_budget_cap(self, monkeypatch):
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 2)
         a = build_matrix(parse_literal("T8<1,4;2,5>"))
         with pytest.raises(BudgetExceeded):
-            generic.power_table(a, max_steps=2)
+            generic.power_table(a)
 
-    def test_budget_boundary_on_both_paths(self):
+    def test_budget_boundary_on_both_paths(self, monkeypatch):
         # A scan stores index + period - 1 terms and steps once more to the
         # repeat: a budget of index + period is enough, one less is not.
+        budget = spectra.STEP_BUDGET
         for spec in enumerate_specs(5, False):
             kernel, a = ToeplitzKernel(spec), build_matrix(spec)
             for table, x in (
@@ -85,21 +89,42 @@ class TestPowerTail:
                 (generic.power_table, a),
                 (generic.competition_table, a),
             ):
+                monkeypatch.setattr(spectra, "STEP_BUDGET", budget)
                 tail = table(x)[0]
                 steps = tail.index + tail.period
-                assert table(x, max_steps=steps)[0] == tail, spec.literal
+                monkeypatch.setattr(spectra, "STEP_BUDGET", steps)
+                assert table(x)[0] == tail, spec.literal
+                monkeypatch.setattr(spectra, "STEP_BUDGET", steps - 1)
                 with pytest.raises(BudgetExceeded):
-                    table(x, max_steps=steps - 1)
+                    table(x)
 
-    def test_scan_stopped_at_term_m(self):
+    def test_library_scans_are_bounded(self):
+        # The power index of T151<76;75,150> is 150^2 + 1 = 22,501, past the
+        # real budget: a library call that scans its powers stops at the
+        # budget, with or without a horizon of its own.
+        spec = parse_literal("T151<76;75,150>")
+        assert spectra.STEP_BUDGET < 22_501
+        for scan in (
+            lambda: power_table(ToeplitzKernel(spec)),
+            lambda: step_set_run(spec, 1),
+            lambda: step_set_stabilization(spec),
+        ):
+            with pytest.raises(BudgetExceeded, match="power sequence exceeded"):
+                scan()
+
+    def test_scan_stopped_at_term_m(self, monkeypatch):
         # With last=m a scan that reaches A^m (B_m) before the first repeat
-        # stops there and returns no tail; either way it yields the same X_m.
+        # stops there and returns no tail; either way it yields the same X_m,
+        # also with a budget of m.
+        budget = spectra.STEP_BUDGET
         for spec in enumerate_specs(5, False):
             kernel = ToeplitzKernel(spec)
             for table in (power_table, competition_table):
+                monkeypatch.setattr(spectra, "STEP_BUDGET", budget)
                 full = table(kernel)
                 for m in range(1, len(full[1]) + 3):
-                    tail, seq = table(kernel, max_steps=m, last=m)
+                    monkeypatch.setattr(spectra, "STEP_BUDGET", m)
+                    tail, seq = table(kernel, last=m)
                     if m < len(full[1]) + 1:
                         assert tail is None and seq == full[1][:m]
                     else:

@@ -5,12 +5,11 @@ import multiprocessing
 import os
 import random
 import sys
-from functools import partial
 from math import gcd
 
 import pytest
 
-from toeplab import verify
+from toeplab import spectra, verify
 from toeplab.packed import ToeplitzKernel
 from toeplab.spectra import power_table
 from toeplab.toeplitz import parse_literal, validate_spec
@@ -121,8 +120,9 @@ class TestVerifyInstance:
         assert tuple(report.checks) == PREDICATES
         assert all(v in (HOLDS, FAILS, NOT_APPLICABLE) for v in report.checks.values())
 
-    def test_budget_marks_incomplete_never_fails(self):
-        report = verify_instance(parse_literal("T8<1,4;2,5>"), step_budget=2)
+    def test_budget_marks_incomplete_never_fails(self, monkeypatch):
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 2)
+        report = verify_instance(parse_literal("T8<1,4;2,5>"))
         assert report.incomplete
         assert FAILS not in report.checks.values()
         assert report.checks["period_match"] == NOT_APPLICABLE
@@ -330,9 +330,9 @@ def streamed(n_max, jobs=1):
     return agg, buf.getvalue()
 
 
-def dumped(n_max, **kwargs):
+def dumped(n_max):
     """The stream as json.dumps writes each report, and the reports."""
-    reports = [verify.verify_instance(spec, **kwargs) for spec in enumerate_specs(n_max, False)]
+    reports = [verify.verify_instance(spec) for spec in enumerate_specs(n_max, False)]
     return "".join(json.dumps(r.to_json_dict()) + "\n" for r in reports), reports
 
 
@@ -357,7 +357,7 @@ class TestJsonlLines:
         assert {None, True, False} <= {r.bound_hypothesis for r in reports}
 
     def test_incomplete_reports(self, monkeypatch):
-        monkeypatch.setattr(verify, "verify_instance", partial(verify_instance, step_budget=4))
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 4)
         _, text = streamed(5)
         expected, reports = dumped(5)
         assert text == expected
@@ -445,15 +445,16 @@ class TestPooledSweepStops:
 
 class TestMerge:
     @staticmethod
-    def reports():
+    def reports(monkeypatch):
         """Reports at n <= 5 with some incomplete (a small step budget) and
         some violations (planted), grouped by enumeration row."""
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 4)
         rows = []
         index = 0
         for n, fwd in verify._rows(5):
             row = []
             for spec in verify._row_specs(n, fwd, False):
-                report = verify_instance(spec, step_budget=4)
+                report = verify_instance(spec)
                 if index % 7 == 3:
                     report.checks["gcd_equality"] = FAILS
                 if index % 11 == 5:
@@ -463,8 +464,8 @@ class TestMerge:
             rows.append(row)
         return rows
 
-    def test_merged_rows_equal_added_reports(self):
-        rows = self.reports()
+    def test_merged_rows_equal_added_reports(self, monkeypatch):
+        rows = self.reports(monkeypatch)
         added = SweepReport(n_max=5, require_conditions=False)
         for row in rows:
             for report in row:
@@ -488,7 +489,7 @@ class TestMerge:
         # The sweep tallies each row's outcomes once; with a planted FAILS
         # and a small step budget its aggregate, violations and incomplete
         # instances in order, must equal adding the reports one by one.
-        monkeypatch.setattr(verify, "verify_instance", partial(verify_instance, step_budget=4))
+        monkeypatch.setattr(spectra, "STEP_BUDGET", 4)
         monkeypatch.setattr(verify, "containment_chain", reversed_chain)
         swept = sweep(5, require_conditions=False)
         reports = [verify.verify_instance(spec) for spec in enumerate_specs(5, False)]

@@ -116,7 +116,7 @@ def _cmd_power(args) -> int:
         x = kernel.geometry.identity
     else:
         table = power_table(kernel, last=args.m)
-        x = power_from_table(*table, args.m)
+        x = power_from_table(kernel, *table, args.m)
     g = kernel.geometry
     if args.format == "json":
         payload = {"spec": spec.literal, "m": args.m, "matrix": g.to_json_dict(x)}
@@ -191,7 +191,7 @@ def _cmd_graph(args) -> int:
     spec = _parse_spec(args.spec)
     kernel = ToeplitzKernel(spec)
     table = competition_table(kernel, last=args.m)
-    b = power_from_table(*table, args.m)
+    b = power_from_table(kernel, *table, args.m)
     rows = kernel.geometry.rows(b)
     if args.format == "dot":
         print(dot_from_rows(spec.n, rows, f"{spec.literal} m={args.m}"))

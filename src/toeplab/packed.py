@@ -11,17 +11,19 @@ H_k keeping columns k+1..n, both repeated on every row:
     Y.A^T = OR_s ((Y & H_s) >> s)  |  OR_t ((Y & L_t) << t)
 
 so a power step and a competition step B -> A.B.A^T each cost O(|S|+|T|)
-big-int operations whatever the density.  The full diagonals of a matrix
-(the realized offsets of a power) are read off rows 1 and n when the matrix
-is Toeplitz, as the powers of A are from some m on; only a matrix that is
-not Toeplitz pays for the AND-fold along stride n+1.
+big-int operations whatever the density.  A power scan keys each power by
+Geometry.scan_key.  A Toeplitz power, as the powers of A are from some m
+on, is fixed by its full diagonals (the realized offsets), read off rows 1
+and n, so it is hashed and stored as 2n - 1 bits; only a power that is not
+Toeplitz is stored whole, as n^2 bits, and pays for the AND-fold along
+stride n+1 when its diagonals are read.
 
 Everything that depends on n and at most one step set or modulus lives in
 one Geometry per size, shared by every kernel of that size: the fixed
-masks, the Toeplitz test, the diagonal read-off and fold, row reading and
-the text and JSON forms, and the tables filled on first use (column masks
-per step, and whole diagonal pairs up to PAIR_BITS bits; residue
-matrices, congruent offset masks and residue classes per modulus; shift
+masks, the Toeplitz test, the scan key and its decoding, the diagonal
+fold, row reading and the text and JSON forms, and the tables filled on
+first use (column masks per step, and whole diagonal pairs up to PAIR_BITS
+bits; residue matrices and congruent offset masks per modulus; shift
 lists, the set as one mask, the gcd of its differences and the one-step
 partner rules per step set).  packed.geometry keeps the Geometry of the
 last 128 sizes asked for.  A ToeplitzKernel keeps only what its own steps
@@ -56,8 +58,9 @@ STEP_SETS = 2048
 # where keeping all of them would take 8 MB at n = 400.
 PAIR_BITS = 1 << 19
 
-# Largest n for the commands that build an n x n matrix: spectra.STEP_BUDGET
-# stored powers of n^2 bits each stay under 655 MB.
+# Largest n for the commands that build an n x n matrix: a scan stores
+# 2n - 1 bits per Toeplitz power and n^2 bits per other power or B_m, so
+# even spectra.STEP_BUDGET stored terms of n^2 bits stay under 655 MB.
 MAX_MATRIX_N = 512
 
 
@@ -79,12 +82,12 @@ class Geometry:
         "pad_lower",
         "pad_upper",
         "fold_shifts",
+        "_key_shifts",
         "_ones",
         "_pairs",
         "_pairs_left",
         "_residues",
         "_congruents",
-        "_classes",
         "_step_sets",
         "_partners",
     )
@@ -97,6 +100,8 @@ class Geometry:
         self.identity = ((1 << n * (n + 1)) - 1) // ((1 << (n + 1)) - 1)
         # Entries with a lower-right neighbour: rows and columns 1..n-1.
         self.inner = (ones >> n) * (row >> 1)
+        # scan_key's Toeplitz-test shift, row 1 mask, row 1 and row n shifts.
+        self._key_shifts = (n + 1, row, n - 1, n * (n - 1))
         # Diagonal fold pads: the strict lower (upper) triangle plus the n
         # bits just above the matrix read as ones.  Row r of identity - ones
         # is (1 << r) - 1, the strict lower triangle.
@@ -120,7 +125,6 @@ class Geometry:
         # Keyed by modulus d.
         self._residues: dict[int, int] = {}
         self._congruents: dict[int, tuple[int, ...]] = {}
-        self._classes: dict[int, tuple[int, ...]] = {}
         # Keyed by step set.
         self._step_sets: dict[tuple[int, ...], tuple] = {}
         self._partners: dict[tuple[int, ...], list] = {}
@@ -226,30 +230,28 @@ class Geometry:
             masks = self._congruents[d] = tuple(masks)
         return masks
 
-    def class_masks(self, d: int) -> tuple[int, ...]:
-        """Entry r - 1: the vertices v = r (mod d) of 1..n, as a mask where
-        bit v - 1 stands for v, for r = 1..min(d, n)."""
-        masks = self._classes.get(d)
-        if masks is None:
-            n = self.n
-            masks = self._classes[d] = tuple(
-                [sum(1 << (v - 1) for v in range(r, n + 1, d)) for r in range(1, min(d, n) + 1)]
-            )
-        return masks
-
     # -- matrices of this size ------------------------------------------------------
 
     def is_toeplitz(self, x: int) -> bool:
         """Every entry equals its lower-right neighbour."""
         return ((x >> (self.n + 1)) ^ x) & self.inner == 0
 
-    def read_diagonals(self, x: int) -> int:
-        """The full diagonals of a Toeplitz x: each diagonal is constant,
-        so row 1 holds diagonals 0..n-1 and row n diagonals -(n-1)..-1,
-        already in mask order.  Meaningless for any other x."""
-        n = self.n
-        row = (1 << n) - 1
-        return ((x & row) << (n - 1)) | ((x >> n * (n - 1)) & (row >> 1))
+    def scan_key(self, x: int) -> int:
+        """x's power-scan key: ~(its full diagonals) when x is Toeplitz,
+        whose row 1 holds diagonals 0..n-1 and row n diagonals -(n-1)..-1 in
+        mask order, and x itself otherwise.  Toeplitz keys are negative and
+        the others not, so each key names exactly one matrix.  Entry (n, n)
+        of row n is diagonal 0 again, so it ORs onto row 1's entry (1, 1)."""
+        stride, row, up, last = self._key_shifts
+        if ((x >> stride) ^ x) & self.inner:
+            return x
+        return ~(((x & row) << up) | (x >> last))
+
+    def from_key(self, key: int) -> int:
+        """The packed matrix a scan_key names: row r of a Toeplitz matrix
+        holds diagonals 1-r .. n-r."""
+        n, row = self.n, (1 << self.n) - 1
+        return key if key >= 0 else sum([((~key >> n - 1 - r) & row) << r * n for r in range(n)])
 
     def fold_diagonals(self, x: int) -> int:
         """The full diagonals of any x, in two log-depth AND-folds.
@@ -371,10 +373,9 @@ class ToeplitzKernel:
         return out
 
 
-def closure(rows, v: int, within: int = -1) -> int:
+def closure(rows, v: int) -> int:
     """Mask of the vertices reachable from vertex v (0-based, v included)
-    along `rows`, where bit u of rows[k] is an arc from k to u, stepping
-    only onto vertices in the mask `within`."""
+    along `rows`, where bit u of rows[k] is an arc from k to u."""
     reach = frontier = 1 << v
     while frontier:
         step = 0
@@ -382,7 +383,7 @@ def closure(rows, v: int, within: int = -1) -> int:
             low = frontier & -frontier
             step |= rows[low.bit_length() - 1]
             frontier ^= low
-        frontier = step & within & ~reach
+        frontier = step & ~reach
         reach |= frontier
     return reach
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .packed import ToeplitzKernel, geometry, members
+from .packed import ToeplitzKernel
 
 __all__ = [
     "STEP_BUDGET",
@@ -57,42 +57,47 @@ def power_table(kernel: ToeplitzKernel, last: int | None = None):
     """Scan A^1, A^2, ... to the first repeat, or past STEP_BUDGET terms to
     BudgetExceeded.
 
-    Returns (tail, seq) where seq lists A^1 .. A^{index+period-1} as the
-    kernel's packed ints.  With `last`, the scan also stops at A^last when
-    that comes first, and then returns tail None; power_from_table reads
-    A^last either way.
+    Returns (tail, seq) where seq lists A^1 .. A^{index+period-1} by their
+    Geometry.scan_key: a Toeplitz power, as every power of A is from some m
+    on, is stored and hashed as its 2n - 1 diagonal bits, not its n^2 bits.
+    With `last`, the scan also stops at A^last when that comes first, and
+    then returns tail None; power_from_table reads A^last either way.
     """
-    return _scan(kernel.adjacency, kernel.times_a, "power", last)
+    return _scan(kernel.adjacency, kernel.times_a, "power", last, kernel.geometry.scan_key)
 
 
-def _scan(first, step, what: str, last: int | None = None):
+def _scan(first, step, what: str, last: int | None = None, key=None):
     # Each term is a function of the one before, so the first repeat pins
     # the minimal index and period; the dict compares keys exactly, hashes
-    # each term once, and its insertion order is the sequence.  With `last`
-    # the scan also stops after term `last` and returns no tail.
+    # each term's key (the term itself without `key`) once, and its
+    # insertion order is the sequence.  With `last` the scan also stops
+    # after term `last` and returns no tail.
     seen: dict = {}
     setdefault = seen.setdefault
     stop = min(STEP_BUDGET, last or STEP_BUDGET)
     x = first
     m = 1
-    while (first_m := setdefault(x, m)) == m:
+    while (first_m := setdefault(key(x) if key else x, m)) == m:
         if m >= stop:
             if m == last:
                 return None, list(seen)
             raise BudgetExceeded(f"{what} sequence exceeded {STEP_BUDGET} steps")
         x = step(x)
         m += 1
-    return PeriodicTail(first_m, m - first_m), list(seen)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    return tuple.__new__(PeriodicTail, (first_m, m - first_m)), list(seen)
 
 
-def power_from_table(tail: PeriodicTail, seq, m: int):
-    """X_m read off a power_table or competition_table result (round the
-    cycle beyond the scan)."""
+def power_from_table(kernel: ToeplitzKernel, tail: PeriodicTail, seq, m: int) -> int:
+    """X_m as the kernel's packed int, read off a power_table or
+    competition_table result of `kernel` (round the cycle beyond the scan).
+    A power's scan key is decoded, so only the power asked for is rebuilt
+    to n^2 bits; a competition term is stored as it is."""
     if m < 1:
         raise ValueError("sequence index must be at least 1")
-    if m <= len(seq):
-        return seq[m - 1]
-    return seq[tail.index - 1 + (m - tail.index) % tail.period]
+    if m > len(seq):
+        m = tail.index + (m - tail.index) % tail.period
+    return kernel.geometry.from_key(seq[m - 1])
 
 
 def competition_table(kernel: ToeplitzKernel, last: int | None = None):
@@ -101,7 +106,7 @@ def competition_table(kernel: ToeplitzKernel, last: int | None = None):
     Scans B_1 = A A^T, B_{m+1} = A B_m A^T up to the first repeat, so the
     prefix B_1 .. B_{index+period-1}, as the kernel's packed ints, holds
     every distinct B_m.  `last` and STEP_BUDGET stop the scan as in
-    power_table.
+    power_table, and power_from_table reads B_last either way.
     """
     first = kernel.compete(kernel.geometry.identity)
     return _scan(first, kernel.compete, "competition", last)
@@ -113,21 +118,20 @@ def residue_classes(n: int, d: int) -> list[tuple[int, ...]]:
     every vertex is a class of its own."""
     if d < 1:
         raise ValueError(f"modulus {d} is below 1")
-    return [tuple(members(mask)) for mask in geometry(n).class_masks(d)]
+    return [tuple(range(r, n + 1, d)) for r in range(1, min(d, n) + 1)]
 
 
-def power_is_eventually_toeplitz(kernel: ToeplitzKernel, tail: PeriodicTail, seq):
+def power_is_eventually_toeplitz(tail: PeriodicTail, seq):
     """Whether all large powers of A are Toeplitz, and the first threshold,
-    read off the power_table result (tail, seq) of `kernel`.
+    read off the key signs of a power_table result (tail, seq).
 
     Checks one full cycle (enough, by periodicity) and then extends the
     threshold backwards through the pre-cycle powers.  The packed sweep
-    reads the same test off walks.step_set_masks instead.
+    reads the same signs off walks.step_set_masks instead.
     """
-    is_toeplitz = kernel.geometry.is_toeplitz
     first_m = tail.index
-    if not all(map(is_toeplitz, seq[first_m - 1 :])):
+    if max(seq[first_m - 1 :]) >= 0:
         return False, None
-    while first_m > 1 and is_toeplitz(seq[first_m - 2]):
+    while first_m > 1 and seq[first_m - 2] < 0:
         first_m -= 1
     return True, first_m

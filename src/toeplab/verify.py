@@ -244,7 +244,7 @@ def verify_instance(spec: ToeplitzSpec) -> InstanceReport:
     disjoint_ok = reduce(or_, first).bit_count() == sum(map(int.bit_count, first))
     checks["p_recurrence"] = HOLDS if (recurrence_ok and periodicity_ok and disjoint_ok) else FAILS
 
-    report.bound_hypothesis = bound_hypothesis_holds(spec, bs[0], d)
+    report.bound_hypothesis = bound_hypothesis_holds(spec, d)
     if report.bound_hypothesis:
         checks["bound_holds"] = HOLDS if ctail.index <= report.bound_value else FAILS
     return report

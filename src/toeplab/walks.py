@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
 
-from .packed import Geometry, ToeplitzKernel, closure, geometry, members
+from .packed import Geometry, ToeplitzKernel, geometry, members
 from .spectra import PeriodicTail, power_table, within_budget
 from .toeplitz import ToeplitzSpec, pair_sum_gcd, predicted_period
 
@@ -89,21 +89,16 @@ def step_set_masks(
     and whether each A^i is Toeplitz, all indexed i - 1.  `table` is a
     power_table result of the instance's ToeplitzKernel, `geometry` its
     size's Geometry and `d` its pair-sum gcd; a table stopped early by
-    `last` does for a horizon up to `last`.  Each distinct power the
-    horizon reaches is tested for Toeplitz and read for its full diagonals
-    once; past the scanned powers the reads run round the cycle."""
+    `last` does for a horizon up to `last`.  The scan keys carry each
+    distinct power's Toeplitz test and, for a Toeplitz power, its full
+    diagonals; only a power that is not Toeplitz is folded, once.  Past
+    the scanned powers the reads run round the cycle."""
     tail, seq = table
     n = spec.n
-    is_toeplitz = geometry.is_toeplitz
-    read_diagonals, fold_diagonals = geometry.read_diagonals, geometry.fold_diagonals
-    toeplitz, realized = [], []
-    for x in seq[:horizon]:
-        if is_toeplitz(x):
-            toeplitz.append(True)
-            realized.append(read_diagonals(x))
-        else:
-            toeplitz.append(False)
-            realized.append(fold_diagonals(x))
+    fold_diagonals = geometry.fold_diagonals
+    keys = seq[:horizon]
+    toeplitz = [key < 0 for key in keys]
+    realized = [~key if key < 0 else fold_diagonals(key) for key in keys]
     if horizon > len(seq):
         # seq ends with the cycle, and A^(len(seq) + 1) is its first entry.
         laps = (horizon - len(seq)) // tail.period + 1
@@ -190,7 +185,8 @@ def certify_stabilization(
     else:
         m_emp = m + 1
         certified = horizon >= max(m_emp, tail.index) + lcm(predicted, tail.period) - 1
-    return StabilizationResult(m_emp, certified, horizon)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__.
+    return tuple.__new__(StabilizationResult, (m_emp, certified, horizon))
 
 
 def step_set_stabilization(spec: ToeplitzSpec, horizon: int | None = None) -> StabilizationResult:
@@ -468,23 +464,34 @@ def competition_index_bound(spec: ToeplitzSpec, d: int | None = None) -> int:
     )
 
 
-def bound_hypothesis_holds(
-    spec: ToeplitzSpec, b1: int | None = None, d: int | None = None
-) -> bool:
+def bound_hypothesis_holds(spec: ToeplitzSpec, d: int | None = None) -> bool:
     """Whether each residue class induces an irreducible principal
     submatrix of B_1 = A A^T, i.e. a connected subgraph (loops ignored;
     single vertices count as irreducible): the closure of its smallest
-    vertex inside the class is the class.  `b1` accepts a precomputed B_1
-    packed by the instance's ToeplitzKernel, and `d` the pair-sum gcd."""
-    if b1 is None:
-        kernel = ToeplitzKernel(spec)
-        b1 = kernel.compete(kernel.geometry.identity)
+    vertex inside the class is the class.  `d` accepts the pair-sum gcd.
+
+    B_1 joins vertices with a common out-neighbour: a vertex mask's
+    out-neighbours are the mask shifted up by each s and down by each t,
+    and the reverse shifts lead back.  Every arc moves a vertex by
+    s = -t (mod d), so B_1 joins only vertices of one class, and one search
+    from the smallest vertex of each class, 1..min(d, n), grows them all."""
     if d is None:
         d = pair_sum_gcd(spec)
-    g = geometry(spec.n)
-    rows = g.rows(b1)
-    # Class r holds vertex r, its smallest, which is 0-based r - 1.
-    for first, mask in enumerate(g.class_masks(d)):
-        if closure(rows, first, mask) != mask:
-            return False
-    return True
+    fwd, bwd = spec.forward_steps, spec.backward_steps
+    full = (1 << spec.n) - 1
+    reach = frontier = (1 << min(d, spec.n)) - 1
+    while frontier:
+        out = 0
+        for s in fwd:
+            out |= frontier << s
+        for t in bwd:
+            out |= frontier >> t
+        out &= full
+        back = 0
+        for s in fwd:
+            back |= out >> s
+        for t in bwd:
+            back |= out << t
+        frontier = back & full & ~reach
+        reach |= frontier
+    return reach == full

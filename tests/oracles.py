@@ -290,3 +290,30 @@ def backtracking_schedule(start, terms, n):
             if order:
                 order.pop()
     return None
+
+
+def rows_bound_hypothesis(n, fwd, bwd, d):
+    """Whether each residue class mod d is connected in the graph of
+    B_1 = A A^T, by one closure per class over B_1's row masks: from the
+    class's smallest vertex, stepping only inside the class.  Row u of A
+    (0-based) holds u + s and u - t; row u of B_1 holds every v whose row
+    of A meets row u."""
+    a = [
+        sum(1 << (u + s) for s in fwd if u + s < n) | sum(1 << (u - t) for t in bwd if u >= t)
+        for u in range(n)
+    ]
+    b1 = [sum(1 << v for v in range(n) if a[u] & a[v]) for u in range(n)]
+    for r in range(min(d, n)):
+        within = sum(1 << v for v in range(r, n, d))
+        reach = frontier = 1 << r
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= b1[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & within & ~reach
+            reach |= frontier
+        if reach != within:
+            return False
+    return True

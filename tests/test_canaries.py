@@ -88,24 +88,30 @@ def test_limit_clique_match_catches_unmasked_column_shift(monkeypatch):
 
 
 def test_eventually_toeplitz_catches_vertical_neighbour(monkeypatch):
-    monkeypatch.setattr(
-        Geometry,
-        "is_toeplitz",
-        lambda self, x: ((x >> self.n) ^ x) & self.inner == 0,  # n where n+1 belongs
-    )
+    # Geometry.scan_key with its Toeplitz test comparing each entry with
+    # the one below it instead of its lower-right neighbour.
+    def key_vertical(self, x):
+        stride, row, up, last = self._key_shifts
+        if ((x >> (stride - 1)) ^ x) & self.inner:  # n where n+1 belongs
+            return x
+        return ~(((x & row) << up) | (x >> last))
+
+    monkeypatch.setattr(Geometry, "scan_key", key_vertical)
     assert sweep_fails("eventually_toeplitz") > 0
 
 
 def test_pqr_stabilized_catches_short_diagonal_pad(monkeypatch):
     # The powers the sweep reads are Toeplitz from some m on, so their
-    # diagonals are read off rows 1 and n; a row-n mask one bit short never
-    # reads diagonal -1.  The fold's short pad is caught in test_packed.py.
-    def read_short_row(self, x):
-        n = self.n
-        row = (1 << n) - 1
-        return ((x & row) << (n - 1)) | ((x >> n * (n - 1)) & (row >> 2))
+    # scan keys are the diagonals read off rows 1 and n; a row-n mask one
+    # bit short of columns 1..n-1 never reads diagonal -1.  The fold's
+    # short pad is caught in test_packed.py.
+    def key_short_row(self, x):
+        stride, row, up, last = self._key_shifts
+        if ((x >> stride) ^ x) & self.inner:
+            return x
+        return ~(((x & row) << up) | ((x >> last) & (row >> 2)))
 
-    monkeypatch.setattr(Geometry, "read_diagonals", read_short_row)
+    monkeypatch.setattr(Geometry, "scan_key", key_short_row)
     assert sweep_fails("pqr_stabilized") > 0
 
 

@@ -18,7 +18,7 @@ from toeplab.compgraph import (
     residue_clique_graph,
 )
 from toeplab.packed import PAIR_BITS, ROW_BYTES_FROM, Geometry, ToeplitzKernel, geometry
-from toeplab.spectra import competition_table, power_table
+from toeplab.spectra import competition_table, power_from_table, power_table
 from toeplab.toeplitz import (
     build_matrix,
     pair_sum_gcd,
@@ -168,7 +168,53 @@ class TestPowerStep:
         tail, seq = power_table(kernel)
         gtail, gseq = generic.power_table(build_matrix(spec))
         assert (tail.index, tail.period) == (gtail.index, gtail.period)
-        assert [unpack(spec.n, x) for x in seq] == gseq
+        assert [unpack(spec.n, kernel.geometry.from_key(key)) for key in seq] == gseq
+
+
+def keyed_table_matches_generic(spec):
+    # The keyed power table against the generic one: the same tail, each
+    # A^m decoded for m up to index + period + 2, and negative keys exactly
+    # on the Toeplitz powers.
+    kernel, a = ToeplitzKernel(spec), build_matrix(spec)
+    tail, seq = table = power_table(kernel)
+    gtail, gseq = generic.power_table(a)
+    assert tail == gtail, spec.literal
+    assert [key < 0 for key in seq] == [x.is_toeplitz() for x in gseq], spec.literal
+    for m in range(1, tail.index + tail.period + 3):
+        x = gseq[m - 1] if m <= len(gseq) else a.power(m)
+        assert unpack(spec.n, power_from_table(kernel, *table, m)) == x, (spec.literal, m)
+
+
+class TestKeyedPowerTable:
+    def test_matches_generic_on_every_instance_up_to_6(self):
+        for spec in enumerate_specs(6, False):
+            keyed_table_matches_generic(spec)
+
+    def test_matches_generic_where_powers_are_not_toeplitz(self):
+        spec = parse_literal("T5<2;4>")
+        keyed_table_matches_generic(spec)
+        assert max(power_table(ToeplitzKernel(spec))[1][1:]) >= 0
+
+    def test_matches_generic_on_large_instances(self):
+        rng = random.Random(20261022)
+        for _ in range(6):
+            n = rng.randint(60, 200)
+            fwd = rng.sample(range(1, n), rng.randint(1, 3))
+            bwd = rng.sample(range(1, n), rng.randint(1, 3))
+            keyed_table_matches_generic(validate_spec(n, fwd, bwd))
+
+    def test_stored_powers_are_their_diagonals(self):
+        # T400<3,7;5> stores 84 powers, each Toeplitz: 2n - 1 bits apiece in
+        # place of n^2 (1.84 MB of powers kept as matrices).
+        kernel = ToeplitzKernel(parse_literal("T400<3,7;5>"))
+        tracemalloc.start()
+        try:
+            tail, seq = power_table(kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(seq) == 84 and max(seq) < 0
+        assert peak < 1 << 19  # 0.5 MB
 
 
 class TestCompetitionStep:
@@ -193,6 +239,17 @@ class TestCompetitionStep:
         assert [unpack(spec.n, b) for b in bs] == gbs
 
 
+def assert_scan_key(g, x, expected):
+    # A Toeplitz x is keyed by ~(its full diagonals), any other x by
+    # itself, and the key decodes back to x.
+    key = g.scan_key(x)
+    if g.is_toeplitz(x):
+        assert key < 0 and offsets_of(~key, g.n) == expected
+    else:
+        assert key == x
+    assert g.from_key(key) == x
+
+
 class TestFullDiagonals:
     @given(spec_and_matrix())
     @settings(max_examples=60, deadline=None)
@@ -209,8 +266,7 @@ class TestFullDiagonals:
             packed = pack(mat)
             expected = full_diagonal_offsets(mat)
             assert offsets_of(g.fold_diagonals(packed), mat.n) == expected
-            if g.is_toeplitz(packed):
-                assert offsets_of(g.read_diagonals(packed), mat.n) == expected
+            assert_scan_key(g, packed, expected)
 
     @given(specs(max_n=12), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -224,8 +280,7 @@ class TestFullDiagonals:
         )
         g = kernel.geometry
         assert offsets_of(g.fold_diagonals(x), spec.n) == expected
-        if g.is_toeplitz(x):
-            assert offsets_of(g.read_diagonals(x), spec.n) == expected
+        assert_scan_key(g, x, expected)
 
     @given(specs(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -245,11 +300,9 @@ class TestFullDiagonals:
         for mat in (BoolMatrix(n, rows), BoolMatrix(n, flipped)):
             x = pack(mat)
             expected = full_diagonal_offsets(mat)
-            toeplitz = g.is_toeplitz(x)
-            assert toeplitz == mat.is_toeplitz()
+            assert g.is_toeplitz(x) == mat.is_toeplitz()
             assert offsets_of(g.fold_diagonals(x), n) == expected
-            if toeplitz:
-                assert offsets_of(g.read_diagonals(x), n) == expected
+            assert_scan_key(g, x, expected)
 
     @given(specs(max_n=12), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -263,9 +316,9 @@ class TestFullDiagonals:
         for spec in enumerate_specs(7, False):
             kernel = ToeplitzKernel(spec)
             g = kernel.geometry
-            for x in power_table(kernel)[1]:
-                if g.is_toeplitz(x):
-                    assert g.read_diagonals(x) == g.fold_diagonals(x), spec.literal
+            for key in power_table(kernel)[1]:
+                if key < 0:
+                    assert ~key == g.fold_diagonals(g.from_key(key)), spec.literal
 
 
 class TestToeplitzTest:
@@ -431,13 +484,6 @@ def geometry_from_scratch(n):
             tuple(sum(1 << ell + n - 1 for ell in range(1 - n, n) if ell % d == r) for r in range(d))
             for d in moduli
         ],
-        "class_masks": [
-            tuple(
-                sum(1 << v - 1 for v in range(1, n + 1) if (v - r) % d == 0)
-                for r in range(1, min(d, n) + 1)
-            )
-            for d in moduli
-        ],
     }
 
 
@@ -452,7 +498,6 @@ def geometry_tables(g):
         "pad_upper": g.pad_upper,
         "residue_matrix": [g.residue_matrix(d) for d in moduli],
         "congruent_masks": [g.congruent_masks(d) for d in moduli],
-        "class_masks": [g.class_masks(d) for d in moduli],
     }
 
 
@@ -737,15 +782,41 @@ class TestPackedBoundHypothesis:
     @given(specs())
     @settings(max_examples=60, deadline=None)
     def test_matches_boolmatrix_path(self, spec):
-        kernel = ToeplitzKernel(spec)
-        b1 = kernel.compete(kernel.geometry.identity)
         expected = boolmatrix_bound_hypothesis(spec)
-        assert bound_hypothesis_holds(spec, b1, pair_sum_gcd(spec)) == expected
+        assert bound_hypothesis_holds(spec, pair_sum_gcd(spec)) == expected
         assert bound_hypothesis_holds(spec) == expected
 
+    def test_matches_row_closure_on_every_instance_up_to_7(self):
+        for spec in enumerate_specs(7, False):
+            expected = oracles.rows_bound_hypothesis(
+                spec.n, spec.forward_steps, spec.backward_steps, pair_sum_gcd(spec)
+            )
+            assert bound_hypothesis_holds(spec) == expected, spec.literal
+
+    def test_matches_row_closure_on_large_instances(self):
+        # Step sets drawn inside one residue pair a, -a mod d, so the
+        # pair-sum gcd is a multiple of d, kept when it is at most 4.
+        rng = random.Random(20261021)
+        outcomes, gcds = set(), []
+        while len(gcds) < 40:
+            n, d = rng.randint(60, 200), rng.randint(1, 4)
+            a = rng.randrange(d)
+            fwd = rng.sample(range(a or d, n, d), rng.randint(1, 3))
+            bwd = rng.sample(range(-a % d or d, n, d), rng.randint(1, 3))
+            spec = validate_spec(n, fwd, bwd)
+            d = pair_sum_gcd(spec)
+            if d > 4:
+                continue
+            expected = oracles.rows_bound_hypothesis(n, spec.forward_steps, spec.backward_steps, d)
+            assert bound_hypothesis_holds(spec) == expected, spec.literal
+            assert bound_hypothesis_holds(spec, d) == expected, spec.literal
+            outcomes.add(expected)
+            gcds.append(d)
+        assert outcomes == {True, False} and set(gcds) == {1, 2, 3, 4}
+
     def test_matches_boolmatrix_path_on_both_row_sources(self):
-        # B_1's rows are shifted out below ROW_BYTES_FROM and sliced out of
-        # its bytes from there on.
+        # Large instances, n from ROW_BYTES_FROM - 20 to 200, with both
+        # outcomes.
         rng = random.Random(20261018)
         sizes = [ROW_BYTES_FROM - 1, ROW_BYTES_FROM, 200]
         sizes += [rng.randint(ROW_BYTES_FROM - 20, 200) for _ in range(27)]

@@ -129,13 +129,16 @@ class TestPowerTail:
                         assert tail is None and seq == full[1][:m]
                     else:
                         assert tail == full[0]
-                    assert power_from_table(tail, seq, m) == power_from_table(*full, m)
+                    expected = power_from_table(kernel, *full, m)
+                    assert power_from_table(kernel, tail, seq, m) == expected
 
     def test_table_lookup_agrees_with_direct_powers(self):
-        a = build_matrix(parse_literal("T5<2;4>"))
-        tail, seq = generic.power_table(a)
+        spec = parse_literal("T5<2;4>")
+        kernel, a = ToeplitzKernel(spec), build_matrix(spec)
+        table = power_table(kernel)
         for m in range(1, 20):
-            assert power_from_table(tail, seq, m) == a.power(m)
+            rows = kernel.geometry.rows(power_from_table(kernel, *table, m))
+            assert BoolMatrix(5, rows) == a.power(m)
 
 
 class TestMatrixPeriod:
@@ -282,14 +285,14 @@ class TestResidueBlocks:
 class TestEventuallyToeplitz:
     def test_t5_never_again(self):
         kernel = ToeplitzKernel(parse_literal("T5<2;4>"))
-        holds, first_m = power_is_eventually_toeplitz(kernel, *power_table(kernel))
+        holds, first_m = power_is_eventually_toeplitz(*power_table(kernel))
         assert holds is False and first_m is None
 
     def test_running_example_holds(self):
         spec = parse_literal("T8<1,4;2,5>")
         kernel, a = ToeplitzKernel(spec), build_matrix(spec)
         tail, seq = power_table(kernel)
-        holds, first_m = power_is_eventually_toeplitz(kernel, tail, seq)
+        holds, first_m = power_is_eventually_toeplitz(tail, seq)
         assert holds is True
         # Independent threshold: scan a long prefix directly.
         flags = [a.power(m).is_toeplitz() for m in range(1, tail.index + tail.period + 1)]
@@ -298,8 +301,21 @@ class TestEventuallyToeplitz:
             expected_first -= 1
         assert first_m == expected_first == 1
 
+    def test_threshold_matches_generic_up_to_6(self):
+        # The key signs against BoolMatrix.is_toeplitz: the powers from the
+        # threshold on are the longest Toeplitz run that ends the scan, and
+        # it must cover the cycle.
+        for spec in enumerate_specs(6, False):
+            tail, gseq = generic.power_table(build_matrix(spec))
+            run = 0
+            while run < len(gseq) and gseq[-1 - run].is_toeplitz():
+                run += 1
+            expected = (True, len(gseq) - run + 1) if run >= tail.period else (False, None)
+            kernel = ToeplitzKernel(spec)
+            assert power_is_eventually_toeplitz(*power_table(kernel)) == expected, spec.literal
+
     def test_conditioned_sweep_holds(self):
         for spec in enumerate_specs(6, True):
             kernel = ToeplitzKernel(spec)
-            holds, _ = power_is_eventually_toeplitz(kernel, *power_table(kernel))
+            holds, _ = power_is_eventually_toeplitz(*power_table(kernel))
             assert holds, spec.literal

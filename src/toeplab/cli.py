@@ -112,12 +112,10 @@ def _cmd_build(args) -> int:
 def _cmd_power(args) -> int:
     spec = _parse_spec(args.spec)
     kernel = ToeplitzKernel(spec)
-    if args.m == 0:
-        x = kernel.geometry.identity
-    else:
-        table = power_table(kernel, last=args.m)
-        x = power_from_table(kernel, *table, args.m)
     g = kernel.geometry
+    x = g.identity
+    if args.m:  # a scan stops at a term m >= 1
+        x = power_from_table(kernel, *power_table(kernel, last=args.m), args.m)
     if args.format == "json":
         payload = {"spec": spec.literal, "m": args.m, "matrix": g.to_json_dict(x)}
         print(json.dumps(payload, sort_keys=True))

@@ -16,7 +16,11 @@ Geometry.scan_key.  A Toeplitz power, as the powers of A are from some m
 on, is fixed by its full diagonals (the realized offsets), read off rows 1
 and n, so it is hashed and stored as 2n - 1 bits; only a power that is not
 Toeplitz is stored whole, as n^2 bits, and pays for the AND-fold along
-stride n+1 when its diagonals are read.
+stride n+1 when its diagonals are read.  From n = KEY_STEP_FROM on, a
+Toeplitz X with diagonal mask x steps on those bits alone: each run of
+columns a..b of X.A that use the same steps reads M = OR_s (x << s) |
+OR_t (x >> t) on its offsets W = [a - n, b - 1], and X.A is Toeplitz, keyed
+by ~AND_r (M | ~W), exactly when that equals OR_r (M & W).
 
 Everything that depends on n and at most one step set or modulus lives in
 one Geometry per size, shared by every kernel of that size: the fixed
@@ -28,9 +32,9 @@ lists, the set as one mask, the gcd of its differences and the one-step
 partner rules per step set).  packed.geometry keeps the Geometry of the
 last 128 sizes asked for.  A ToeplitzKernel keeps only what its own steps
 pick: the shift lists, the two step masks and difference gcds, the
-adjacency matrix and the two steps.  closure is reachability over row
-masks, for any digraph given by its rows, and members decodes a vertex or
-offset mask.
+adjacency matrix, the two steps and, from its first key step, its runs.
+closure is reachability over row masks, for any digraph given by its rows,
+and members decodes a vertex or offset mask.
 """
 
 from __future__ import annotations
@@ -47,6 +51,13 @@ __all__ = ["Geometry", "ToeplitzKernel", "geometry", "closure", "members"]
 # per row.  Timed on T_n<3,7;5>, 2 cores, Python 3.11: slicing was 1.1x
 # slower at n = 130, 1.2x faster at n = 150 and 3x at n = 400.
 ROW_BYTES_FROM = 140
+
+# Size from which power scans step Toeplitz powers on their 2n - 1 diagonal
+# bits (ToeplitzKernel.key_step).  Whole scans, key step over n^2-bit step, 60
+# seeded instances per size with 1-3 steps of each kind, 2 cores, Python 3.11:
+# random steps 1.06x at n = 64, 1.00x at 80, 0.91x at 88; steps up to 12 0.94x,
+# 0.76x, 0.59x; both mixes 1.1-1.5x slower at n <= 48 (Python cost per run).
+KEY_STEP_FROM = 88
 
 # Step sets whose shift lists and partner rules one Geometry keeps: all
 # 2^(n-1) - 1 of a size up to n = 12, and a bound on memory for larger sizes.
@@ -232,26 +243,27 @@ class Geometry:
 
     # -- matrices of this size ------------------------------------------------------
 
-    def is_toeplitz(self, x: int) -> bool:
-        """Every entry equals its lower-right neighbour."""
-        return ((x >> (self.n + 1)) ^ x) & self.inner == 0
-
     def scan_key(self, x: int) -> int:
-        """x's power-scan key: ~(its full diagonals) when x is Toeplitz,
-        whose row 1 holds diagonals 0..n-1 and row n diagonals -(n-1)..-1 in
-        mask order, and x itself otherwise.  Toeplitz keys are negative and
-        the others not, so each key names exactly one matrix.  Entry (n, n)
-        of row n is diagonal 0 again, so it ORs onto row 1's entry (1, 1)."""
+        """x's power-scan key: ~(its full diagonals) when x is Toeplitz (each
+        entry equals its lower-right neighbour), whose row 1 holds diagonals
+        0..n-1 and row n diagonals -(n-1)..-1 in mask order, and x itself
+        otherwise.  Toeplitz keys are negative and the others not, so each key
+        names exactly one matrix and scan_key(x) < 0 is the Toeplitz test.
+        Entry (n, n) of row n is diagonal 0 again, so it ORs onto (1, 1)."""
         stride, row, up, last = self._key_shifts
         if ((x >> stride) ^ x) & self.inner:
             return x
         return ~(((x & row) << up) | (x >> last))
 
     def from_key(self, key: int) -> int:
-        """The packed matrix a scan_key names: row r of a Toeplitz matrix
-        holds diagonals 1-r .. n-r."""
-        n, row = self.n, (1 << self.n) - 1
-        return key if key >= 0 else sum([((~key >> n - 1 - r) & row) << r * n for r in range(n)])
+        """The packed matrix a scan_key names: a Toeplitz one is two products
+        with the identity, row r taking the diagonals from column r on, each
+        cut to its triangle by a fold pad."""
+        if key >= 0:
+            return key
+        n, x = self.n, ~key
+        lower = (self.identity * ((x << 1) & ((1 << n) - 1))) >> n & self.pad_lower
+        return ((self.identity * (x >> n - 1)) & self.pad_upper | lower) & self.full
 
     def fold_diagonals(self, x: int) -> int:
         """The full diagonals of any x, in two log-depth AND-folds.
@@ -330,6 +342,7 @@ class ToeplitzKernel:
         "_rows_down",
         "_rows_up",
         "_times_at",
+        "_runs",
     )
 
     def __init__(self, spec: ToeplitzSpec):
@@ -344,6 +357,7 @@ class ToeplitzKernel:
         self._times_a = fwd_low, bwd_high
         self._times_at = fwd_high, bwd_low
         self.adjacency = self.times_a(g.identity)
+        self._runs = None
 
     def times_a(self, x: int) -> int:
         """X.A: column shifts of X, masked so no bit crosses a row end."""
@@ -354,6 +368,38 @@ class ToeplitzKernel:
         for mask, t in left:
             out |= (x & mask) >> t
         return out
+
+    def key_step(self, key: int) -> int:
+        """The scan key of X.A from X's: run by run on the 2n - 1 diagonal bits
+        (module docstring) while X and X.A are Toeplitz, else by times_a."""
+        if key < 0:
+            x, ups, downs = ~key, [0], [0]
+            for s in self.spec.forward_steps:
+                ups.append(ups[-1] | x << s)
+            for t in self.spec.backward_steps:
+                downs.append(downs[-1] | x >> t)
+            every, some = -1, 0  # column 1's run shifts nothing left: 2n - 1 bits
+            for forward, backward, window, outside in self._runs or self._run_table():
+                mask = ups[forward] | downs[backward]
+                every &= mask | outside
+                some |= mask & window
+            if every == some:
+                return ~every
+            key = self.geometry.from_key(key)
+        return self.geometry.scan_key(self.times_a(key))
+
+    def _run_table(self) -> tuple:
+        # Column j uses the steps s < j and t <= n - j: the cuts s + 1 and
+        # n - t + 1 split columns 1..n into runs a..b - 1, each kept as its
+        # step counts (prefixes of the sorted steps), W and ~W.
+        n, fwd, bwd = self.spec.n, self.spec.forward_steps, self.spec.backward_steps
+        cuts = sorted({1, n + 1, *[s + 1 for s in fwd], *[n - t + 1 for t in bwd]})
+        full, runs = (1 << 2 * n - 1) - 1, []
+        for a, b in zip(cuts, cuts[1:]):
+            w = ((1 << n + b - 1 - a) - 1) << a - 1
+            runs.append((sum(s < a for s in fwd), sum(t <= n - a for t in bwd), w, full ^ w))
+        self._runs = runs = tuple(runs)
+        return runs
 
     def compete(self, b: int) -> int:
         """A.B.A^T: row shifts for A.B, then masked column shifts for .A^T.

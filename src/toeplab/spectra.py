@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .packed import ToeplitzKernel
+from .packed import KEY_STEP_FROM, ToeplitzKernel
 
 __all__ = [
     "STEP_BUDGET",
@@ -60,10 +60,15 @@ def power_table(kernel: ToeplitzKernel, last: int | None = None):
     Returns (tail, seq) where seq lists A^1 .. A^{index+period-1} by their
     Geometry.scan_key: a Toeplitz power, as every power of A is from some m
     on, is stored and hashed as its 2n - 1 diagonal bits, not its n^2 bits.
-    With `last`, the scan also stops at A^last when that comes first, and
-    then returns tail None; power_from_table reads A^last either way.
+    From n = packed.KEY_STEP_FROM on, a Toeplitz A^m steps to A^(m+1)'s key
+    on those bits alone, per run of columns OR_s (x << s) | OR_t (x >> t) of
+    its diagonal mask x (ToeplitzKernel.key_step).  With `last` (at least 1)
+    the scan also stops at A^last when that comes first and returns tail
+    None; power_from_table reads A^last either way, and no later term.
     """
-    return _scan(kernel.adjacency, kernel.times_a, "power", last, kernel.geometry.scan_key)
+    if kernel.spec.n < KEY_STEP_FROM:
+        return _scan(kernel.adjacency, kernel.times_a, "power", last, kernel.geometry.scan_key)
+    return _scan(kernel.geometry.scan_key(kernel.adjacency), kernel.key_step, "power", last)
 
 
 def _scan(first, step, what: str, last: int | None = None, key=None):
@@ -72,11 +77,12 @@ def _scan(first, step, what: str, last: int | None = None, key=None):
     # each term's key (the term itself without `key`) once, and its
     # insertion order is the sequence.  With `last` the scan also stops
     # after term `last` and returns no tail.
+    if last is not None and last < 1:
+        raise ValueError(f"a {what} scan stops at a term m >= 1, not at {last}")
     seen: dict = {}
     setdefault = seen.setdefault
-    stop = min(STEP_BUDGET, last or STEP_BUDGET)
-    x = first
-    m = 1
+    stop = STEP_BUDGET if last is None else min(STEP_BUDGET, last)
+    x, m = first, 1
     while (first_m := setdefault(key(x) if key else x, m)) == m:
         if m >= stop:
             if m == last:
@@ -93,8 +99,8 @@ def power_from_table(kernel: ToeplitzKernel, tail: PeriodicTail, seq, m: int) ->
     competition_table result of `kernel` (round the cycle beyond the scan).
     A power's scan key is decoded, so only the power asked for is rebuilt
     to n^2 bits; a competition term is stored as it is."""
-    if m < 1:
-        raise ValueError("sequence index must be at least 1")
+    if m < 1 or (tail is None and m > len(seq)):
+        raise ValueError(f"sequence index {m} is not in 1..{'' if tail else len(seq)}")
     if m > len(seq):
         m = tail.index + (m - tail.index) % tail.period
     return kernel.geometry.from_key(seq[m - 1])

@@ -1,14 +1,20 @@
 """Mutation canaries: each test plants one plausible bug in the packed path
 or the predicate glue and checks that the sweep at n <= 6 reports its own
-predicate failing, or that the embedded goldens report a mismatch.  A check
-never seen to fail is no evidence."""
+predicate failing, that the embedded goldens report a mismatch, or that the
+key step's differential test or its times_a pin fails.  A check never seen
+to fail is no evidence."""
 
+import random
 from math import gcd
 
 from toeplab import goldens, verify
 from toeplab.packed import Geometry, ToeplitzKernel
-from toeplab.verify import sweep
+from toeplab.spectra import power_table
+from toeplab.toeplitz import parse_literal
+from toeplab.verify import enumerate_specs, sweep
 from toeplab.walks import walk_length_bound
+
+import generic
 
 
 def sweep_fails(predicate):
@@ -113,6 +119,46 @@ def test_pqr_stabilized_catches_short_diagonal_pad(monkeypatch):
 
     monkeypatch.setattr(Geometry, "scan_key", key_short_row)
     assert sweep_fails("pqr_stabilized") > 0
+
+
+def run_window_one_column_short(monkeypatch, run):
+    # ToeplitzKernel._run_table with the window of one run missing its last
+    # column's top entry, the highest offset the run covers.
+    run_table = ToeplitzKernel._run_table
+
+    def short_table(self):
+        runs = list(run_table(self))
+        forward, backward, window, outside = runs[run]
+        top = 1 << window.bit_length() - 1
+        runs[run] = (forward, backward, window ^ top, outside | top)
+        self._runs = tuple(runs)
+        return self._runs
+
+    monkeypatch.setattr(ToeplitzKernel, "_run_table", short_table)
+
+
+def test_key_step_differential_catches_short_run_window(monkeypatch):
+    # The first run's short window lets a disagreement at that entry pass
+    # as Toeplitz.  The powers of A never put one there up to n = 8, so the
+    # whole scans still match; the one-step differential from arbitrary
+    # Toeplitz matrices does not.
+    run_window_one_column_short(monkeypatch, 0)
+    assert list(generic.scan_mismatches(enumerate_specs(6, False))) == []
+    assert next(generic.step_mismatches(enumerate_specs(7, False), random.Random(7)), None)
+
+
+def test_key_step_pin_catches_short_last_run_window(monkeypatch):
+    # The last run's short window leaves offset n - 1 unread, so no key
+    # step ever finds X.A Toeplitz: every table stays right, but each step
+    # falls back to the n^2-bit one, which the times_a pin on T400 catches.
+    run_window_one_column_short(monkeypatch, -1)
+    assert list(generic.scan_mismatches(enumerate_specs(6, False))) == []
+    calls = []
+    times_a = ToeplitzKernel.times_a
+    kernel = ToeplitzKernel(parse_literal("T400<3,7;5>"))
+    monkeypatch.setattr(ToeplitzKernel, "times_a", lambda k, x: calls.append(1) or times_a(k, x))
+    power_table(kernel)
+    assert len(calls) == 84  # one per step, where the pin asks for none
 
 
 def test_gcd_equality_catches_steps_for_differences(monkeypatch):

@@ -17,7 +17,16 @@ from toeplab.compgraph import (
     competition_graph_formula,
     residue_clique_graph,
 )
-from toeplab.packed import PAIR_BITS, ROW_BYTES_FROM, Geometry, ToeplitzKernel, geometry
+from toeplab import spectra
+from toeplab.packed import (
+    KEY_STEP_FROM,
+    MAX_MATRIX_N,
+    PAIR_BITS,
+    ROW_BYTES_FROM,
+    Geometry,
+    ToeplitzKernel,
+    geometry,
+)
 from toeplab.spectra import competition_table, power_from_table, power_table
 from toeplab.toeplitz import (
     build_matrix,
@@ -217,6 +226,91 @@ class TestKeyedPowerTable:
         assert peak < 1 << 19  # 0.5 MB
 
 
+def seeded_large_specs(seed, count):
+    # Half with random steps, half with steps up to 12, n 60-300; scans
+    # past the step budget are left out.
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        n = rng.randint(60, 300)
+        top = n - 1 if len(out) % 2 else 12
+        fwd = rng.sample(range(1, top + 1), rng.randint(1, 3))
+        bwd = rng.sample(range(1, top + 1), rng.randint(1, 3))
+        spec = validate_spec(n, fwd, bwd)
+        if generic.square_power_table(ToeplitzKernel(spec))[0].index < 120:
+            out.append(spec)
+    return out
+
+
+def toeplitz_again(seq):
+    # Some Toeplitz power is followed by one that is not and later by a
+    # Toeplitz one again.
+    signs = "".join("T" if key < 0 else "N" for key in seq)
+    return "TN" in signs and "T" in signs[signs.index("TN") + 1 :]
+
+
+class TestKeyStep:
+    """The power scan stepped on the 2n - 1 diagonal bits of each Toeplitz
+    power (ToeplitzKernel.key_step), forced at every n, against the n^2-bit
+    scan and the BoolMatrix tail."""
+
+    def test_matches_on_every_instance_up_to_8(self):
+        assert list(generic.scan_mismatches(enumerate_specs(8, False))) == []
+
+    def test_stops_alike_before_at_and_past_the_index_up_to_6(self):
+        assert list(generic.scan_mismatches(enumerate_specs(6, False), cut=True)) == []
+
+    def test_matches_on_seeded_large_instances(self):
+        specs = seeded_large_specs(20261030, 24)
+        assert list(generic.scan_mismatches(specs, cut=True)) == []
+        tables = [generic.key_power_table(ToeplitzKernel(spec))[1] for spec in specs]
+        assert sum(map(toeplitz_again, tables)) >= 3
+
+    def test_one_step_from_any_toeplitz_matrix(self):
+        # Powers of A rarely put a disagreement at a run's edge; arbitrary
+        # diagonal masks do.
+        specs = list(enumerate_specs(7, False)) + seeded_large_specs(31, 8)
+        assert list(generic.step_mismatches(specs, random.Random(7))) == []
+
+    def test_power_table_takes_the_key_step_from_the_crossover(self, monkeypatch):
+        calls = []
+        key_step = ToeplitzKernel.key_step
+        monkeypatch.setattr(ToeplitzKernel, "key_step", lambda k, key: calls.append(1) or key_step(k, key))
+        for n in (KEY_STEP_FROM - 1, KEY_STEP_FROM):
+            calls.clear()
+            kernel = ToeplitzKernel(validate_spec(n, [3, 7], [5]))
+            assert power_table(kernel) == generic.square_power_table(kernel)
+            assert bool(calls) == (n >= KEY_STEP_FROM), n
+
+    def test_toeplitz_powers_make_no_matrix_step(self, monkeypatch):
+        # All 84 powers of T400<3,7;5> are Toeplitz, so its scan never
+        # multiplies out n^2 bits.
+        calls = []
+        times_a = ToeplitzKernel.times_a
+        kernel = ToeplitzKernel(parse_literal("T400<3,7;5>"))
+        monkeypatch.setattr(ToeplitzKernel, "times_a", lambda k, x: calls.append(1) or times_a(k, x))
+        tail, seq = power_table(kernel)
+        assert (len(seq), max(seq) < 0, calls) == (84, True, [])
+
+    def test_commands_print_what_the_square_scan_gives(self, capsys, monkeypatch):
+        # power --m, psets --i and period above the crossover, with the key
+        # step and with every power stepped on n^2 bits.
+        literals = ["T100<3,7;5>", "T150<1;2>", "T199<144;10,106>", "T240<5;7>", "T113<14;43,107>"]
+        argvs = [("period", lit, "--format", fmt) for lit in literals for fmt in ("text", "json")]
+        argvs += [("power", lit, "--m", m) for lit in literals for m in ("1", "5", "147", "2000")]
+        argvs += [("psets", lit, "--i", i) for lit in literals for i in ("1", "30", "400")]
+
+        def outputs():
+            out = []
+            for argv in argvs:
+                out.append((cli.main(list(argv)), capsys.readouterr()))
+            return out
+
+        assert all(KEY_STEP_FROM <= parse_literal(lit).n for lit in literals)
+        keyed = outputs()
+        monkeypatch.setattr(spectra, "KEY_STEP_FROM", MAX_MATRIX_N + 1)
+        assert outputs() == keyed
+
+
 class TestCompetitionStep:
     @given(specs(), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
@@ -243,7 +337,7 @@ def assert_scan_key(g, x, expected):
     # A Toeplitz x is keyed by ~(its full diagonals), any other x by
     # itself, and the key decodes back to x.
     key = g.scan_key(x)
-    if g.is_toeplitz(x):
+    if g.scan_key(x) < 0:
         assert key < 0 and offsets_of(~key, g.n) == expected
     else:
         assert key == x
@@ -300,7 +394,7 @@ class TestFullDiagonals:
         for mat in (BoolMatrix(n, rows), BoolMatrix(n, flipped)):
             x = pack(mat)
             expected = full_diagonal_offsets(mat)
-            assert g.is_toeplitz(x) == mat.is_toeplitz()
+            assert (g.scan_key(x) < 0) == mat.is_toeplitz()
             assert offsets_of(g.fold_diagonals(x), n) == expected
             assert_scan_key(g, x, expected)
 
@@ -327,7 +421,7 @@ class TestToeplitzTest:
     def test_matches_generic(self, case):
         _, x = case
         g = geometry(x.n)
-        assert g.is_toeplitz(pack(x)) == x.is_toeplitz()
+        assert (g.scan_key(pack(x)) < 0) == x.is_toeplitz()
 
     @given(specs(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -339,11 +433,11 @@ class TestToeplitzTest:
             sum(1 << c for c in range(n) if (diagonals >> (c - r + n - 1)) & 1) for r in range(n)
         ]
         x = BoolMatrix(n, rows)
-        assert g.is_toeplitz(pack(x)) and x.is_toeplitz()
+        assert g.scan_key(pack(x)) < 0 and x.is_toeplitz()
         r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         rows[r] ^= 1 << c
         flipped = BoolMatrix(n, rows)
-        assert g.is_toeplitz(pack(flipped)) == flipped.is_toeplitz()
+        assert (g.scan_key(pack(flipped)) < 0) == flipped.is_toeplitz()
 
 
 # -- whole reports ----------------------------------------------------------------

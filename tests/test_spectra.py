@@ -85,6 +85,7 @@ class TestPowerTail:
             kernel, a = ToeplitzKernel(spec), build_matrix(spec)
             for table, x in (
                 (power_table, kernel),
+                (generic.key_power_table, kernel),
                 (competition_table, kernel),
                 (generic.power_table, a),
                 (generic.competition_table, a),
@@ -119,7 +120,7 @@ class TestPowerTail:
         budget = spectra.STEP_BUDGET
         for spec in enumerate_specs(5, False):
             kernel = ToeplitzKernel(spec)
-            for table in (power_table, competition_table):
+            for table in (power_table, generic.key_power_table, competition_table):
                 monkeypatch.setattr(spectra, "STEP_BUDGET", budget)
                 full = table(kernel)
                 for m in range(1, len(full[1]) + 3):
@@ -131,6 +132,28 @@ class TestPowerTail:
                         assert tail == full[0]
                     expected = power_from_table(kernel, *full, m)
                     assert power_from_table(kernel, tail, seq, m) == expected
+
+    def test_scan_stopped_before_term_1_is_an_error(self):
+        # last = 0 or below used to run the whole scan.
+        kernel = ToeplitzKernel(parse_literal("T8<1,4;2,5>"))
+        for table in (power_table, generic.key_power_table, competition_table):
+            for last in (0, -1, -7):
+                with pytest.raises(ValueError, match=f"stops at a term m >= 1, not at {last}"):
+                    table(kernel, last=last)
+
+    def test_table_stopped_at_last_reads_no_further(self):
+        # A table stopped at term 2 has no tail to run round: term 3 on is
+        # an error, not an AttributeError on the missing tail.
+        kernel = ToeplitzKernel(parse_literal("T13<2,5;3>"))
+        for table in (power_table, competition_table):
+            tail, seq = stopped = table(kernel, last=2)
+            assert tail is None and len(seq) == 2
+            assert power_from_table(kernel, *stopped, 2) == power_from_table(kernel, *table(kernel), 2)
+            for m in (3, 4, 100):
+                with pytest.raises(ValueError, match=f"sequence index {m} is not in 1..2"):
+                    power_from_table(kernel, *stopped, m)
+            with pytest.raises(ValueError, match="sequence index 0 is not in 1.."):
+                power_from_table(kernel, *table(kernel), 0)
 
     def test_table_lookup_agrees_with_direct_powers(self):
         spec = parse_literal("T5<2;4>")

@@ -121,11 +121,14 @@ class TestVerifyInstance:
         assert all(v in (HOLDS, FAILS, NOT_APPLICABLE) for v in report.checks.values())
 
     def test_budget_marks_incomplete_never_fails(self, monkeypatch):
+        # Below and above packed.KEY_STEP_FROM, where the power scan takes
+        # the key step.
         monkeypatch.setattr(spectra, "STEP_BUDGET", 2)
-        report = verify_instance(parse_literal("T8<1,4;2,5>"))
-        assert report.incomplete
-        assert FAILS not in report.checks.values()
-        assert report.checks["period_match"] == NOT_APPLICABLE
+        for literal in ("T8<1,4;2,5>", "T100<3,7;5>"):
+            report = verify_instance(parse_literal(literal))
+            assert report.incomplete
+            assert FAILS not in report.checks.values()
+            assert report.checks["period_match"] == NOT_APPLICABLE
 
     def test_python_calls_per_instance(self):
         # The per-instance path runs without per-step objects: count the
